@@ -9,7 +9,6 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import verify as verification
 from .beta_one import (
@@ -30,6 +29,7 @@ from .bounce import (
     nrb_series,
 )
 from .closed_forms import (
+    AB_RESTRICTIONS,
     Restriction,
     Slope,
     Step,
@@ -38,32 +38,10 @@ from .closed_forms import (
     g_prefix_series,
     g_series,
 )
-from .series import Series
+from .enumeration import BudgetExceeded
 
 FORMATS = ("table", "csv", "json", "oeis-bfile")
 ROUTES = ("general", "fuss-catalan", "beta1")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    alpha: int | None = None
-    beta: int | None = None
-    order: int = 8
-    series: str | None = None
-    restriction: Restriction = Restriction.ALL
-    max_left: int | None = None
-    max_right: int | None = None
-    output_format: str = "table"
-    bounces: int = 0
-    include_k0: bool = False
-    route: str = "general"
-    suites: list[str] = field(default_factory=list)
-    threads: int = 1
-    options: dict = field(default_factory=dict)
-
-    def slope(self) -> Slope:
-        return Slope(self.alpha, self.beta)
 
 
 class CliError(Exception):
@@ -72,136 +50,137 @@ class CliError(Exception):
 
 # ------------------------------------------------------------------ registry
 
-
-def _ab(name: str) -> Restriction:
-    return Restriction(name[-2:])
-
-
-def _general_f_ab(cfg: RunConfig, restriction: Restriction) -> Series:
-    if cfg.route == "general":
-        return bounce_free_ab(cfg.slope(), restriction, cfg.order)
-    _need_beta1(cfg, f"route {cfg.route}")
-    if cfg.route == "fuss-catalan":
-        return f_ab_via_fuss_catalan(cfg.alpha, restriction, cfg.order)
-    return bounce_free_ab_beta1(cfg.alpha, restriction, cfg.order)
+# Slope requirements of the registry entries.
+ANY_SLOPE, BETA1, DIAGONAL = None, "beta1", "diagonal"
+NRB_RESTRICTIONS = (Restriction.EE, Restriction.EN, Restriction.NN)
+NHC_RESTRICTIONS = (Restriction.EE, Restriction.EN, Restriction.NE)
 
 
-def _need_beta1(cfg: RunConfig, what: str):
-    if cfg.beta != 1:
+def _require(requirement, slope: Slope, what: str):
+    if requirement == BETA1 and slope.beta != 1:
         raise CliError(f"{what} requires a slope with beta = 1")
-
-
-def _need_diagonal(cfg: RunConfig, what: str):
-    if cfg.alpha != 1 or cfg.beta != 1:
+    if requirement == DIAGONAL and (slope.alpha, slope.beta) != (1, 1):
         raise CliError(f"{what} requires the diagonal slope alpha = beta = 1")
 
 
-def _need_general_route(cfg: RunConfig):
-    if cfg.route != "general":
-        raise CliError(f"series {cfg.series!r} has no {cfg.route!r} route")
+# A builder(s, a) returns the series for the validated Slope s and the parsed
+# arguments a.  Builders look layer functions up by their module-level names
+# when called, so a wrapper bound to those names later (a tracer, a test
+# double) sees the call.
 
 
-def _build_series(cfg: RunConfig) -> Series:
-    name = cfg.series
-    if name in ("g", "g_ee", "g_en", "g_ne", "g_nn", "g_estar", "g_nstar"):
-        _need_general_route(cfg)
-        slope = cfg.slope()
-        if name == "g":
-            return g_series(slope, cfg.order)
-        if name == "g_estar":
-            return g_prefix_series(slope, Step.E, cfg.order)
-        if name == "g_nstar":
-            return g_prefix_series(slope, Step.N, cfg.order)
-        restriction = _ab(name)
-        return g_ab_series(slope, restriction.first, restriction.last, cfg.order)
-    if name in ("f_ee", "f_en", "f_ne", "f_nn"):
-        return _general_f_ab(cfg, _ab(name))
-    if name in ("f", "f_estar", "f_nstar", "nlb", "nrb_ee", "nrb_en", "nrb_nn"):
-        _need_general_route(cfg)
-        slope = cfg.slope()
-        if name == "f":
-            return bounce_free_total(slope, cfg.order)
-        if name == "f_estar":
-            return bounce_free_prefix(slope, Step.E, cfg.order)
-        if name == "f_nstar":
-            return bounce_free_prefix(slope, Step.N, cfg.order)
-        if name == "nlb":
-            return no_left_bounce_total(slope, cfg.order)
-        return nrb_series(slope, _ab(name), cfg.order)
-    if name in ("c_alpha", "nhc_ee", "nhc_en", "nhc_ne", "h", "H", "H_ne"):
-        _need_general_route(cfg)
-        _need_beta1(cfg, f"series {name!r}")
-        if name == "c_alpha":
-            return fuss_catalan(cfg.alpha, cfg.order)
-        if name == "h":
-            return nhc_prefix_series(cfg.alpha, cfg.order)
-        if name == "H":
-            return nhc_nrb_series(cfg.alpha, cfg.order)
-        if name == "H_ne":
-            return rational_dyck_series(cfg.alpha, cfg.order)
-        return nhc_series(cfg.alpha, _ab(name), cfg.order)
-    if name == "g_b":
-        _need_general_route(cfg)
-        _need_diagonal(cfg, "series 'g_b'")
-        return g_b_series(cfg.bounces, cfg.order)
-    raise CliError(f"unknown series {name!r}; see --help for the catalogue")
+def _general(build):
+    return {"general": build}
 
 
-SERIES_NAMES = (
-    "g, g_ee, g_en, g_ne, g_nn, g_estar, g_nstar, c_alpha, "
-    "f, f_ee, f_en, f_ne, f_nn, f_estar, f_nstar, nrb_ee, nrb_en, nrb_nn, "
-    "nlb, g_b, nhc_ee, nhc_en, nhc_ne, h, H, H_ne"
-)
+def _g_ab(r: Restriction):
+    return _general(lambda s, a: g_ab_series(s, r.first, r.last, a.order))
+
+
+def _f_ab(r: Restriction):
+    return {
+        "general": lambda s, a: bounce_free_ab(s, r, a.order),
+        "fuss-catalan": lambda s, a: f_ab_via_fuss_catalan(s.alpha, r, a.order),
+        "beta1": lambda s, a: bounce_free_ab_beta1(s.alpha, r, a.order),
+    }
+
+
+def _nrb(r: Restriction):
+    return _general(lambda s, a: nrb_series(s, r, a.order))
+
+
+def _nhc(r: Restriction):
+    return _general(lambda s, a: nhc_series(s.alpha, r, a.order))
+
+
+# name -> (slope requirement, {route: builder}); every route other than
+# "general" is a beta = 1 form.
+SERIES = {
+    "g": (ANY_SLOPE, _general(lambda s, a: g_series(s, a.order))),
+    **{f"g_{r.value}": (ANY_SLOPE, _g_ab(r)) for r in AB_RESTRICTIONS},
+    "g_estar": (ANY_SLOPE, _general(lambda s, a: g_prefix_series(s, Step.E, a.order))),
+    "g_nstar": (ANY_SLOPE, _general(lambda s, a: g_prefix_series(s, Step.N, a.order))),
+    "c_alpha": (BETA1, _general(lambda s, a: fuss_catalan(s.alpha, a.order))),
+    "f": (ANY_SLOPE, _general(lambda s, a: bounce_free_total(s, a.order))),
+    **{f"f_{r.value}": (ANY_SLOPE, _f_ab(r)) for r in AB_RESTRICTIONS},
+    "f_estar": (ANY_SLOPE, _general(lambda s, a: bounce_free_prefix(s, Step.E, a.order))),
+    "f_nstar": (ANY_SLOPE, _general(lambda s, a: bounce_free_prefix(s, Step.N, a.order))),
+    **{f"nrb_{r.value}": (ANY_SLOPE, _nrb(r)) for r in NRB_RESTRICTIONS},
+    "nlb": (ANY_SLOPE, _general(lambda s, a: no_left_bounce_total(s, a.order))),
+    "g_b": (DIAGONAL, _general(lambda s, a: g_b_series(a.bounces, a.order))),
+    **{f"nhc_{r.value}": (BETA1, _nhc(r)) for r in NHC_RESTRICTIONS},
+    "h": (BETA1, _general(lambda s, a: nhc_prefix_series(s.alpha, a.order))),
+    "H": (BETA1, _general(lambda s, a: nhc_nrb_series(s.alpha, a.order))),
+    "H_ne": (BETA1, _general(lambda s, a: rational_dyck_series(s.alpha, a.order))),
+}
+
+SERIES_NAMES = ", ".join(SERIES)
+
+
+def _slope_and_order(args: argparse.Namespace) -> Slope:
+    """The validated slope of a coeffs or bounce-table call."""
+    if args.order < 1:
+        raise CliError(f"--order must be at least 1, got {args.order}")
+    return Slope(args.alpha, args.beta)
 
 
 # ------------------------------------------------------------------ commands
 
 
-def cmd_coeffs(cfg: RunConfig, out) -> int:
-    series = _build_series(cfg)
-    start = 0 if cfg.include_k0 else 1
-    pairs = [(k, series.coefficient(k)) for k in range(start, cfg.order + 1)]
-    if cfg.output_format == "table":
+def cmd_coeffs(args: argparse.Namespace, out) -> int:
+    slope = _slope_and_order(args)
+    if args.series not in SERIES:
+        raise CliError(f"unknown series {args.series!r}; see --help for the catalogue")
+    requirement, routes = SERIES[args.series]
+    if args.route not in routes:
+        raise CliError(f"series {args.series!r} has no {args.route!r} route")
+    if args.route != "general":
+        _require(BETA1, slope, f"route {args.route}")
+    _require(requirement, slope, f"series {args.series!r}")
+    series = routes[args.route](slope, args)
+    start = 0 if args.include_k0 else 1
+    pairs = [(k, series.coefficient(k)) for k in range(start, args.order + 1)]
+    if args.format == "table":
         print(" ".join(str(v) for _, v in pairs), file=out)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("k,value", file=out)
         for k, v in pairs:
             print(f"{k},{v}", file=out)
-    elif cfg.output_format == "oeis-bfile":
+    elif args.format == "oeis-bfile":
         for k, v in pairs:
             print(f"{k} {v}", file=out)
     else:
         payload = {
-            "slope": [cfg.alpha, cfg.beta],
-            "order": cfg.order,
-            "series": {cfg.series: [str(v) for _, v in pairs]},
+            "slope": [args.alpha, args.beta],
+            "order": args.order,
+            "series": {args.series: [str(v) for _, v in pairs]},
         }
         print(json.dumps(payload, indent=2), file=out)
     return 0
 
 
-def cmd_bounce_table(cfg: RunConfig, out) -> int:
-    if cfg.output_format == "oeis-bfile":
-        raise CliError("the b-file format applies to single sequences; use coeffs")
-    max_left = cfg.max_left if cfg.max_left is not None else max(cfg.order - 1, 0)
-    max_right = cfg.max_right if cfg.max_right is not None else max(cfg.order - 1, 0)
-    table = bounce_table(cfg.slope(), cfg.restriction, max_left, max_right, cfg.order)
-    if cfg.output_format == "table":
+def cmd_bounce_table(args: argparse.Namespace, out) -> int:
+    slope = _slope_and_order(args)
+    max_left = args.max_left if args.max_left is not None else args.order - 1
+    max_right = args.max_right if args.max_right is not None else args.order - 1
+    restriction = Restriction(args.restriction)
+    table = bounce_table(slope, restriction, max_left, max_right, args.order)
+    if args.format == "table":
         for l in range(max_left + 1):
             for r in range(max_right + 1):
                 coeffs = table.entry(l, r).coeffs[1:]
                 print(f"{l} {r} : " + " ".join(str(v) for v in coeffs), file=out)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("l,r,k,count", file=out)
         for l in range(max_left + 1):
             for r in range(max_right + 1):
-                for k in range(1, cfg.order + 1):
+                for k in range(1, args.order + 1):
                     print(f"{l},{r},{k},{table.entry(l, r).coefficient(k)}", file=out)
     else:
         payload = {
-            "slope": [cfg.alpha, cfg.beta],
-            "order": cfg.order,
-            "restriction": cfg.restriction.value,
+            "slope": [args.alpha, args.beta],
+            "order": args.order,
+            "restriction": restriction.value,
             "table": [
                 [
                     [str(v) for v in table.entry(l, r).coeffs[1:]]
@@ -214,21 +193,27 @@ def cmd_bounce_table(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out) -> int:
-    names = cfg.suites or list(verification.SUITES)
+def cmd_verify(args: argparse.Namespace, out) -> int:
+    if (args.alpha is None) != (args.beta is None):
+        raise CliError("--alpha and --beta select one slope; give both or neither")
+    if args.alpha is not None:
+        Slope(args.alpha, args.beta)  # rejects a non-coprime pair
+    names = args.suite or list(verification.SUITES)
     unknown = [n for n in names if n not in verification.SUITES]
     if unknown:
         raise CliError(
             f"unknown suite(s) {', '.join(unknown)}; "
             f"available: {', '.join(verification.SUITES)}"
         )
+    # each suite takes the options its signature names; --threads is "processes"
+    options = {**vars(args), "processes": args.threads}
     failures = 0
     for name in names:
         suite = verification.SUITES[name]
         accepted = inspect.signature(suite).parameters
         kwargs = {
             key: value
-            for key, value in cfg.options.items()
+            for key, value in options.items()
             if key in accepted and value is not None
         }
         print(f"suite {name}:", file=out)
@@ -305,60 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.alpha = getattr(args, "alpha", None)
-    cfg.beta = getattr(args, "beta", None)
-    if args.command == "coeffs":
-        cfg.series = args.series
-        cfg.order = args.order
-        cfg.output_format = args.format
-        cfg.bounces = args.bounces
-        cfg.include_k0 = args.include_k0
-        cfg.route = args.route
-        cfg.slope()  # validates coprimality at parse time
-    elif args.command == "bounce-table":
-        cfg.order = args.order
-        cfg.restriction = Restriction(args.restriction)
-        cfg.max_left = args.max_left
-        cfg.max_right = args.max_right
-        cfg.output_format = args.format
-        cfg.slope()
-    else:
-        cfg.suites = args.suite or []
-        cfg.threads = args.threads
-        if cfg.alpha is not None and cfg.beta is not None:
-            cfg.slope()
-        cfg.options = {
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "order": args.order,
-            "max_slope_sum": args.max_slope_sum,
-            "max_steps": args.max_steps,
-            "max_left": args.max_left,
-            "max_right": args.max_right,
-            "alpha_max": args.alpha_max,
-            "b_max": args.b_max,
-            "n_max": args.n_max,
-            "count": args.count,
-            "seed": args.seed,
-            "processes": args.threads,
-        }
-    return cfg
-
-
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "coeffs":
-            return cmd_coeffs(cfg, out)
-        if cfg.command == "bounce-table":
-            return cmd_bounce_table(cfg, out)
-        return cmd_verify(cfg, out)
-    except (CliError, ValueError) as exc:
+        if args.command == "coeffs":
+            return cmd_coeffs(args, out)
+        if args.command == "bounce-table":
+            return cmd_bounce_table(args, out)
+        return cmd_verify(args, out)
+    except (CliError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

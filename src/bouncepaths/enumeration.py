@@ -84,9 +84,6 @@ def classify(path: "StepWord | str", slope: Slope) -> BounceProfile:
     x = y = 0
     for i, step in enumerate(steps):
         if step is Step.E:
-            if track_h:
-                # an E-step can only meet the line at integer x = alpha*y
-                assert not (x < alpha * y < x + 1)
             x += 1
         else:
             y += 1

@@ -224,21 +224,3 @@ class Series:
         body = " + ".join(terms) if terms else "0"
         return f"Series[{self.order}]({body})"
 
-
-@dataclass(frozen=True)
-class RationalSeriesExpr:
-    """A quotient of two series, expanded on demand.
-
-    The denominator must have a nonzero constant term; it is invertible
-    over the integers only when that term is +1 or -1.
-    """
-
-    numerator: Series
-    denominator: Series
-
-    def __post_init__(self):
-        if self.denominator.constant_term == 0:
-            raise ValueError("denominator requires a nonzero constant term")
-
-    def expand(self) -> Series:
-        return self.numerator.div(self.denominator)

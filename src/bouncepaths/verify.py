@@ -22,7 +22,6 @@ from .beta_one import (
     syt_two_row_count,
 )
 from .bounce import (
-    b_lr_closed_form,
     bounce_free_ab,
     bounce_free_prefix,
     bounce_free_total,
@@ -39,7 +38,6 @@ from .closed_forms import (
     Restriction,
     Slope,
     Step,
-    binomial,
     fuss_catalan,
     g_ab_series,
     g_prefix_series,
@@ -88,6 +86,27 @@ def _series_equal(name: str, got: Series, expected: Series, context: str = "") -
                 f"{where}k={k} expected={expected.coeffs[k]} actual={got.coeffs[k]}",
             )
     return CheckResult(name, True)
+
+
+def _coeff_grid(rows) -> list[list[tuple[int, ...]]]:
+    """Coefficient tuples of a grid of series, e.g. ``BounceTable.entries``."""
+    return [[series.coeffs for series in row] for row in rows]
+
+
+def _grid_equal(name: str, expected, actual, context: str = "") -> CheckResult:
+    """Compare two grids of coefficient sequences indexed [l][r][k]; a failure
+    names the first mismatching cell in l, then r, then k order."""
+    if expected == actual:
+        return CheckResult(name, True)
+    where = f"{context} " if context else ""
+    for l, (expected_row, actual_row) in enumerate(zip(expected, actual)):
+        for r, (expected_cell, actual_cell) in enumerate(zip(expected_row, actual_row)):
+            for k, (e, a) in enumerate(zip(expected_cell, actual_cell)):
+                if e != a:
+                    return CheckResult(
+                        name, False, f"{where}l={l} r={r} k={k} expected={e} actual={a}"
+                    )
+    return CheckResult(name, False, f"{where}grid shapes differ")
 
 
 # ----------------------------------------------------------- fixed sequences
@@ -289,27 +308,12 @@ def suite_bounce_free(
         }
         grid = expand_marker_quotient(numerator, denominator, 3, 3)
         table = bounce_table(slope, Restriction.ALL, 3, 3, order)
-        mismatch = None
-        for l in range(4):
-            for r in range(4):
-                if grid[l][r] != table.entry(l, r):
-                    k = next(
-                        k
-                        for k in range(order + 1)
-                        if grid[l][r].coeffs[k] != table.entry(l, r).coeffs[k]
-                    )
-                    mismatch = (
-                        f"{tag} l={l} r={r} k={k} "
-                        f"expected={table.entry(l, r).coeffs[k]} actual={grid[l][r].coeffs[k]}"
-                    )
-                    break
-            if mismatch:
-                break
         results.append(
-            CheckResult(
+            _grid_equal(
                 f"bounce-free marker form matches count marker form {tag}",
-                mismatch is None,
-                mismatch or "",
+                _coeff_grid(table.entries),
+                _coeff_grid(grid),
+                context=tag,
             )
         )
 
@@ -350,40 +354,27 @@ def suite_oracle_vs_table(
         if semilengths < 1:
             continue
         tag = f"({slope.alpha},{slope.beta})"
-        bound = max(semilengths - 1, 0)
-        tables = {
-            restriction: bounce_table(slope, restriction, bound, bound, semilengths)
-            for restriction in restrictions
-        }
-        mismatch = None
-        for k in range(1, semilengths + 1):
+        name = f"table vs enumeration {tag}, {semilengths * (slope.alpha + slope.beta)} steps"
+        bound = semilengths - 1
+        ks = range(1, semilengths + 1)
+        counts = {}
+        for k in ks:
             enumerate_profiles(slope, k, max_steps=max_steps, processes=processes)
             for restriction in restrictions:
-                grid = count_table(slope, k, restriction, max_steps=max_steps)
-                table = tables[restriction]
-                for l in range(bound + 1):
-                    for r in range(bound + 1):
-                        expected = grid.get((l, r), 0)
-                        actual = table.entry(l, r).coefficient(k)
-                        if expected != actual:
-                            mismatch = (
-                                f"{tag} {restriction.value} k={k} l={l} r={r} "
-                                f"expected={expected} actual={actual}"
-                            )
-                            break
-                    if mismatch:
-                        break
-                if mismatch:
-                    break
-            if mismatch:
-                break
-        results.append(
-            CheckResult(
-                f"table vs enumeration {tag}, {semilengths * (slope.alpha + slope.beta)} steps",
-                mismatch is None,
-                mismatch or "",
+                counts[restriction, k] = count_table(slope, k, restriction, max_steps=max_steps)
+        for restriction in restrictions:
+            table = bounce_table(slope, restriction, bound, bound, semilengths)
+            # no path has semilength 0, so the oracle's k = 0 coefficient is 0
+            oracle = [
+                [(0, *(counts[restriction, k].get((l, r), 0) for k in ks)) for r in range(bound + 1)]
+                for l in range(bound + 1)
+            ]
+            check = _grid_equal(
+                name, oracle, _coeff_grid(table.entries), context=f"{tag} {restriction.value}"
             )
-        )
+            if not check.passed:
+                break
+        results.append(check)
     return results
 
 
@@ -457,25 +448,13 @@ def suite_table_dual(
         tag = f"({slope.alpha},{slope.beta})"
         expanded = bounce_table(slope, Restriction.ALL, max_left, max_right, order)
         assembled = bounce_table_from_closed_forms(slope, max_left, max_right, order)
-        mismatch = None
-        for l in range(max_left + 1):
-            for r in range(max_right + 1):
-                if assembled.entry(l, r) != expanded.entry(l, r):
-                    k = next(
-                        k
-                        for k in range(order + 1)
-                        if assembled.entry(l, r).coeffs[k] != expanded.entry(l, r).coeffs[k]
-                    )
-                    mismatch = (
-                        f"{tag} l={l} r={r} k={k} "
-                        f"expected={expanded.entry(l, r).coeffs[k]} "
-                        f"actual={assembled.entry(l, r).coeffs[k]}"
-                    )
-                    break
-            if mismatch:
-                break
         results.append(
-            CheckResult(f"closed forms match expansion {tag}", mismatch is None, mismatch or "")
+            _grid_equal(
+                f"closed forms match expansion {tag}",
+                _coeff_grid(expanded.entries),
+                _coeff_grid(assembled.entries),
+                context=tag,
+            )
         )
     return results
 
@@ -505,6 +484,14 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
                 f"g_en^2 - g_ee*g_nn = g_nn ({tag})",
                 g_en * g_en - g_ee * g_nn,
                 g_nn,
+                context=tag,
+            )
+        )
+        results.append(
+            _series_equal(
+                f"h closed form = (g_ee+g_en)/(1+g_ee) ({tag})",
+                nhc_prefix_series(alpha, order),
+                (g_ee + g_en).div(1 + g_ee),
                 context=tag,
             )
         )
@@ -544,9 +531,11 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
         simplified = bounce_table_beta1(alpha, bound, bound, order)
         general_table = bounce_table(slope, Restriction.ALL, bound, bound, order)
         results.append(
-            CheckResult(
+            _grid_equal(
                 f"simplified marker form matches general table ({tag})",
-                simplified.entries == general_table.entries,
+                _coeff_grid(general_table.entries),
+                _coeff_grid(simplified.entries),
+                context=tag,
             )
         )
     return results
@@ -598,32 +587,29 @@ def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
     }
     grid = expand_marker_quotient(numerator, denominator, 4, 4)
     table = bounce_table(slope, Restriction.ALL, 4, 4, order)
-    agree = all(
-        grid[l][r] == table.entry(l, r) for l in range(5) for r in range(5)
+    results.append(
+        _grid_equal(
+            "Catalan marker form matches general table",
+            _coeff_grid(table.entries),
+            _coeff_grid(grid),
+        )
     )
-    results.append(CheckResult("Catalan marker form matches general table", agree))
     return results
 
 
 def suite_total_bounces(b_max: int = 6, n_max: int = 11) -> list[CheckResult]:
-    """Diagonal paths by their total bounce count: series power form,
-    coefficient formula, and enumeration all agree."""
+    """Diagonal paths by their total bounce count: the coefficient formula of
+    ``g_b_series``, the power form 2(c - 1)^(b+1) and enumeration all agree."""
     results = []
     slope = Slope(1, 1)
+    c = fuss_catalan(1, n_max)
     for b in range(b_max + 1):
-        series = g_b_series(b, n_max)  # internally checks both series forms
-        # coefficient of x^n with n = k + b: 2*(b+1)/n * C(2n, n-b-1)
-        formula = Series(
-            tuple(
-                2 * (b + 1) * binomial(2 * n, n - b - 1) // n if n > b else 0
-                for n in range(n_max + 1)
-            )
-        )
+        series = g_b_series(b, n_max)
         results.append(
             _series_equal(
                 f"coefficient formula for {b} total bounces",
                 series,
-                formula,
+                2 * (c - 1) ** (b + 1),
                 context=f"b={b}",
             )
         )
@@ -679,7 +665,8 @@ def suite_crosses(
     alpha_max: int = 3, max_steps: int = 20, order: int = 10
 ) -> list[CheckResult]:
     """Horizontal-cross series against enumeration, plus the three
-    equivalent forms of the crossless no-right-bounce series."""
+    equivalent forms of the crossless no-right-bounce series: alpha*(c_alpha - 1)
+    as ``nhc_nrb_series`` computes it, h/(1 + nhc_en) and g_estar/(1 + g_estar)."""
     results = []
     for alpha in range(1, alpha_max + 1):
         slope = Slope(alpha, 1)
@@ -730,19 +717,18 @@ def suite_crosses(
             )
         )
     for alpha in range(1, 6):
-        try:
-            nhc_nrb_series(alpha, order)  # raises if its three forms disagree
-            results.append(
-                CheckResult(f"three crossless no-right-bounce forms agree (alpha={alpha})", True)
-            )
-        except ArithmeticError as exc:
-            results.append(
-                CheckResult(
-                    f"three crossless no-right-bounce forms agree (alpha={alpha})",
-                    False,
-                    str(exc),
-                )
-            )
+        name = f"three crossless no-right-bounce forms agree (alpha={alpha})"
+        production = nhc_nrb_series(alpha, order)
+        h = nhc_prefix_series(alpha, order)
+        g_estar = g_prefix_series(Slope(alpha, 1), Step.E, order)
+        for label, form in (
+            ("h/(1+nhc_en)", h.div(1 + nhc_series(alpha, Restriction.EN, order))),
+            ("g_estar/(1+g_estar)", g_estar.div(1 + g_estar)),
+        ):
+            check = _series_equal(name, form, production, context=f"alpha={alpha} {label}")
+            if not check.passed:
+                break
+        results.append(check)
     return results
 
 

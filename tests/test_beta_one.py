@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from bouncepaths.beta_one import (
     InvalidShape,
     TwoRowShape,
-    beta1_f_identity_check,
+    _hook_length_count,
     bounce_free_ab_beta1,
     bounce_table_beta1,
     f_ab_via_fuss_catalan,
@@ -15,7 +15,7 @@ from bouncepaths.beta_one import (
     syt_two_row_count,
 )
 from bouncepaths.bounce import bounce_free_ab, bounce_table
-from bouncepaths.closed_forms import Restriction, Slope, fuss_catalan
+from bouncepaths.closed_forms import NonIntegerCoefficient, Restriction, Slope, fuss_catalan
 from bouncepaths.series import Series
 
 
@@ -58,12 +58,6 @@ def test_diagonal_catalan_forms():
     assert f_ee == f_nn
     assert f_ee == (xc * c - xc).div(1 + xc)
     assert f_en == (xc * c).div(1 + xc)
-
-
-@pytest.mark.parametrize("alpha", [1, 2, 3, 4, 5])
-def test_beta1_f_identity_check(alpha):
-    order = 8 if alpha > 2 else 10
-    assert beta1_f_identity_check(alpha, order)
 
 
 # --------------------------------------------------------------- crosses
@@ -118,6 +112,12 @@ def test_syt_two_row_count_frozen_values():
         syt_two_row_count(3, 3)
     with pytest.raises(InvalidShape):
         syt_two_row_count(2, -1)
+
+
+def test_hook_length_count_raises_on_inexact_division():
+    # (1, 2) is not a partition: hook product 4 does not divide 3! = 6
+    with pytest.raises(NonIntegerCoefficient):
+        _hook_length_count((1, 2))
 
 
 @given(st.integers(1, 12))

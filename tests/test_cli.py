@@ -1,10 +1,15 @@
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from bouncepaths import cli
+from bouncepaths.enumeration import BudgetExceeded
 from bouncepaths.verify import CheckResult
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -87,6 +92,32 @@ def test_every_series_is_reachable():
         assert len(text.split()) == 4, name
 
 
+def test_golden_output():
+    """Exact stdout of every series in every format, the f_ab routes and the
+    bounce-table formats, as recorded before the series registry replaced
+    the hand-written dispatch.  A new series adds its cases here."""
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    covered = set()
+    for key, expected in golden.items():
+        argv = key.split(" ")
+        code, text = run(*argv)
+        assert (code, text) == (0, expected), key
+        if argv[0] == "coeffs" and "--route" not in argv:
+            covered.add((argv[argv.index("--series") + 1], argv[argv.index("--format") + 1]))
+    assert covered == {(name, fmt) for name in cli.SERIES for fmt in cli.FORMATS}
+
+
+def test_readme_lists_the_registered_series():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("Series names accepted by `coeffs`:")[1].split("\n\n")[1]
+    names = [
+        name
+        for row in table.splitlines()[2:]
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1])
+    ]
+    assert sorted(names) == sorted(cli.SERIES)
+
+
 def test_output_is_deterministic():
     first = run("bounce-table", "--alpha", "2", "--beta", "3", "--order", "4",
                 "--format", "json")
@@ -125,6 +156,38 @@ def test_route_requires_supported_series():
     code, _ = run("coeffs", "--series", "g", "--alpha", "2", "--order", "3",
                   "--route", "beta1")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "--series", "g", "--alpha", "2", "--order", "0"),
+        ("coeffs", "--series", "f_ee", "--alpha", "2", "--order", "-3"),
+        ("bounce-table", "--alpha", "1", "--order", "0"),
+        ("bounce-table", "--alpha", "1", "--order", "-1", "--format", "csv"),
+        ("verify", "--suite", "base-counts", "--alpha", "2"),
+        ("verify", "--suite", "base-counts", "--beta", "3"),
+        ("verify", "--suite", "base-counts", "--alpha", "2", "--beta", "4"),
+    ],
+)
+def test_bad_input_gives_one_error_line(argv, capsys):
+    code, text = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_budget_exceeded_is_an_error(monkeypatch, capsys):
+    from bouncepaths import verify as verification
+
+    def too_big():
+        raise BudgetExceeded("28 steps exceed the budget of 24")
+
+    monkeypatch.setitem(verification.SUITES, "too-big", too_big)
+    code, _ = run("verify", "--suite", "too-big")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: 28 steps exceed the budget of 24\n"
 
 
 def test_bfile_rejected_for_tables(capsys):

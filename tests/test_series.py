@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from bouncepaths.series import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
-    RationalSeriesExpr,
     Series,
     ValuationMismatch,
 )
@@ -159,18 +158,6 @@ def test_agrees():
 def test_repr_is_readable():
     assert "x^2" in repr(S(0, 0, 3))
     assert repr(Series.zero(1)) == "Series[1](0)"
-
-
-# ------------------------------------------------------------- rational expr
-
-
-def test_rational_expr():
-    expr = RationalSeriesExpr(S(0, 1, 0), S(1, -1, 0))
-    assert expr.expand() == S(0, 1, 1)
-    with pytest.raises(ValueError):
-        RationalSeriesExpr(S(0, 1), S(0, 1))
-    with pytest.raises(NonUnitConstantTerm):
-        RationalSeriesExpr(S(0, 1), S(2, 1)).expand()
 
 
 # ---------------------------------------------------------------- properties

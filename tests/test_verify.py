@@ -1,8 +1,12 @@
+import pytest
+
+from bouncepaths import verify
 from bouncepaths.closed_forms import Slope
 from bouncepaths.series import Series
 from bouncepaths.verify import (
     SUITES,
     CheckResult,
+    _grid_equal,
     _series_equal,
     coprime_slopes,
     suite_base_counts,
@@ -28,6 +32,36 @@ def test_series_equal_reports_first_mismatch():
     assert "k=2" in result.detail
     assert "expected=7" in result.detail and "actual=5" in result.detail
     assert "FAIL" in str(result)
+
+
+def test_grid_equal_reports_first_mismatching_cell():
+    expected = [[(0, 1), (0, 2)], [(0, 3), (0, 4)]]
+    assert _grid_equal("demo", expected, [row[:] for row in expected]).passed
+    result = _grid_equal("demo", expected, [[(0, 1), (0, 2)], [(0, 3), (0, 5)]], "s")
+    assert not result.passed
+    assert result.detail == "s l=1 r=1 k=1 expected=4 actual=5"
+    assert not _grid_equal("demo", expected, expected[:1]).passed
+
+
+@pytest.mark.parametrize(
+    "suite, production, kwargs, failing",
+    [
+        (verify.suite_crosses, "nhc_nrb_series",
+         dict(alpha_max=1, max_steps=4, order=6),
+         "three crossless no-right-bounce forms agree (alpha=1)"),
+        (verify.suite_beta1, "nhc_prefix_series", dict(alpha_max=1, order=6),
+         "h closed form = (g_ee+g_en)/(1+g_ee) (alpha=1)"),
+        (verify.suite_total_bounces, "g_b_series", dict(b_max=1, n_max=6),
+         "coefficient formula for 0 total bounces"),
+    ],
+)
+def test_cross_checks_catch_a_wrong_production_formula(
+    monkeypatch, suite, production, kwargs, failing
+):
+    original = getattr(verify, production)
+    monkeypatch.setattr(verify, production, lambda *args: original(*args) + Series.x(6))
+    failed = [r.name for r in suite(**kwargs) if not r.passed]
+    assert failing in failed
 
 
 def test_check_result_str():
