@@ -193,6 +193,18 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     return 0
 
 
+# Smallest value of each verify option; below it a suite compares nothing.
+VERIFY_MINIMUMS = {
+    "count": 1, "order": 1, "alpha_max": 1, "n_max": 1,
+    "b_max": 0, "max_left": 0, "max_right": 0,
+    "max_slope_sum": 2, "max_steps": 2,
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def cmd_verify(args: argparse.Namespace, out) -> int:
     if (args.alpha is None) != (args.beta is None):
         raise CliError("--alpha and --beta select one slope; give both or neither")
@@ -205,19 +217,29 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
             f"unknown suite(s) {', '.join(unknown)}; "
             f"available: {', '.join(verification.SUITES)}"
         )
-    # each suite takes the options its signature names; --threads is "processes"
-    options = {**vars(args), "processes": args.threads}
+    options = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "suite") and value is not None
+    }
+    for key, minimum in VERIFY_MINIMUMS.items():
+        if options.get(key, minimum) < minimum:
+            raise CliError(f"{_flag(key)} must be at least {minimum}, got {options[key]}")
+    # each suite takes the options its signature names
+    accepted = {
+        name: inspect.signature(verification.SUITES[name]).parameters for name in names
+    }
+    unused = [key for key in options if not any(key in a for a in accepted.values())]
+    if unused:
+        raise CliError(
+            f"{', '.join(map(_flag, unused))} taken by none of the suites "
+            f"{', '.join(names)}"
+        )
     failures = 0
     for name in names:
-        suite = verification.SUITES[name]
-        accepted = inspect.signature(suite).parameters
-        kwargs = {
-            key: value
-            for key, value in options.items()
-            if key in accepted and value is not None
-        }
+        kwargs = {key: value for key, value in options.items() if key in accepted[name]}
         print(f"suite {name}:", file=out)
-        for result in suite(**kwargs):
+        for result in verification.SUITES[name](**kwargs):
             print(f"  {result}", file=out)
             if not result.passed:
                 failures += 1
@@ -286,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n-max", type=int, default=None)
     ver.add_argument("--count", type=int, default=None, help="randomized inputs")
     ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--threads", type=int, default=1)
     return parser
 
 

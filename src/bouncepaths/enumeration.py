@@ -1,13 +1,13 @@
 """Exhaustive ground truth for path statistics and tableau counts.
 
 Every generating function in the package can be checked against this
-module: it walks all C((alpha+beta)k, alpha*k) step words of a given
-semilength, classifying bounces and horizontal crosses vertex by vertex,
-and it counts standard Young tableaux by plain backtracking.  Nothing here
-shares code with the closed forms.
+module: it counts all C((alpha+beta)k, alpha*k) step words of a given
+semilength by their bounces and horizontal crosses with a transfer count
+over the grid (Stanley, EC1 4.7), classifying each line vertex as
+``classify`` does, and it counts standard Young tableaux by plain
+backtracking.  Nothing here shares code with the closed forms.
 """
 
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 
@@ -109,65 +109,42 @@ def classify(path: "StepWord | str", slope: Slope) -> BounceProfile:
 # ------------------------------------------------------------- full sweeps
 
 
-def _run(alpha, beta, k, seeds, depth_limit):
-    """Depth-first walk over all completions of the seed states.
+def _sweep(alpha, beta, k):
+    """Transfer count over all paths to (alpha*k, beta*k), one step at a time.
 
-    Returns raw profile counts keyed (first, last, left, right, crosses)
-    plus the states that hit the depth limit (empty when the limit exceeds
-    the remaining path length).
+    After ``steps`` steps the state (x, last, first, left, right, crosses)
+    fixes the vertex (x, steps - x); a vertex on the line is classified as
+    ``classify`` does it before the next step leaves it.  The origin and the
+    endpoint are not classified.  Returns path counts keyed
+    (first, last, left, right, crosses).
     """
     ex, ey = alpha * k, beta * k
     track_h = beta == 1
-    counts: dict[tuple, int] = {}
-    frontier: list[tuple] = []
-
-    def walk(x, y, last, l, r, h, first, depth):
-        if x == ex and y == ey:
-            key = (first, last, l, r, h)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        if depth == 0:
-            frontier.append((x, y, last, l, r, h, first))
-            return
-        d = depth - 1
-        if alpha * y == beta * x:
-            if last == "E":
-                if y < ey:
-                    walk(x, y + 1, "N", l + 1, r, h, first, d)
-                if x < ex:
-                    walk(x + 1, y, "E", l, r, h + 1 if track_h else h, first, d)
-            else:
-                if x < ex:
-                    walk(x + 1, y, "E", l, r + 1, h, first, d)
-                if y < ey:
-                    walk(x, y + 1, "N", l, r, h, first, d)
-        else:
+    states = {(1, "E", "E", 0, 0, 0): 1, (0, "N", "N", 0, 0, 0): 1}
+    for steps in range(1, ex + ey):
+        advanced: dict[tuple, int] = {}
+        for (x, last, first, l, r, h), count in states.items():
+            y = steps - x
+            on_line = alpha * y == beta * x
             if x < ex:
-                walk(x + 1, y, "E", l, r, h, first, d)
+                if on_line and last == "N":
+                    key = (x + 1, "E", first, l, r + 1, h)
+                elif on_line and track_h:  # E in, E out: a horizontal cross
+                    key = (x + 1, "E", first, l, r, h + 1)
+                else:
+                    key = (x + 1, "E", first, l, r, h)
+                advanced[key] = advanced.get(key, 0) + count
             if y < ey:
-                walk(x, y + 1, "N", l, r, h, first, d)
-
-    for x, y, last, l, r, h, first in seeds:
-        walk(x, y, last, l, r, h, first, depth_limit)
-    return counts, frontier
-
-
-_INITIAL = ((1, 0, "E", 0, 0, 0, "E"), (0, 1, "N", 0, 0, 0, "N"))
-
-
-def _run_job(args):
-    alpha, beta, k, seeds = args
-    counts, _ = _run(alpha, beta, k, seeds, (alpha + beta) * k)
-    return counts
-
-
-def _merge(into: dict, more: dict) -> dict:
-    for key, value in more.items():
-        into[key] = into.get(key, 0) + value
-    return into
-
-
-_cache: dict[tuple[int, int, int], dict[tuple, int]] = {}
+                if on_line and last == "E":
+                    key = (x, "N", first, l + 1, r, h)
+                else:
+                    key = (x, "N", first, l, r, h)
+                advanced[key] = advanced.get(key, 0) + count
+        states = advanced
+    return {
+        (first, last, l, r, h): count
+        for (_, last, first, l, r, h), count in states.items()
+    }
 
 
 def enumerate_profiles(
@@ -176,14 +153,8 @@ def enumerate_profiles(
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_paths: int = DEFAULT_MAX_PATHS,
-    processes: int = 1,
 ) -> Counter:
-    """Classify every path of semilength k; returns a profile multiset.
-
-    Results are cached per (slope, k); splitting the walk over worker
-    processes (``processes > 1``) yields identical counts by construction
-    of the merge.
-    """
+    """Classify every path of semilength k; returns a profile multiset."""
     if k < 1:
         raise ValueError("semilength must be at least 1")
     alpha, beta = slope.alpha, slope.beta
@@ -194,25 +165,9 @@ def enumerate_profiles(
     if total > max_paths:
         raise BudgetExceeded(f"{total} paths exceed the budget of {max_paths}")
 
-    key = (alpha, beta, k)
-    raw = _cache.get(key)
-    if raw is None:
-        split_depth = steps - 2
-        if processes > 1 and split_depth >= 1:
-            raw, frontier = _run(alpha, beta, k, _INITIAL, min(split_depth, 8))
-            chunk = max(1, len(frontier) // (4 * processes))
-            jobs = [
-                (alpha, beta, k, frontier[i : i + chunk])
-                for i in range(0, len(frontier), chunk)
-            ]
-            with multiprocessing.Pool(processes) as pool:
-                for part in pool.imap_unordered(_run_job, jobs):
-                    _merge(raw, part)
-        else:
-            raw, _ = _run(alpha, beta, k, _INITIAL, steps)
-        if sum(raw.values()) != total:
-            raise RuntimeError("the walk lost or duplicated paths; this is a bug")
-        _cache[key] = raw
+    raw = _sweep(alpha, beta, k)
+    if sum(raw.values()) != total:
+        raise RuntimeError("the sweep lost or duplicated paths; this is a bug")
 
     track_h = beta == 1
     profiles: Counter = Counter()
@@ -230,13 +185,9 @@ def enumerate_profiles(
 
 
 def count_table(
-    slope: Slope,
-    k: int,
-    restriction: Restriction = Restriction.ALL,
-    **budget,
+    profiles: Counter, restriction: Restriction = Restriction.ALL
 ) -> dict[tuple[int, int], int]:
-    """Counts of semilength-k paths grouped by (left, right) bounce counts."""
-    profiles = enumerate_profiles(slope, k, **budget)
+    """Counts of a profile multiset grouped by (left, right) bounce counts."""
     first, last = restriction.first, restriction.last
     table: dict[tuple[int, int], int] = {}
     for profile, count in profiles.items():

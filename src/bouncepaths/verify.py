@@ -342,9 +342,7 @@ def _one_sided_total(slope: Slope, order: int) -> Series:
 
 
 def suite_oracle_vs_table(
-    max_slope_sum: int = 7,
-    max_steps: int = 22,
-    processes: int = 1,
+    max_slope_sum: int = 7, max_steps: int = 24
 ) -> list[CheckResult]:
     """Every table entry, every restriction, against exhaustive enumeration."""
     results = []
@@ -359,9 +357,9 @@ def suite_oracle_vs_table(
         ks = range(1, semilengths + 1)
         counts = {}
         for k in ks:
-            enumerate_profiles(slope, k, max_steps=max_steps, processes=processes)
+            profiles = enumerate_profiles(slope, k, max_steps=max_steps)
             for restriction in restrictions:
-                counts[restriction, k] = count_table(slope, k, restriction, max_steps=max_steps)
+                counts[restriction, k] = count_table(profiles, restriction)
         for restriction in restrictions:
             table = bounce_table(slope, restriction, bound, bound, semilengths)
             # no path has semilength 0, so the oracle's k = 0 coefficient is 0
@@ -603,6 +601,7 @@ def suite_total_bounces(b_max: int = 6, n_max: int = 11) -> list[CheckResult]:
     results = []
     slope = Slope(1, 1)
     c = fuss_catalan(1, n_max)
+    profiles = {n: enumerate_profiles(slope, n) for n in range(1, n_max + 1)}
     for b in range(b_max + 1):
         series = g_b_series(b, n_max)
         results.append(
@@ -615,8 +614,7 @@ def suite_total_bounces(b_max: int = 6, n_max: int = 11) -> list[CheckResult]:
         )
         mismatch = None
         for n in range(1, n_max + 1):
-            profiles = enumerate_profiles(slope, n)
-            expected = count_matching(profiles, total_bounces=b)
+            expected = count_matching(profiles[n], total_bounces=b)
             actual = series.coefficient(n)
             if expected != actual:
                 mismatch = f"b={b} n={n} expected={expected} actual={actual}"
@@ -662,7 +660,7 @@ def suite_syt(n_max: int = 10) -> list[CheckResult]:
 
 
 def suite_crosses(
-    alpha_max: int = 3, max_steps: int = 20, order: int = 10
+    alpha_max: int = 3, max_steps: int = 24, order: int = 10
 ) -> list[CheckResult]:
     """Horizontal-cross series against enumeration, plus the three
     equivalent forms of the crossless no-right-bounce series: alpha*(c_alpha - 1)
@@ -672,6 +670,8 @@ def suite_crosses(
         slope = Slope(alpha, 1)
         tag = f"alpha={alpha}"
         semilengths = max_steps // (alpha + 1)
+        if semilengths < 1:
+            continue
         series = {
             "crossless EE": (
                 nhc_series(alpha, Restriction.EE, semilengths),

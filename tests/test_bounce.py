@@ -195,7 +195,7 @@ def test_bounce_table_matches_enumeration_per_restriction(slope):
     for restriction in Restriction:
         table = bounce_table(slope, restriction, bound, bound, order)
         for k in range(1, order + 1):
-            grid = count_table(slope, k, restriction)
+            grid = count_table(enumerate_profiles(slope, k), restriction)
             for l in range(bound + 1):
                 for r in range(bound + 1):
                     assert table.entry(l, r).coefficient(k) == grid.get((l, r), 0), (

@@ -95,7 +95,9 @@ def test_every_series_is_reachable():
 def test_golden_output():
     """Exact stdout of every series in every format, the f_ab routes and the
     bounce-table formats, as recorded before the series registry replaced
-    the hand-written dispatch.  A new series adds its cases here."""
+    the hand-written dispatch, and of four small oracle ``verify`` runs, as
+    recorded before the transfer count replaced the depth-first walk.  A new
+    series adds its cases here."""
     golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
     covered = set()
     for key, expected in golden.items():
@@ -168,6 +170,18 @@ def test_route_requires_supported_series():
         ("verify", "--suite", "base-counts", "--alpha", "2"),
         ("verify", "--suite", "base-counts", "--beta", "3"),
         ("verify", "--suite", "base-counts", "--alpha", "2", "--beta", "4"),
+        ("verify", "--suite", "ring", "--count", "-1"),
+        ("verify", "--suite", "fuss-catalan", "--alpha-max", "0"),
+        ("verify", "--suite", "total-bounces", "--b-max", "-1"),
+        ("verify", "--suite", "crosses", "--max-steps", "1"),
+        ("verify", "--suite", "syt", "--n-max", "0"),
+        ("verify", "--suite", "beta1", "--alpha-max", "0"),
+        ("verify", "--suite", "base-counts", "--order", "0"),
+        ("verify", "--suite", "specializations", "--order", "-2"),
+        ("verify", "--suite", "table-dual", "--max-left", "-1"),
+        ("verify", "--suite", "table-dual", "--max-right", "-1"),
+        ("verify", "--suite", "oracle-vs-table", "--max-slope-sum", "1"),
+        ("verify", "--suite", "ring", "--count", "5", "--max-steps", "30", "--n-max", "99"),
     ],
 )
 def test_bad_input_gives_one_error_line(argv, capsys):
@@ -175,6 +189,22 @@ def test_bad_input_gives_one_error_line(argv, capsys):
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_options_no_selected_suite_takes(capsys):
+    code, text = run("verify", "--suite", "ring", "--suite", "syt", "--count", "5",
+                     "--max-steps", "30", "--n-max", "9")
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == (
+        "error: --max-steps taken by none of the suites ring, syt\n"
+    )
+
+
+def test_verify_threads_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run("verify", "--threads", "2")
+    assert excinfo.value.code == 2  # rejected by argparse
+    capsys.readouterr()
 
 
 def test_verify_budget_exceeded_is_an_error(monkeypatch, capsys):

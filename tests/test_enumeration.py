@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,14 +114,16 @@ def test_first_step_marginals_match_prefix_series(slope, k):
 
 
 def test_count_table_values():
-    assert count_table(Slope(1, 1), 2) == {(0, 0): 4, (1, 0): 1, (0, 1): 1}
-    assert count_table(Slope(1, 1), 2, Restriction.EN) == {(0, 0): 1, (0, 1): 1}
+    profiles = enumerate_profiles(Slope(1, 1), 2)
+    assert count_table(profiles) == {(0, 0): 4, (1, 0): 1, (0, 1): 1}
+    assert count_table(profiles, Restriction.EN) == {(0, 0): 1, (0, 1): 1}
 
 
 def test_count_table_marginals_partition_all_paths():
-    table_all = count_table(Slope(2, 1), 4)
+    profiles = enumerate_profiles(Slope(2, 1), 4)
+    table_all = count_table(profiles)
     by_class = [
-        count_table(Slope(2, 1), 4, r)
+        count_table(profiles, r)
         for r in (Restriction.EE, Restriction.EN, Restriction.NE, Restriction.NN)
     ]
     for cell, total in table_all.items():
@@ -127,13 +131,23 @@ def test_count_table_marginals_partition_all_paths():
     assert sum(table_all.values()) == binomial(12, 8)
 
 
-def test_parallel_matches_sequential():
-    from bouncepaths import enumeration
-
-    sequential = enumerate_profiles(Slope(2, 1), 4)
-    enumeration._cache.pop((2, 1, 4), None)
-    parallel = enumerate_profiles(Slope(2, 1), 4, processes=2)
-    assert sequential == parallel
+def test_transfer_count_matches_brute_force():
+    """``classify`` over every step word, i.e. every choice of E positions, for
+    every coprime slope with alpha + beta <= 7 and up to 16 steps."""
+    for total in range(2, 8):
+        for alpha in range(1, total):
+            if math.gcd(alpha, total - alpha) != 1:
+                continue
+            slope = Slope(alpha, total - alpha)
+            for k in range(1, 16 // total + 1):
+                steps = total * k
+                brute: Counter = Counter()
+                for east in itertools.combinations(range(steps), alpha * k):
+                    word = ["N"] * steps
+                    for i in east:
+                        word[i] = "E"
+                    brute[classify("".join(word), slope)] += 1
+                assert enumerate_profiles(slope, k) == brute, (slope, k)
 
 
 def test_budgets():
@@ -162,8 +176,8 @@ def test_transposing_swaps_bounce_sides(data):
 
 
 def test_transposed_count_tables_agree():
-    table = count_table(Slope(2, 3), 2)
-    mirrored = count_table(Slope(3, 2), 2)
+    table = count_table(enumerate_profiles(Slope(2, 3), 2))
+    mirrored = count_table(enumerate_profiles(Slope(3, 2), 2))
     assert table == {(r, l): v for (l, r), v in mirrored.items()}
 
 
