@@ -12,8 +12,6 @@ import sys
 
 from . import verify as verification
 from .beta_one import (
-    bounce_free_ab_beta1,
-    f_ab_via_fuss_catalan,
     nhc_nrb_series,
     nhc_prefix_series,
     nhc_series,
@@ -38,10 +36,9 @@ from .closed_forms import (
     g_prefix_series,
     g_series,
 )
-from .enumeration import BudgetExceeded
+from .enumeration import MAX_CELLS, MAX_STEPS, BudgetExceeded
 
 FORMATS = ("table", "csv", "json", "oeis-bfile")
-ROUTES = ("general", "fuss-catalan", "beta1")
 
 
 class CliError(Exception):
@@ -69,49 +66,40 @@ def _require(requirement, slope: Slope, what: str):
 # double) sees the call.
 
 
-def _general(build):
-    return {"general": build}
-
-
 def _g_ab(r: Restriction):
-    return _general(lambda s, a: g_ab_series(s, r.first, r.last, a.order))
+    return lambda s, a: g_ab_series(s, r.first, r.last, a.order)
 
 
 def _f_ab(r: Restriction):
-    return {
-        "general": lambda s, a: bounce_free_ab(s, r, a.order),
-        "fuss-catalan": lambda s, a: f_ab_via_fuss_catalan(s.alpha, r, a.order),
-        "beta1": lambda s, a: bounce_free_ab_beta1(s.alpha, r, a.order),
-    }
+    return lambda s, a: bounce_free_ab(s, r, a.order)
 
 
 def _nrb(r: Restriction):
-    return _general(lambda s, a: nrb_series(s, r, a.order))
+    return lambda s, a: nrb_series(s, r, a.order)
 
 
 def _nhc(r: Restriction):
-    return _general(lambda s, a: nhc_series(s.alpha, r, a.order))
+    return lambda s, a: nhc_series(s.alpha, r, a.order)
 
 
-# name -> (slope requirement, {route: builder}); every route other than
-# "general" is a beta = 1 form.
+# name -> (slope requirement, builder)
 SERIES = {
-    "g": (ANY_SLOPE, _general(lambda s, a: g_series(s, a.order))),
+    "g": (ANY_SLOPE, lambda s, a: g_series(s, a.order)),
     **{f"g_{r.value}": (ANY_SLOPE, _g_ab(r)) for r in AB_RESTRICTIONS},
-    "g_estar": (ANY_SLOPE, _general(lambda s, a: g_prefix_series(s, Step.E, a.order))),
-    "g_nstar": (ANY_SLOPE, _general(lambda s, a: g_prefix_series(s, Step.N, a.order))),
-    "c_alpha": (BETA1, _general(lambda s, a: fuss_catalan(s.alpha, a.order))),
-    "f": (ANY_SLOPE, _general(lambda s, a: bounce_free_total(s, a.order))),
+    "g_estar": (ANY_SLOPE, lambda s, a: g_prefix_series(s, Step.E, a.order)),
+    "g_nstar": (ANY_SLOPE, lambda s, a: g_prefix_series(s, Step.N, a.order)),
+    "c_alpha": (BETA1, lambda s, a: fuss_catalan(s.alpha, a.order)),
+    "f": (ANY_SLOPE, lambda s, a: bounce_free_total(s, a.order)),
     **{f"f_{r.value}": (ANY_SLOPE, _f_ab(r)) for r in AB_RESTRICTIONS},
-    "f_estar": (ANY_SLOPE, _general(lambda s, a: bounce_free_prefix(s, Step.E, a.order))),
-    "f_nstar": (ANY_SLOPE, _general(lambda s, a: bounce_free_prefix(s, Step.N, a.order))),
+    "f_estar": (ANY_SLOPE, lambda s, a: bounce_free_prefix(s, Step.E, a.order)),
+    "f_nstar": (ANY_SLOPE, lambda s, a: bounce_free_prefix(s, Step.N, a.order)),
     **{f"nrb_{r.value}": (ANY_SLOPE, _nrb(r)) for r in NRB_RESTRICTIONS},
-    "nlb": (ANY_SLOPE, _general(lambda s, a: no_left_bounce_total(s, a.order))),
-    "g_b": (DIAGONAL, _general(lambda s, a: g_b_series(a.bounces, a.order))),
+    "nlb": (ANY_SLOPE, lambda s, a: no_left_bounce_total(s, a.order)),
+    "g_b": (DIAGONAL, lambda s, a: g_b_series(a.bounces, a.order)),
     **{f"nhc_{r.value}": (BETA1, _nhc(r)) for r in NHC_RESTRICTIONS},
-    "h": (BETA1, _general(lambda s, a: nhc_prefix_series(s.alpha, a.order))),
-    "H": (BETA1, _general(lambda s, a: nhc_nrb_series(s.alpha, a.order))),
-    "H_ne": (BETA1, _general(lambda s, a: rational_dyck_series(s.alpha, a.order))),
+    "h": (BETA1, lambda s, a: nhc_prefix_series(s.alpha, a.order)),
+    "H": (BETA1, lambda s, a: nhc_nrb_series(s.alpha, a.order)),
+    "H_ne": (BETA1, lambda s, a: rational_dyck_series(s.alpha, a.order)),
 }
 
 SERIES_NAMES = ", ".join(SERIES)
@@ -131,13 +119,9 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
     slope = _slope_and_order(args)
     if args.series not in SERIES:
         raise CliError(f"unknown series {args.series!r}; see --help for the catalogue")
-    requirement, routes = SERIES[args.series]
-    if args.route not in routes:
-        raise CliError(f"series {args.series!r} has no {args.route!r} route")
-    if args.route != "general":
-        _require(BETA1, slope, f"route {args.route}")
+    requirement, build = SERIES[args.series]
     _require(requirement, slope, f"series {args.series!r}")
-    series = routes[args.route](slope, args)
+    series = build(slope, args)
     start = 0 if args.include_k0 else 1
     pairs = [(k, series.coefficient(k)) for k in range(start, args.order + 1)]
     if args.format == "table":
@@ -193,11 +177,13 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     return 0
 
 
-# Smallest value of each verify option; below it a suite compares nothing.
-VERIFY_MINIMUMS = {
-    "count": 1, "order": 1, "alpha_max": 1, "n_max": 1,
-    "b_max": 0, "max_left": 0, "max_right": 0,
-    "max_slope_sum": 2, "max_steps": 2,
+# (smallest, largest) value of each verify option: below the smallest a suite
+# compares nothing, above the largest it would exceed an oracle budget.
+VERIFY_BOUNDS = {
+    "count": (1, None), "order": (1, None), "alpha_max": (1, None),
+    "n_max": (1, (MAX_CELLS + 1) // 2),
+    "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
+    "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),
 }
 
 
@@ -222,9 +208,13 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         for key, value in vars(args).items()
         if key not in ("command", "suite") and value is not None
     }
-    for key, minimum in VERIFY_MINIMUMS.items():
-        if options.get(key, minimum) < minimum:
+    for key, (minimum, maximum) in VERIFY_BOUNDS.items():
+        if key not in options:
+            continue
+        if options[key] < minimum:
             raise CliError(f"{_flag(key)} must be at least {minimum}, got {options[key]}")
+        if maximum is not None and options[key] > maximum:
+            raise CliError(f"{_flag(key)} must be at most {maximum}, got {options[key]}")
     # each suite takes the options its signature names
     accepted = {
         name: inspect.signature(verification.SUITES[name]).parameters for name in names
@@ -269,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("--bounces", type=int, default=0, help="bounce count for g_b")
     coeffs.add_argument(
         "--include-k0", action="store_true", help="also print the k=0 coefficient"
-    )
-    coeffs.add_argument(
-        "--route",
-        choices=ROUTES,
-        default="general",
-        help="alternative computation for f_ab when beta = 1",
     )
 
     table = sub.add_parser("bounce-table", help="print the (left, right) grid")

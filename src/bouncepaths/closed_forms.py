@@ -66,20 +66,10 @@ class Slope:
 
 
 def binomial(m: int, n: int) -> int:
-    """C(m, n) for m >= 0, with value 0 whenever n < 0 or n > m.
-
-    Computed as a multiplicative running product; every intermediate
-    division is exact.
-    """
+    """C(m, n) for m >= 0, with value 0 whenever n < 0 or n > m."""
     if m < 0:
         raise ValueError("binomial needs a non-negative upper argument")
-    if n < 0 or n > m:
-        return 0
-    n = min(n, m - n)
-    result = 1
-    for i in range(1, n + 1):
-        result = result * (m - n + i) // i
-    return result
+    return math.comb(m, n) if 0 <= n <= m else 0
 
 
 def g_series(slope: Slope, order: int) -> Series:

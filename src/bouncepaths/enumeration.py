@@ -14,8 +14,12 @@ from dataclasses import dataclass
 from .beta_one import TwoRowShape
 from .closed_forms import Restriction, Slope, Step, binomial
 
-DEFAULT_MAX_STEPS = 24
-DEFAULT_MAX_PATHS = 3_000_000
+# Largest inputs the oracle accepts.  The sweep's cost grows with its state
+# count, which stays small up to 40 steps even for the costliest slope, (1, 1);
+# backtracking visits every tableau, and 23 cells is the largest two-row shape
+# of semilength 12.
+MAX_STEPS = 40
+MAX_CELLS = 23
 
 
 class MalformedPath(ValueError):
@@ -23,7 +27,7 @@ class MalformedPath(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
+    """The requested enumeration is larger than the oracle's budget."""
 
 
 @dataclass(frozen=True)
@@ -147,26 +151,17 @@ def _sweep(alpha, beta, k):
     }
 
 
-def enumerate_profiles(
-    slope: Slope,
-    k: int,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_paths: int = DEFAULT_MAX_PATHS,
-) -> Counter:
+def enumerate_profiles(slope: Slope, k: int) -> Counter:
     """Classify every path of semilength k; returns a profile multiset."""
     if k < 1:
         raise ValueError("semilength must be at least 1")
     alpha, beta = slope.alpha, slope.beta
     steps = (alpha + beta) * k
-    if steps > max_steps:
-        raise BudgetExceeded(f"{steps} steps exceed the budget of {max_steps}")
-    total = binomial(steps, alpha * k)
-    if total > max_paths:
-        raise BudgetExceeded(f"{total} paths exceed the budget of {max_paths}")
+    if steps > MAX_STEPS:
+        raise BudgetExceeded(f"{steps} steps exceed the budget of {MAX_STEPS}")
 
     raw = _sweep(alpha, beta, k)
-    if sum(raw.values()) != total:
+    if sum(raw.values()) != binomial(steps, alpha * k):
         raise RuntimeError("the sweep lost or duplicated paths; this is a bug")
 
     track_h = beta == 1
@@ -232,17 +227,16 @@ def count_matching(
 # ------------------------------------------------------------------ tableaux
 
 
-def enumerate_syt(shape: TwoRowShape, max_cells: int = 12) -> int:
+def enumerate_syt(shape: TwoRowShape) -> int:
     """Count standard fillings of the shape by backtracking.
 
     Places 1, 2, ... into the diagram, branching over every row whose next
-    free cell keeps rows left-justified and columns increasing.  The default
-    budget suits interactive use; callers may raise it explicitly.
+    free cell keeps rows left-justified and columns increasing.
     """
     partition = shape.as_partition()
     cells = sum(partition)
-    if cells > max_cells:
-        raise BudgetExceeded(f"{cells} cells exceed the budget of {max_cells}")
+    if cells > MAX_CELLS:
+        raise BudgetExceeded(f"{cells} cells exceed the budget of {MAX_CELLS}")
     if cells == 0:
         return 1
 

@@ -342,7 +342,7 @@ def _one_sided_total(slope: Slope, order: int) -> Series:
 
 
 def suite_oracle_vs_table(
-    max_slope_sum: int = 7, max_steps: int = 24
+    max_slope_sum: int = 7, max_steps: int = 40
 ) -> list[CheckResult]:
     """Every table entry, every restriction, against exhaustive enumeration."""
     results = []
@@ -357,7 +357,7 @@ def suite_oracle_vs_table(
         ks = range(1, semilengths + 1)
         counts = {}
         for k in ks:
-            profiles = enumerate_profiles(slope, k, max_steps=max_steps)
+            profiles = enumerate_profiles(slope, k)
             for restriction in restrictions:
                 counts[restriction, k] = count_table(profiles, restriction)
         for restriction in restrictions:
@@ -638,7 +638,7 @@ def suite_syt(n_max: int = 10) -> list[CheckResult]:
         profiles = enumerate_profiles(slope, n)
         for b in range(n):
             hook = syt_two_row_count(n, b)
-            filled = enumerate_syt(TwoRowShape(n + b, n - b - 1), max_cells=2 * n - 1)
+            filled = enumerate_syt(TwoRowShape(n + b, n - b - 1))
             paths = count_matching(profiles, first=Step.E, total_bounces=b)
             both_starts = g_b_series(b, n).coefficient(n)
             if not (hook == filled == paths) or both_starts != 2 * hook:
@@ -660,7 +660,7 @@ def suite_syt(n_max: int = 10) -> list[CheckResult]:
 
 
 def suite_crosses(
-    alpha_max: int = 3, max_steps: int = 24, order: int = 10
+    alpha_max: int = 3, max_steps: int = 40, order: int = 10
 ) -> list[CheckResult]:
     """Horizontal-cross series against enumeration, plus the three
     equivalent forms of the crossless no-right-bounce series: alpha*(c_alpha - 1)
@@ -700,7 +700,7 @@ def suite_crosses(
         }
         mismatch = None
         for k in range(1, semilengths + 1):
-            profiles = enumerate_profiles(slope, k, max_steps=max_steps)
+            profiles = enumerate_profiles(slope, k)
             for label, (s, filters) in series.items():
                 expected = count_matching(profiles, **filters)
                 actual = s.coefficient(k)

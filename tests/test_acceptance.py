@@ -67,10 +67,10 @@ def test_criterion_02_reference_crossless_sequence_alpha_2():
 
 def test_criterion_03_oracle_master_suite():
     _run(
-        "3 exhaustive enumeration vs tables, slope sums <= 7, <= 24 steps",
+        "3 exhaustive enumeration vs tables, slope sums <= 7, <= 40 steps",
         suite_oracle_vs_table,
         max_slope_sum=7,
-        max_steps=24,
+        max_steps=40,
     )
 
 
@@ -122,10 +122,10 @@ def test_criterion_08_two_row_tableaux():
 
 def test_criterion_09_horizontal_crosses():
     _run(
-        "9 horizontal-cross suite, alpha <= 3, <= 24 steps",
+        "9 horizontal-cross suite, alpha <= 3, <= 40 steps",
         suite_crosses,
         alpha_max=3,
-        max_steps=24,
+        max_steps=40,
         order=10,
     )
 

@@ -71,15 +71,6 @@ def test_coeffs_g_b():
     assert text == "0 2 8 28\n"
 
 
-def test_coeffs_routes_match():
-    _, general = run("coeffs", "--series", "f_en", "--alpha", "3", "--order", "7")
-    for route in ("fuss-catalan", "beta1"):
-        code, text = run("coeffs", "--series", "f_en", "--alpha", "3", "--order", "7",
-                         "--route", route)
-        assert code == 0
-        assert text == general
-
-
 def test_every_series_is_reachable():
     diagonal_only = {"g_b"}
     beta1_only = {"c_alpha", "nhc_ee", "nhc_en", "nhc_ne", "h", "H", "H_ne"}
@@ -93,7 +84,7 @@ def test_every_series_is_reachable():
 
 
 def test_golden_output():
-    """Exact stdout of every series in every format, the f_ab routes and the
+    """Exact stdout of every series in every format, f_ab for beta = 1 and the
     bounce-table formats, as recorded before the series registry replaced
     the hand-written dispatch, and of four small oracle ``verify`` runs, as
     recorded before the transfer count replaced the depth-first walk.  A new
@@ -104,7 +95,7 @@ def test_golden_output():
         argv = key.split(" ")
         code, text = run(*argv)
         assert (code, text) == (0, expected), key
-        if argv[0] == "coeffs" and "--route" not in argv:
+        if argv[0] == "coeffs":
             covered.add((argv[argv.index("--series") + 1], argv[argv.index("--format") + 1]))
     assert covered == {(name, fmt) for name in cli.SERIES for fmt in cli.FORMATS}
 
@@ -154,12 +145,6 @@ def test_g_b_requires_diagonal():
     assert code == 1
 
 
-def test_route_requires_supported_series():
-    code, _ = run("coeffs", "--series", "g", "--alpha", "2", "--order", "3",
-                  "--route", "beta1")
-    assert code == 1
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -182,6 +167,10 @@ def test_route_requires_supported_series():
         ("verify", "--suite", "table-dual", "--max-right", "-1"),
         ("verify", "--suite", "oracle-vs-table", "--max-slope-sum", "1"),
         ("verify", "--suite", "ring", "--count", "5", "--max-steps", "30", "--n-max", "99"),
+        ("verify", "--suite", "syt", "--n-max", "13"),
+        ("verify", "--suite", "total-bounces", "--n-max", "13"),
+        ("verify", "--suite", "oracle-vs-table", "--max-steps", "41"),
+        ("verify", "--suite", "crosses", "--max-steps", "41"),
     ],
 )
 def test_bad_input_gives_one_error_line(argv, capsys):
@@ -203,6 +192,14 @@ def test_verify_rejects_options_no_selected_suite_takes(capsys):
 def test_verify_threads_is_not_an_option(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run("verify", "--threads", "2")
+    assert excinfo.value.code == 2  # rejected by argparse
+    capsys.readouterr()
+
+
+def test_coeffs_route_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run("coeffs", "--series", "f_ee", "--alpha", "3", "--order", "6",
+            "--route", "beta1")
     assert excinfo.value.code == 2  # rejected by argparse
     capsys.readouterr()
 

@@ -152,9 +152,7 @@ def test_transfer_count_matches_brute_force():
 
 def test_budgets():
     with pytest.raises(BudgetExceeded):
-        enumerate_profiles(Slope(1, 1), 13)  # 26 steps > default 24
-    with pytest.raises(BudgetExceeded):
-        enumerate_profiles(Slope(1, 1), 12, max_steps=24, max_paths=1000)
+        enumerate_profiles(Slope(1, 1), 21)  # 42 steps > MAX_STEPS = 40
 
 
 # ------------------------------------------------------------ transposition
@@ -192,8 +190,8 @@ def test_enumerate_syt_values():
 
 def test_enumerate_syt_budget():
     with pytest.raises(BudgetExceeded):
-        enumerate_syt(TwoRowShape(8, 7))
-    assert enumerate_syt(TwoRowShape(8, 7), max_cells=15) == syt_two_row_count(8, 0)
+        enumerate_syt(TwoRowShape(12, 12))  # 24 cells > MAX_CELLS = 23
+    assert enumerate_syt(TwoRowShape(8, 7)) == syt_two_row_count(8, 0)
 
 
 @given(st.integers(1, 6), st.integers(0, 6))
