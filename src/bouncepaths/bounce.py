@@ -205,24 +205,58 @@ def expand_marker_quotient(
 ) -> list[list[Series]]:
     """Expand numerator/denominator as a polynomial in two bounded markers.
 
-    Both operands are sparse grids of series indexed by marker degrees
-    (l, r).  The denominator's (0, 0) cell must have a unit constant term;
-    the quotient is produced cell by cell up to (max_left, max_right) by
-    solving numerator = denominator * quotient in increasing degree.
+    Both operands are sparse grids of series of one truncation order N,
+    indexed by marker degrees (l, r).  The denominator's (0, 0) cell must
+    have a unit constant term; with inv its reciprocal, the quotient is
+    produced cell by cell up to (max_left, max_right) by solving
+    numerator = denominator * quotient in increasing degree:
+
+        q[l][r] = inv*n[l][r] - sum over (i, j) != (0, 0) of inv*d[i][j] * q[l-i][r-j].
+
+    Every input cell is scaled by inv once, and equal denominator cells
+    share one product over the sum of their neighbours.  The same recurrence
+    over valuations bounds each q[l][r] from below; a cell whose bound
+    exceeds N is zero and is not computed.
     """
     lead = denominator[(0, 0)]
     inv = lead.reciprocal()
     zero = Series.zero(lead.order)
-    rest = [(i, j, cell) for (i, j), cell in denominator.items() if (i, j) != (0, 0)]
+    vanished = lead.order + 1  # valuation bound of a cell known to be zero
 
-    out: list[list[Series]] = [[zero] * (max_right + 1) for _ in range(max_left + 1)]
+    def low(series: Series) -> int:
+        v = series.valuation()
+        return vanished if v is None else v
+
+    scaled = {key: cell * inv for key, cell in numerator.items()}
+    offsets: dict[Series, list[tuple[int, int]]] = {}
+    for key, cell in denominator.items():
+        if key != (0, 0) and not cell.is_zero():
+            offsets.setdefault(cell, []).append(key)
+    # (-inv * d, valuation of d, offsets of the cells equal to d)
+    groups = [(-(cell * inv), low(cell), keys) for cell, keys in offsets.items()]
+
+    out = [[zero] * (max_right + 1) for _ in range(max_left + 1)]
+    bound = [[vanished] * (max_right + 1) for _ in range(max_left + 1)]
     for l in range(max_left + 1):
         for r in range(max_right + 1):
-            acc = numerator.get((l, r), zero)
-            for i, j, cell in rest:
-                if i <= l and j <= r:
-                    acc = acc - cell * out[l - i][r - j]
-            out[l][r] = acc * inv
+            acc = scaled.get((l, r), zero)
+            low_lr = low(acc)
+            terms = []
+            for factor, v, keys in groups:
+                near = [
+                    (bound[l - i][r - j], out[l - i][r - j])
+                    for i, j in keys
+                    if i <= l and j <= r and bound[l - i][r - j] < vanished
+                ]
+                if near:
+                    low_lr = min(low_lr, v + min(b for b, _ in near))
+                    terms.append((factor, near))
+            if low_lr >= vanished:
+                continue
+            for factor, near in terms:
+                acc = acc + factor * sum((cell for _, cell in near[1:]), near[0][1])
+            out[l][r] = acc
+            bound[l][r] = low_lr
     return out
 
 

@@ -155,11 +155,13 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
                 coeffs = table.entry(l, r).coeffs[1:]
                 print(f"{l} {r} : " + " ".join(str(v) for v in coeffs), file=out)
     elif args.format == "csv":
-        print("l,r,k,count", file=out)
-        for l in range(max_left + 1):
-            for r in range(max_right + 1):
-                for k in range(1, args.order + 1):
-                    print(f"{l},{r},{k},{table.entry(l, r).coefficient(k)}", file=out)
+        lines = ["l,r,k,count\n"]
+        for l, row in enumerate(table.entries):
+            for r, series in enumerate(row):
+                lines.extend(
+                    f"{l},{r},{k},{v}\n" for k, v in enumerate(series.coeffs[1:], 1)
+                )
+        out.write("".join(lines))
     else:
         payload = {
             "slope": [args.alpha, args.beta],
@@ -178,10 +180,13 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
 
 
 # (smallest, largest) value of each verify option: below the smallest a suite
-# compares nothing, above the largest it would exceed an oracle budget.
+# compares nothing, above the largest it would exceed an oracle budget.  A
+# largest value given per suite applies as the smallest among the selected
+# suites: syt fills tableaux of up to 2n - 1 cells, total-bounces only walks
+# diagonal paths of 2n steps.
 VERIFY_BOUNDS = {
     "count": (1, None), "order": (1, None), "alpha_max": (1, None),
-    "n_max": (1, (MAX_CELLS + 1) // 2),
+    "n_max": (1, {"syt": (MAX_CELLS + 1) // 2, "total-bounces": MAX_STEPS // 2}),
     "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
     "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),
 }
@@ -211,6 +216,8 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     for key, (minimum, maximum) in VERIFY_BOUNDS.items():
         if key not in options:
             continue
+        if isinstance(maximum, dict):
+            maximum = min((maximum[n] for n in names if n in maximum), default=None)
         if options[key] < minimum:
             raise CliError(f"{_flag(key)} must be at least {minimum}, got {options[key]}")
         if maximum is not None and options[key] > maximum:

@@ -127,12 +127,16 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
+        va, vb = self.valuation(), other.valuation()
+        if va is None or vb is None or va + vb > n:
+            return Series.zero(n)
+        # schoolbook over the nonzero parts: a_i b_j for i >= va, j >= vb
         a, b = self.coeffs, other.coeffs
         out = [0] * (n + 1)
-        for i in range(n + 1):
+        for i in range(va, n - vb + 1):
             ai = a[i]
             if ai:
-                for j in range(n + 1 - i):
+                for j in range(vb, n - i + 1):
                     out[i + j] += ai * b[j]
         return Series(tuple(out))
 

@@ -11,6 +11,7 @@ from bouncepaths.bounce import (
     bounce_table_from_closed_forms,
     expand_marker_quotient,
     g_b_series,
+    marker_cells,
     no_left_bounce_total,
     nrb_series,
     one_sided_bounce_series,
@@ -175,6 +176,69 @@ def test_expand_marker_quotient_geometric():
             assert grid[l][r] == (one if r == 0 else Series.zero(3))
 
 
+def reference_expand_marker_quotient(numerator, denominator, max_left, max_right):
+    """The plain cell-by-cell expansion: four products per cell, no skipping."""
+    lead = denominator[(0, 0)]
+    inv = lead.reciprocal()
+    zero = Series.zero(lead.order)
+    rest = [(i, j, cell) for (i, j), cell in denominator.items() if (i, j) != (0, 0)]
+
+    out = [[zero] * (max_right + 1) for _ in range(max_left + 1)]
+    for l in range(max_left + 1):
+        for r in range(max_right + 1):
+            acc = numerator.get((l, r), zero)
+            for i, j, cell in rest:
+                if i <= l and j <= r:
+                    acc = acc - cell * out[l - i][r - j]
+            out[l][r] = acc * inv
+    return out
+
+
+@st.composite
+def marker_grids(draw):
+    """Random numerator and denominator grids of one order.
+
+    Cells may have valuation 0 whatever their marker degree, and non-lead
+    denominator cells are drawn from a pool of three so that equal cells
+    occur often."""
+    order = draw(st.integers(0, 6))
+    keys = [(i, j) for i in range(3) for j in range(3)]
+
+    def series(max_zeros):
+        zeros = draw(st.integers(0, max_zeros))
+        tail = draw(st.lists(st.integers(-4, 4), min_size=order + 1, max_size=order + 1))
+        return Series((0,) * zeros + tuple(tail[zeros:]))
+
+    numerator = {
+        key: series(order + 1)
+        for key in draw(st.lists(st.sampled_from(keys), max_size=5, unique=True))
+    }
+    lead_tail = draw(st.lists(st.integers(-4, 4), min_size=order, max_size=order))
+    lead = Series((draw(st.sampled_from([1, -1])),) + tuple(lead_tail))
+    pool = [series(order + 1) for _ in range(3)]
+    rest = draw(st.lists(st.sampled_from(keys[1:]), max_size=5, unique=True))
+    denominator = {(0, 0): lead, **{key: draw(st.sampled_from(pool)) for key in rest}}
+    return numerator, denominator, draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(marker_grids())
+def test_expand_marker_quotient_matches_reference(grids):
+    numerator, denominator, max_left, max_right = grids
+    assert expand_marker_quotient(
+        numerator, denominator, max_left, max_right
+    ) == reference_expand_marker_quotient(numerator, denominator, max_left, max_right)
+
+
+def test_expand_marker_quotient_matches_reference_on_bounce_cells():
+    for slope in (Slope(1, 1), Slope(3, 2)):
+        for restriction in Restriction:
+            numerator, denominator = marker_cells(slope, restriction, 9)
+            assert expand_marker_quotient(
+                numerator, denominator, 9, 7
+            ) == reference_expand_marker_quotient(numerator, denominator, 9, 7)
+
+
 def test_bounce_table_frozen_values():
     table = bounce_table(Slope(1, 1), Restriction.ALL, 3, 3, 4)
     assert coeffs(table.entry(0, 0)) == [2, 4, 10, 28]
@@ -243,6 +307,102 @@ def test_bounce_table_validation():
         )
     with pytest.raises(ValueError):
         bounce_table(Slope(1, 1), Restriction.ALL, -1, 0, 3)
+
+
+# ------------------------------------------------------- table properties
+
+
+TABLE_SLOPES = coprime_slopes(5)
+TRANSPOSED = {
+    Restriction.ALL: Restriction.ALL,
+    Restriction.EE: Restriction.NN,
+    Restriction.NN: Restriction.EE,
+    Restriction.EN: Restriction.NE,
+    Restriction.NE: Restriction.EN,
+}
+
+
+def class_total(slope, restriction, order):
+    if restriction is Restriction.ALL:
+        return g_series(slope, order)
+    return g_ab_series(slope, restriction.first, restriction.last, order)
+
+
+def full_table(slope, restriction, order):
+    """Every cell that can be nonzero: l + r <= order - 1."""
+    bound = max(order - 1, 0)
+    return bounce_table(slope, restriction, bound, bound, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLE_SLOPES), st.sampled_from(list(Restriction)), st.integers(1, 12))
+def test_bounce_table_has_no_negative_coefficients(slope, restriction, order):
+    table = full_table(slope, restriction, order)
+    assert all(c >= 0 for row in table.entries for cell in row for c in cell.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLE_SLOPES), st.sampled_from(list(Restriction)), st.integers(1, 12))
+def test_bounce_table_sums_to_its_class(slope, restriction, order):
+    table = full_table(slope, restriction, order)
+    assert table.sum_all() == class_total(slope, restriction, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(TABLE_SLOPES),
+    st.sampled_from(list(Restriction)),
+    st.integers(1, 12),
+    st.integers(0, 6),
+    st.integers(0, 6),
+)
+def test_transposing_the_slope_swaps_left_and_right(
+    slope, restriction, order, max_left, max_right
+):
+    table = bounce_table(slope, restriction, max_left, max_right, order)
+    mirror = bounce_table(
+        slope.transpose(), TRANSPOSED[restriction], max_right, max_left, order
+    )
+    for l in range(max_left + 1):
+        for r in range(max_right + 1):
+            assert table.entry(l, r) == mirror.entry(r, l), (l, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(TABLE_SLOPES),
+    st.sampled_from(list(Restriction)),
+    st.integers(1, 12),
+    st.integers(0, 14),
+    st.integers(0, 14),
+)
+def test_bounce_table_cell_valuation(slope, restriction, order, max_left, max_right):
+    # a path with l + r bounces has at least l + r + 1 segments between them
+    table = bounce_table(slope, restriction, max_left, max_right, order)
+    for l in range(max_left + 1):
+        for r in range(max_right + 1):
+            valuation = table.entry(l, r).valuation()
+            assert valuation is None or valuation >= l + r + 1, (l, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(TABLE_SLOPES),
+    st.sampled_from(list(Restriction)),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(0, 8),
+    st.integers(0, 8),
+)
+def test_bounce_table_truncation_is_the_lower_order_table(
+    slope, restriction, order, lower, max_left, max_right
+):
+    lower = min(lower, order)
+    high = bounce_table(slope, restriction, max_left, max_right, order)
+    low = bounce_table(slope, restriction, max_left, max_right, lower)
+    for l in range(max_left + 1):
+        for r in range(max_right + 1):
+            assert high.entry(l, r).truncate(lower) == low.entry(l, r), (l, r)
 
 
 # ----------------------------------------------------------- total bounces

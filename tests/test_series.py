@@ -205,6 +205,34 @@ def test_truncation_consistency(pair, m):
     assert (a + b).truncate(m) == a.truncate(m) + b.truncate(m)
 
 
+def schoolbook_product(a, b):
+    """Literal schoolbook product truncated to the smaller order."""
+    n = min(a.order, b.order)
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return Series(tuple(out))
+
+
+def prefixed_series():
+    """Series of order 0..10 whose first 0..order+1 coefficients are zero,
+    so all-zero series and every valuation up to the order occur."""
+    return st.integers(0, 10).flatmap(
+        lambda n: st.tuples(
+            st.integers(0, n + 1),
+            st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1),
+        ).map(lambda zc: Series((0,) * zc[0] + tuple(zc[1][zc[0]:])))
+    )
+
+
+@given(prefixed_series(), prefixed_series())
+def test_mul_matches_schoolbook(a, b):
+    product = a * b
+    assert product == schoolbook_product(a, b)
+    assert product.order == min(a.order, b.order)
+
+
 @given(series_strategy())
 def test_geometric_sum_matches_reciprocal(a):
     nil = Series((0,) + a.coeffs[1:])
