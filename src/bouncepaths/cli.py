@@ -36,7 +36,7 @@ from .closed_forms import (
     g_prefix_series,
     g_series,
 )
-from .enumeration import MAX_CELLS, MAX_STEPS, BudgetExceeded
+from .enumeration import MAX_STEPS, BudgetExceeded
 
 FORMATS = ("table", "csv", "json", "oeis-bfile")
 
@@ -95,7 +95,7 @@ SERIES = {
     "f_nstar": (ANY_SLOPE, lambda s, a: bounce_free_prefix(s, Step.N, a.order)),
     **{f"nrb_{r.value}": (ANY_SLOPE, _nrb(r)) for r in NRB_RESTRICTIONS},
     "nlb": (ANY_SLOPE, lambda s, a: no_left_bounce_total(s, a.order)),
-    "g_b": (DIAGONAL, lambda s, a: g_b_series(a.bounces, a.order)),
+    "g_b": (DIAGONAL, lambda s, a: g_b_series(a.bounces or 0, a.order)),
     **{f"nhc_{r.value}": (BETA1, _nhc(r)) for r in NHC_RESTRICTIONS},
     "h": (BETA1, lambda s, a: nhc_prefix_series(s.alpha, a.order)),
     "H": (BETA1, lambda s, a: nhc_nrb_series(s.alpha, a.order)),
@@ -119,6 +119,8 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
     slope = _slope_and_order(args)
     if args.series not in SERIES:
         raise CliError(f"unknown series {args.series!r}; see --help for the catalogue")
+    if args.bounces is not None and args.series != "g_b":
+        raise CliError(f"--bounces applies only to g_b, not to {args.series!r}")
     requirement, build = SERIES[args.series]
     _require(requirement, slope, f"series {args.series!r}")
     series = build(slope, args)
@@ -180,13 +182,12 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
 
 
 # (smallest, largest) value of each verify option: below the smallest a suite
-# compares nothing, above the largest it would exceed an oracle budget.  A
-# largest value given per suite applies as the smallest among the selected
-# suites: syt fills tableaux of up to 2n - 1 cells, total-bounces only walks
-# diagonal paths of 2n steps.
+# compares nothing, above the largest it would exceed the oracle's budget.
+# syt and total-bounces, the suites that take --n-max, walk diagonal paths of
+# 2n steps.
 VERIFY_BOUNDS = {
     "count": (1, None), "order": (1, None), "alpha_max": (1, None),
-    "n_max": (1, {"syt": (MAX_CELLS + 1) // 2, "total-bounces": MAX_STEPS // 2}),
+    "n_max": (1, MAX_STEPS // 2),
     "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
     "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),
 }
@@ -216,8 +217,6 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     for key, (minimum, maximum) in VERIFY_BOUNDS.items():
         if key not in options:
             continue
-        if isinstance(maximum, dict):
-            maximum = min((maximum[n] for n in names if n in maximum), default=None)
         if options[key] < minimum:
             raise CliError(f"{_flag(key)} must be at least {minimum}, got {options[key]}")
         if maximum is not None and options[key] > maximum:
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("--beta", type=int, default=1)
     coeffs.add_argument("--order", type=int, required=True)
     coeffs.add_argument("--format", choices=FORMATS, default="table")
-    coeffs.add_argument("--bounces", type=int, default=0, help="bounce count for g_b")
+    coeffs.add_argument("--bounces", type=int, default=None, help="bounce count for g_b")
     coeffs.add_argument(
         "--include-k0", action="store_true", help="also print the k=0 coefficient"
     )

@@ -4,8 +4,8 @@ Every generating function in the package can be checked against this
 module: it counts all C((alpha+beta)k, alpha*k) step words of a given
 semilength by their bounces and horizontal crosses with a transfer count
 over the grid (Stanley, EC1 4.7), classifying each line vertex as
-``classify`` does, and it counts standard Young tableaux by plain
-backtracking.  Nothing here shares code with the closed forms.
+``classify`` does, and it counts two-row standard Young tableaux as ballot
+sequences.  Nothing here shares code with the closed forms.
 """
 
 from collections import Counter
@@ -14,12 +14,9 @@ from dataclasses import dataclass
 from .beta_one import TwoRowShape
 from .closed_forms import Restriction, Slope, Step, binomial
 
-# Largest inputs the oracle accepts.  The sweep's cost grows with its state
-# count, which stays small up to 40 steps even for the costliest slope, (1, 1);
-# backtracking visits every tableau, and 23 cells is the largest two-row shape
-# of semilength 12.
+# Longest paths the oracle walks.  The sweep's cost grows with its state
+# count, which stays small up to 40 steps even for the costliest slope, (1, 1).
 MAX_STEPS = 40
-MAX_CELLS = 23
 
 
 class MalformedPath(ValueError):
@@ -228,29 +225,17 @@ def count_matching(
 
 
 def enumerate_syt(shape: TwoRowShape) -> int:
-    """Count standard fillings of the shape by backtracking.
+    """Count standard fillings of the shape as ballot sequences.
 
-    Places 1, 2, ... into the diagram, branching over every row whose next
-    free cell keeps rows left-justified and columns increasing.
+    Each entry goes into row 1 or row 2, and row 2 may never hold more
+    entries than row 1.  After pass i, ``ways[j]`` counts the words with i
+    entries in row 1 and j in row 2 whose every prefix obeys that rule: the
+    last entry went into row 1 (``ways[j]`` of pass i - 1) or into row 2
+    (``ways[j - 1]`` of pass i).  The cost is O(cells^2).
     """
-    partition = shape.as_partition()
-    cells = sum(partition)
-    if cells > MAX_CELLS:
-        raise BudgetExceeded(f"{cells} cells exceed the budget of {MAX_CELLS}")
-    if cells == 0:
-        return 1
-
-    rows = [0] * len(partition)
-
-    def place(placed: int) -> int:
-        if placed == cells:
-            return 1
-        found = 0
-        for i, filled in enumerate(rows):
-            if filled < partition[i] and (i == 0 or rows[i - 1] > filled):
-                rows[i] = filled + 1
-                found += place(placed + 1)
-                rows[i] = filled
-        return found
-
-    return place(0)
+    second = shape.second_row
+    ways = [1] + [0] * second
+    for i in range(1, shape.first_row + 1):
+        for j in range(1, min(i, second) + 1):
+            ways[j] += ways[j - 1]
+    return ways[second]

@@ -601,7 +601,7 @@ def suite_total_bounces(b_max: int = 6, n_max: int = 11) -> list[CheckResult]:
     results = []
     slope = Slope(1, 1)
     c = fuss_catalan(1, n_max)
-    profiles = {n: enumerate_profiles(slope, n) for n in range(1, n_max + 1)}
+    profiles = [enumerate_profiles(slope, n) for n in range(1, n_max + 1)]
     for b in range(b_max + 1):
         series = g_b_series(b, n_max)
         results.append(
@@ -612,25 +612,21 @@ def suite_total_bounces(b_max: int = 6, n_max: int = 11) -> list[CheckResult]:
                 context=f"b={b}",
             )
         )
-        mismatch = None
-        for n in range(1, n_max + 1):
-            expected = count_matching(profiles[n], total_bounces=b)
-            actual = series.coefficient(n)
-            if expected != actual:
-                mismatch = f"b={b} n={n} expected={expected} actual={actual}"
-                break
+        # no path has semilength 0, so the enumerated k = 0 coefficient is 0
+        enumerated = Series((0, *(count_matching(p, total_bounces=b) for p in profiles)))
         results.append(
-            CheckResult(
+            _series_equal(
                 f"enumeration matches for {b} total bounces",
-                mismatch is None,
-                mismatch or "",
+                series,
+                enumerated,
+                context=f"b={b}",
             )
         )
     return results
 
 
-def suite_syt(n_max: int = 10) -> list[CheckResult]:
-    """Hook-length counts, backtracking fills and E-start path counts agree."""
+def suite_syt(n_max: int = 16) -> list[CheckResult]:
+    """Hook-length counts, ballot counts and E-start path counts agree."""
     results = []
     slope = Slope(1, 1)
     mismatch = None
@@ -643,7 +639,7 @@ def suite_syt(n_max: int = 10) -> list[CheckResult]:
             both_starts = g_b_series(b, n).coefficient(n)
             if not (hook == filled == paths) or both_starts != 2 * hook:
                 mismatch = (
-                    f"n={n} b={b} hook={hook} backtracking={filled} "
+                    f"n={n} b={b} hook={hook} ballot={filled} "
                     f"paths={paths} series={both_starts}"
                 )
                 break
@@ -698,24 +694,18 @@ def suite_crosses(
                 dict(first=Step.N, crosses=0),
             ),
         }
-        mismatch = None
+        # no path has semilength 0, so every enumerated k = 0 coefficient is 0
+        counts = {label: [0] for label in series}
         for k in range(1, semilengths + 1):
             profiles = enumerate_profiles(slope, k)
-            for label, (s, filters) in series.items():
-                expected = count_matching(profiles, **filters)
-                actual = s.coefficient(k)
-                if expected != actual:
-                    mismatch = f"{tag} {label} k={k} expected={expected} actual={actual}"
-                    break
-            if mismatch:
+            for label, (_, filters) in series.items():
+                counts[label].append(count_matching(profiles, **filters))
+        name = f"cross statistics match enumeration ({tag})"
+        for label, (s, _) in series.items():
+            check = _series_equal(name, s, Series(counts[label]), context=f"{tag} {label}")
+            if not check.passed:
                 break
-        results.append(
-            CheckResult(
-                f"cross statistics match enumeration ({tag})",
-                mismatch is None,
-                mismatch or "",
-            )
-        )
+        results.append(check)
     for alpha in range(1, 6):
         name = f"three crossless no-right-bounce forms agree (alpha={alpha})"
         production = nhc_nrb_series(alpha, order)

@@ -114,9 +114,9 @@ def test_criterion_07_total_bounce_series():
 
 def test_criterion_08_two_row_tableaux():
     _run(
-        "8 tableau counts vs backtracking and path enumeration, n <= 10",
+        "8 tableau counts vs ballot count and path enumeration, n <= 16",
         suite_syt,
-        n_max=10,
+        n_max=16,
     )
 
 

@@ -167,11 +167,12 @@ def test_g_b_requires_diagonal():
         ("verify", "--suite", "table-dual", "--max-right", "-1"),
         ("verify", "--suite", "oracle-vs-table", "--max-slope-sum", "1"),
         ("verify", "--suite", "ring", "--count", "5", "--max-steps", "30", "--n-max", "99"),
-        ("verify", "--suite", "syt", "--n-max", "13"),
+        ("verify", "--suite", "syt", "--n-max", "21"),
         ("verify", "--suite", "total-bounces", "--n-max", "21"),
         ("verify", "--suite", "oracle-vs-table", "--max-steps", "41"),
         ("verify", "--suite", "crosses", "--max-steps", "41"),
-        ("verify", "--suite", "syt", "--suite", "total-bounces", "--n-max", "13"),
+        ("verify", "--suite", "syt", "--suite", "total-bounces", "--n-max", "21"),
+        ("coeffs", "--series", "g", "--alpha", "2", "--order", "5", "--bounces", "3"),
     ],
 )
 def test_bad_input_gives_one_error_line(argv, capsys):
@@ -191,8 +192,8 @@ def test_verify_rejects_options_no_selected_suite_takes(capsys):
 
 
 def test_verify_total_bounces_reaches_n_max_20():
-    # total-bounces walks diagonal paths of 2n <= MAX_STEPS steps; only syt is
-    # held to n <= 12 by its tableau cells
+    # total-bounces and syt walk diagonal paths of 2n <= MAX_STEPS steps, so
+    # one --n-max cap of 20 serves both
     code, text = run("verify", "--suite", "total-bounces", "--n-max", "20")
     assert code == 0
     assert text.endswith("verify: all suites passed\n")

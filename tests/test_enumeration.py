@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bouncepaths.beta_one import TwoRowShape, syt_two_row_count
+from bouncepaths.beta_one import TwoRowShape, _hook_length_count, syt_two_row_count
 from bouncepaths.closed_forms import Restriction, Slope, Step, binomial
 from bouncepaths.enumeration import (
     BudgetExceeded,
@@ -189,8 +189,7 @@ def test_enumerate_syt_values():
 
 
 def test_enumerate_syt_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_syt(TwoRowShape(12, 12))  # 24 cells > MAX_CELLS = 23
+    assert enumerate_syt(TwoRowShape(12, 12)) == _hook_length_count((12, 12))
     assert enumerate_syt(TwoRowShape(8, 7)) == syt_two_row_count(8, 0)
 
 
@@ -199,6 +198,40 @@ def test_enumerate_syt_matches_hook_formula(first, second):
     if second > first:
         first, second = second, first
     shape = TwoRowShape(first, second)
-    from bouncepaths.beta_one import _hook_length_count
-
     assert enumerate_syt(shape) == _hook_length_count(shape.as_partition())
+
+
+def reference_enumerate_syt(shape: TwoRowShape) -> int:
+    """Count standard fillings of the shape by backtracking.
+
+    Places 1, 2, ... into the diagram, branching over every row whose next
+    free cell keeps rows left-justified and columns increasing.
+    """
+    partition = shape.as_partition()
+    cells = sum(partition)
+    if cells == 0:
+        return 1
+
+    rows = [0] * len(partition)
+
+    def place(placed: int) -> int:
+        if placed == cells:
+            return 1
+        found = 0
+        for i, filled in enumerate(rows):
+            if filled < partition[i] and (i == 0 or rows[i - 1] > filled):
+                rows[i] = filled + 1
+                found += place(placed + 1)
+                rows[i] = filled
+        return found
+
+    return place(0)
+
+
+def test_ballot_count_matches_backtracking():
+    """The ballot count against literal backtracking on every two-row shape
+    of up to 16 cells."""
+    for cells in range(17):
+        for second in range(cells // 2 + 1):
+            shape = TwoRowShape(cells - second, second)
+            assert enumerate_syt(shape) == reference_enumerate_syt(shape), shape

@@ -53,6 +53,11 @@ def test_grid_equal_reports_first_mismatching_cell():
          "h closed form = (g_ee+g_en)/(1+g_ee) (alpha=1)"),
         (verify.suite_total_bounces, "g_b_series", dict(b_max=1, n_max=6),
          "coefficient formula for 0 total bounces"),
+        (verify.suite_crosses, "nhc_series",
+         dict(alpha_max=1, max_steps=4, order=6),
+         "cross statistics match enumeration (alpha=1)"),
+        (verify.suite_total_bounces, "g_b_series", dict(b_max=1, n_max=6),
+         "enumeration matches for 0 total bounces"),
     ],
 )
 def test_cross_checks_catch_a_wrong_production_formula(
