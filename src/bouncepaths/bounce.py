@@ -16,17 +16,18 @@ not count.  Naming scheme used throughout the package:
 from dataclasses import dataclass
 from typing import Mapping
 
-from .closed_forms import Restriction, Slope, Step, binomial, g_ab_series, g_series
+from .closed_forms import Restriction, Slope, Step, _g_ab_from_g, binomial, g_series
 from .series import Series
 
 
 def _g_parts(slope: Slope, order: int) -> tuple[Series, Series, Series, Series]:
     """(g, g_ee, g_en, g_nn) at the requested truncation order."""
+    g = g_series(slope, order)
     return (
-        g_series(slope, order),
-        g_ab_series(slope, Step.E, Step.E, order),
-        g_ab_series(slope, Step.E, Step.N, order),
-        g_ab_series(slope, Step.N, Step.N, order),
+        g,
+        _g_ab_from_g(g, slope, Step.E, Step.E),
+        _g_ab_from_g(g, slope, Step.E, Step.N),
+        _g_ab_from_g(g, slope, Step.N, Step.N),
     )
 
 
@@ -174,7 +175,8 @@ def g_b_series(total_bounces: int, order: int) -> Series:
     """Paths to (n, n) with exactly ``total_bounces`` bounces of either kind.
 
     Only meaningful for the diagonal slope (1, 1).  Computed from the
-    coefficient formula 2*(b+1)/(k+b) * C(2k+2b, k-1) at x^(k+b); the
+    coefficient formula 2*(b+1)/j * C(2j, j-b-1) at x^j, with the binomial
+    stepped from j-1 to j by (2j-1)(2j) / ((j-b-1)(j+b+1)); the
     ``total-bounces`` suite checks it against 2*(c(x) - 1)^(b+1) with c the
     Catalan series.
     """
@@ -182,12 +184,13 @@ def g_b_series(total_bounces: int, order: int) -> Series:
     if b < 0:
         raise ValueError("the bounce count must be non-negative")
     coeffs = [0] * (order + 1)
+    binom = 1  # C(2j, j-b-1), which is C(2b+2, 0) at j = b+1
     for j in range(b + 1, order + 1):
-        k = j - b
-        num = 2 * (b + 1) * binomial(2 * k + 2 * b, k - 1)
-        if num % (k + b):
+        if j > b + 1:
+            binom = binom * (2 * j - 1) * (2 * j) // ((j - b - 1) * (j + b + 1))
+        coeffs[j], rest = divmod(2 * (b + 1) * binom, j)
+        if rest:
             raise ArithmeticError(f"coefficient of x^{j} is not an integer")
-        coeffs[j] = num // (k + b)
     return Series(tuple(coeffs))
 
 

@@ -85,16 +85,32 @@ def g_ab_series(slope: Slope, first: Step, last: Step, order: int) -> Series:
 
     Fixing the two boundary steps leaves (alpha+beta)k - 2 free steps, of
     which alpha*k - 2, alpha*k - 1 or alpha*k are east moves for EE, EN/NE
-    and NN paths respectively.
+    and NN paths respectively; the counts come from g by an exact ratio.
     """
+    return _g_ab_from_g(g_series(slope, order), slope, first, last)
+
+
+def _g_ab_from_g(g: Series, slope: Slope, first: Step, last: Step) -> Series:
+    """g_ab from g: of the C(n, m) paths with n = (alpha+beta)k steps, m of
+    them east, the share m(m-1) / (n(n-1)) starts and ends with E, and
+    likewise m(n-m) for EN and NE and (n-m)(n-m-1) for NN."""
     a, b = slope.alpha, slope.beta
-    east_shift = {(Step.E, Step.E): -2, (Step.N, Step.N): 0}.get((first, last), -1)
-    return Series(
-        tuple(
-            binomial((a + b) * k - 2, a * k + east_shift) if k else 0
-            for k in range(order + 1)
-        )
-    )
+    coeffs = [0]
+    for k in range(1, g.order + 1):
+        n, east = (a + b) * k, a * k
+        north = n - east
+        if first is Step.E:
+            ways, east = east, east - 1
+        else:
+            ways, north = north, north - 1
+        ways *= east if last is Step.E else north
+        count, rest = divmod(g.coeffs[k] * ways, n * (n - 1))
+        if rest:
+            raise NonIntegerCoefficient(
+                f"g_{first.value}{last.value}: coefficient {k} is not an integer"
+            )
+        coeffs.append(count)
+    return Series(tuple(coeffs))
 
 
 def g_prefix_series(slope: Slope, first: Step, order: int) -> Series:
@@ -114,11 +130,11 @@ def fuss_catalan(alpha: int, order: int) -> Series:
         raise ValueError("alpha must be a positive integer")
     coeffs = []
     for k in range(order + 1):
-        num = binomial((alpha + 1) * k, k)
         den = alpha * k + 1
-        if num % den:
+        count, rest = divmod(binomial((alpha + 1) * k, k), den)
+        if rest:
             raise NonIntegerCoefficient(
                 f"C({(alpha + 1) * k}, {k}) is not divisible by {den}"
             )
-        coeffs.append(num // den)
+        coeffs.append(count)
     return Series(tuple(coeffs))

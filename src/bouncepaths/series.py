@@ -27,6 +27,13 @@ class ValuationMismatch(SeriesError):
     numerator provides."""
 
 
+def _require_unit(c0: int) -> None:
+    if c0 not in (1, -1):
+        raise NonUnitConstantTerm(
+            f"constant term {c0} is not invertible over the integers"
+        )
+
+
 @dataclass(frozen=True)
 class Series:
     """Integer power series truncated at ``order = len(coeffs) - 1``."""
@@ -133,6 +140,16 @@ class Series:
         # schoolbook over the nonzero parts: a_i b_j for i >= va, j >= vb
         a, b = self.coeffs, other.coeffs
         out = [0] * (n + 1)
+        if other is self:
+            # a square: each cross product a_i a_j (i < j) once, doubled
+            for i in range(va, n // 2 + 1):
+                ai = a[i]
+                if ai:
+                    out[2 * i] += ai * ai
+                    twice = 2 * ai
+                    for j in range(i + 1, n - i + 1):
+                        out[i + j] += twice * a[j]
+            return Series(tuple(out))
         for i in range(va, n - vb + 1):
             ai = a[i]
             if ai:
@@ -157,48 +174,44 @@ class Series:
         return result
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse to the truncation order.
-
-        Requires constant term +1 or -1 (the only units over the integers);
-        uses the recurrence r_n = -c_0 * sum_{j=1..n} c_j r_{n-j}.
-        """
-        c = self.coeffs
-        c0 = c[0]
-        if c0 not in (1, -1):
-            raise NonUnitConstantTerm(
-                f"constant term {c0} is not invertible over the integers"
-            )
-        n = self.order
-        r = [c0] + [0] * n
-        for m in range(1, n + 1):
-            s = 0
-            for j in range(1, m + 1):
-                if c[j]:
-                    s += c[j] * r[m - j]
-            r[m] = -c0 * s
-        return Series(tuple(r))
+        """Multiplicative inverse to the truncation order: the long division
+        of one.  Requires constant term +1 or -1 (the only units over the
+        integers)."""
+        _require_unit(self.coeffs[0])
+        return Series.one(self.order).div(self)
 
     def div(self, other: "Series") -> "Series":
         """Quotient self / other, cancelling the common factor x^m first.
 
         ``m = valuation(other)``; the numerator must vanish to order at least
-        m, and the divisor's cofactor after cancellation must have a unit
-        constant term.  The result's truncation order shrinks by m.
+        m, and the divisor's cofactor d after cancellation must have a unit
+        constant term.  The result's truncation order shrinks by m.  One pass
+        of long division: q_k = d_0 * (a_k - sum_{j=1..k} d_j q_(k-j)).
         """
         if other.is_zero():
             raise ZeroDivisionError("division by an identically zero series")
         m = other.valuation()
-        if m == 0:
-            return self * other.reciprocal()
         if any(self.coeffs[: min(m, self.order + 1)]):
             raise ValuationMismatch(
                 f"numerator valuation is below the divisor valuation {m}"
             )
-        if min(self.order, other.order) - m < 0:
+        n = min(self.order, other.order) - m
+        if n < 0:
             raise ValueError(f"cancelling x^{m} leaves no determined coefficients")
-        numer = Series(self.coeffs[m:])
-        denom = Series(other.coeffs[m:])
-        return numer * denom.reciprocal()
+        a, d = self.coeffs[m:], other.coeffs[m:]
+        d0 = d[0]
+        _require_unit(d0)
+        terms = [(j, dj) for j, dj in enumerate(d[1 : n + 1], 1) if dj]
+        q = [0] * (n + 1)
+        for k in range(n + 1):
+            s = a[k]
+            for j, dj in terms:
+                if j > k:
+                    break
+                if q[k - j]:
+                    s -= dj * q[k - j]
+            q[k] = s if d0 == 1 else -s
+        return Series(tuple(q))
 
     def __truediv__(self, other):
         if not isinstance(other, Series):

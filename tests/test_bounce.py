@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -424,3 +426,13 @@ def test_g_b_series_partitions_all_paths():
     for b in range(order):
         total = total + g_b_series(b, order)
     assert total == g_series(Slope(1, 1), order)
+
+
+@pytest.mark.parametrize("b", range(7))
+def test_g_b_series_matches_coefficient_formula(b):
+    # the library steps the binomial from one coefficient to the next
+    order = 150
+    expected = [0] * (b + 1) + [
+        2 * (b + 1) * math.comb(2 * j, j - b - 1) // j for j in range(b + 1, order + 1)
+    ]
+    assert list(g_b_series(b, order).coeffs) == expected

@@ -1,6 +1,8 @@
 import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -180,6 +182,40 @@ def test_bad_input_gives_one_error_line(argv, capsys):
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def digit_limit_640():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python 3.10 has no int-to-str digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("fmt", ["oeis-bfile", "csv"])
+def test_unrenderable_listing_leaves_stdout_empty(digit_limit_640, fmt, capsys):
+    # the first coefficients fit in 640 digits, the last ones do not; none
+    # of the lines may be written
+    code, text = run("coeffs", "--series", "c_alpha", "--alpha", "10000",
+                     "--order", "200", "--format", fmt)
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_importing_the_cli_leaves_verify_unloaded():
+    # -S skips the site hooks, which may import random on their own
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bouncepaths.cli; "
+        "print(sorted({'bouncepaths.verify', 'random'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_verify_rejects_options_no_selected_suite_takes(capsys):

@@ -110,6 +110,18 @@ def test_g_splits_by_first_and_last_step(slope):
     assert total == g_series(slope, order)
 
 
+@pytest.mark.parametrize("slope", coprime_slopes(9), ids=str)
+def test_g_ab_series_matches_direct_binomial(slope):
+    # g_ab is derived from g; the direct count places alpha*k - (east
+    # boundary steps) east moves among the (alpha+beta)k - 2 free steps
+    a, b, order = slope.alpha, slope.beta, 40
+    for r in (Restriction.EE, Restriction.EN, Restriction.NE, Restriction.NN):
+        shift = -(r.first is Step.E) - (r.last is Step.E)
+        direct = [math.comb((a + b) * k - 2, a * k + shift) if a * k + shift >= 0 else 0
+                  for k in range(1, order + 1)]
+        assert coeffs(g_ab_series(slope, r.first, r.last, order)) == direct, r
+
+
 @pytest.mark.parametrize("alpha", range(1, 6))
 def test_fuss_catalan_functional_equation(alpha):
     order = 12

@@ -237,3 +237,77 @@ def test_mul_matches_schoolbook(a, b):
 def test_geometric_sum_matches_reciprocal(a):
     nil = Series((0,) + a.coeffs[1:])
     assert nil.geometric_sum() == (1 - nil).reciprocal()
+
+
+# ------------------------------------------------ squares and long division
+
+
+def reference_div(a, d):
+    """Division as reciprocal then product: r_n = -d_0 sum_j d_j r_(n-j)
+    for the cofactor after cancelling x^m, then the numerator times r."""
+    m = d.valuation()
+    n = min(a.order, d.order) - m
+    c = d.coeffs[m : m + n + 1]
+    r = [c[0]] + [0] * n
+    for k in range(1, n + 1):
+        r[k] = -c[0] * sum(c[j] * r[k - j] for j in range(1, k + 1))
+    return schoolbook_product(Series(a.coeffs[m : m + n + 1]), Series(tuple(r)))
+
+
+@st.composite
+def division_cases(draw):
+    """(numerator, divisor) of orders 0..40, unequal in general; the divisor
+    is x^m times a cofactor with constant term +1 or -1, m in 0..3, and the
+    numerator vanishes through x^(m-1) and may have a longer zero prefix."""
+    m = draw(st.integers(0, 3))
+    d_order = draw(st.integers(m, 40))
+    a_order = draw(st.integers(m, 40))
+    cofactor = draw(st.lists(st.integers(-9, 9), min_size=d_order - m, max_size=d_order - m))
+    d = Series((0,) * m + (draw(st.sampled_from([1, -1])),) + tuple(cofactor))
+    zeros = draw(st.integers(m, a_order + 1))
+    tail = draw(st.lists(st.integers(-9, 9), min_size=a_order + 1 - zeros,
+                         max_size=a_order + 1 - zeros))
+    return Series((0,) * zeros + tuple(tail)), d
+
+
+@given(division_cases())
+def test_div_matches_reciprocal_then_product(case):
+    a, d = case
+    q = a.div(d)
+    assert q == reference_div(a, d)
+    assert q.order == min(a.order, d.order) - d.valuation()
+
+
+@given(division_cases())
+def test_reciprocal_matches_reference(case):
+    _, d = case
+    unit = Series(d.coeffs[d.valuation():])
+    assert unit.reciprocal() == reference_div(Series.one(unit.order), unit)
+
+
+def deep_prefixed_series():
+    """Series of order 0..40 with a zero prefix of any length, all-zero included."""
+    return st.integers(0, 40).flatmap(
+        lambda n: st.tuples(
+            st.integers(0, n + 1),
+            st.lists(st.integers(-99, 99), min_size=n + 1, max_size=n + 1),
+        ).map(lambda zc: Series((0,) * zc[0] + tuple(zc[1][zc[0]:])))
+    )
+
+
+@given(deep_prefixed_series())
+def test_square_matches_product_with_an_equal_copy(a):
+    square = a * a
+    assert square == a * Series(a.coeffs)
+    assert square == schoolbook_product(a, a)
+    assert (a**2) == square
+
+
+def test_square_edge_cases():
+    assert Series.zero(3) * Series.zero(3) == Series.zero(3)
+    assert S(5) * S(5) == S(25)
+    assert S(0) * S(0) == S(0)
+    a = S(0, 0, 3, -1, 2)
+    assert a * a == S(0, 0, 0, 0, 9)
+    b = S(0, 2, 3, 0, 0)
+    assert b * b == S(0, 0, 4, 12, 9)

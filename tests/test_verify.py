@@ -1,7 +1,7 @@
 import pytest
 
 from bouncepaths import verify
-from bouncepaths.closed_forms import Slope
+from bouncepaths.closed_forms import Slope, Step
 from bouncepaths.series import Series
 from bouncepaths.verify import (
     SUITES,
@@ -79,8 +79,25 @@ def test_reference_series_suite():
 
 def test_base_counts_single_slope():
     results = suite_base_counts(alpha=3, beta=4, order=8)
-    assert len(results) == 2
+    assert len(results) == 3
     assert all(r.passed for r in results)
+
+
+def test_base_counts_catch_a_g_ab_that_keeps_both_identities(monkeypatch):
+    # +x^6 on EE and NN, -x^6 on EN: both identities still hold
+    original = verify.g_ab_series
+    shift = {(Step.E, Step.E): 1, (Step.N, Step.N): 1, (Step.E, Step.N): -1}
+
+    def skewed(slope, first, last, order):
+        return original(slope, first, last, order) + shift.get((first, last), 0) * (
+            Series.x(order) ** 6
+        )
+
+    monkeypatch.setattr(verify, "g_ab_series", skewed)
+    results = suite_base_counts(alpha=3, beta=2, order=8)
+    assert [r.passed for r in results] == [True, True, False]
+    assert results[2].name == "g_ab matches its binomial for 3/2"
+    assert results[2].detail.startswith("slope=(3,2) ee k=6 ")
 
 
 def test_fuss_catalan_suite():
