@@ -16,7 +16,7 @@ not count.  Naming scheme used throughout the package:
 from dataclasses import dataclass
 from typing import Mapping
 
-from .closed_forms import Restriction, Slope, Step, _g_ab_from_g, binomial, g_series
+from .closed_forms import Restriction, Slope, Step, _exact, _g_ab_from_g, binomial, g_series
 from .series import Series
 
 
@@ -31,10 +31,37 @@ def _g_parts(slope: Slope, order: int) -> tuple[Series, Series, Series, Series]:
     )
 
 
-def _require_ab(restriction: Restriction) -> Restriction:
-    if restriction is Restriction.ALL:
-        raise ValueError("this series is defined per first/last step restriction")
-    return restriction
+def _delta(slope: Slope, g_en: Series) -> Series:
+    """delta = g_en^2 - g_ee*g_nn from one square.
+
+    With u_i the coefficients of g_en, g_ee has u_i (alpha*i - 1) / (beta*i)
+    and g_nn has u_j (beta*j - 1) / (alpha*j), so a product term
+    u_i u_j - g_ee_i g_nn_j is u_i u_j (alpha*i + beta*j - 1) / (alpha*beta*ij).
+    Summing it together with its i <-> j mirror gives
+
+        delta_k = ((alpha+beta)k - 2) * [x^k] W^2 / (2*alpha*beta),
+
+    W with the coefficients w_i = u_i / i.  These are integers: w_i is
+    beta*C(n-1, m-1) / (n-1) for n = (alpha+beta)i and m = alpha*i, and
+    gcd(m-1, n-1) = gcd(alpha*i - 1, beta) divides beta.
+    """
+    w = Series((0,) + tuple(_exact(u, i, "W", i) for i, u in enumerate(g_en.coeffs) if i))
+    a, b = slope.alpha, slope.beta
+    return Series(
+        tuple(
+            _exact(((a + b) * k - 2) * c, 2 * a * b, "delta", k)
+            for k, c in enumerate((w * w).coeffs)
+        )
+    )
+
+
+def _bounce_free_parts(slope: Slope, order: int) -> tuple[Series, ...]:
+    """(g, g_ee, g_en, g_nn, delta, den): the g parts, delta = g_en^2 -
+    g_ee*g_nn and the bounce-free denominator den = (1+g_en)^2 - g_ee*g_nn,
+    which is 1 + 2*g_en + delta."""
+    g, g_ee, g_en, g_nn = _g_parts(slope, order)
+    delta = _delta(slope, g_en)
+    return g, g_ee, g_en, g_nn, delta, 1 + 2 * g_en + delta
 
 
 def nrb_series(slope: Slope, restriction: Restriction, order: int) -> Series:
@@ -58,19 +85,15 @@ def nrb_series(slope: Slope, restriction: Restriction, order: int) -> Series:
     return numerator.div(1 + g_en)
 
 
-def _bounce_free_denominator(g_ee: Series, g_en: Series, g_nn: Series) -> Series:
-    return (1 + g_en) ** 2 - g_ee * g_nn
-
-
 def bounce_free_ab(slope: Slope, restriction: Restriction, order: int) -> Series:
     """Bounce-free paths with prescribed first and last steps.
 
     f_ee = g_ee / ((1+g_en)^2 - g_ee*g_nn), f_nn likewise with g_nn, and
     f_en = f_ne = 1 - (1+g_en) / ((1+g_en)^2 - g_ee*g_nn).
     """
-    _require_ab(restriction)
-    _, g_ee, g_en, g_nn = _g_parts(slope, order)
-    den = _bounce_free_denominator(g_ee, g_en, g_nn)
+    if restriction is Restriction.ALL:
+        raise ValueError("this series is defined per first/last step restriction")
+    _, g_ee, g_en, g_nn, _, den = _bounce_free_parts(slope, order)
     if restriction is Restriction.EE:
         return g_ee.div(den)
     if restriction is Restriction.NN:
@@ -82,19 +105,22 @@ def bounce_free_prefix(slope: Slope, first: Step, order: int) -> Series:
     """Bounce-free paths starting with the given step (ending anywhere).
 
     By symmetry the same series counts bounce-free paths *ending* with that
-    step.
+    step.  f_ee + f_en is the one quotient 1 + (g_ee - 1 - g_en) / den, and
+    f_nn + f_en likewise with g_nn.
     """
-    f_en = bounce_free_ab(slope, Restriction.EN, order)
-    if first is Step.E:
-        return bounce_free_ab(slope, Restriction.EE, order) + f_en
-    return bounce_free_ab(slope, Restriction.NN, order) + f_en
+    _, g_ee, g_en, g_nn, _, den = _bounce_free_parts(slope, order)
+    return 1 + ((g_ee if first is Step.E else g_nn) - 1 - g_en).div(den)
+
+
+def _bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Series]:
+    """(f_ee, f_en, f_nn) over one denominator."""
+    _, g_ee, g_en, g_nn, _, den = _bounce_free_parts(slope, order)
+    return g_ee.div(den), 1 - (1 + g_en).div(den), g_nn.div(den)
 
 
 def bounce_free_total(slope: Slope, order: int) -> Series:
     """All bounce-free paths: (g + 2(g_en^2 - g_ee*g_nn)) / ((1+g_en)^2 - g_ee*g_nn)."""
-    g, g_ee, g_en, g_nn = _g_parts(slope, order)
-    delta = g_en * g_en - g_ee * g_nn
-    den = _bounce_free_denominator(g_ee, g_en, g_nn)
+    g, _, _, _, delta, den = _bounce_free_parts(slope, order)
     return (g + 2 * delta).div(den)
 
 
@@ -109,9 +135,8 @@ def one_sided_bounce_series(slope: Slope, side: str, count: int, order: int) -> 
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if count < 1:
         raise ValueError("count must be at least 1; use bounce_free_total for 0")
-    f_en = bounce_free_ab(slope, Restriction.EN, order)
-    start_e = bounce_free_prefix(slope, Step.E, order)
-    start_n = bounce_free_prefix(slope, Step.N, order)
+    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
+    start_e, start_n = f_ee + f_en, f_nn + f_en
     if side == "left":
         return start_e * f_en ** (count - 1) * start_n
     return start_n * f_en ** (count - 1) * start_e
@@ -123,8 +148,7 @@ def no_left_bounce_total(slope: Slope, order: int) -> Series:
     Closed form (g + g_en^2 - g_ee*g_nn) / (1 + g_en); equals the sum of the
     one-sided series over all counts.
     """
-    g, g_ee, g_en, g_nn = _g_parts(slope, order)
-    delta = g_en * g_en - g_ee * g_nn
+    g, _, g_en, _, delta, _ = _bounce_free_parts(slope, order)
     return (g + delta).div(1 + g_en)
 
 
@@ -138,9 +162,7 @@ def b_lr_closed_form(slope: Slope, left: int, right: int, order: int) -> Series:
     """
     if left < 1 or right < 1:
         raise ValueError("both bounce counts must be at least 1")
-    f_ee = bounce_free_ab(slope, Restriction.EE, order)
-    f_en = bounce_free_ab(slope, Restriction.EN, order)
-    f_nn = bounce_free_ab(slope, Restriction.NN, order)
+    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
     start_e = f_ee + f_en
     start_n = f_nn + f_en
     ee_nn = f_ee * f_nn
@@ -188,9 +210,7 @@ def g_b_series(total_bounces: int, order: int) -> Series:
     for j in range(b + 1, order + 1):
         if j > b + 1:
             binom = binom * (2 * j - 1) * (2 * j) // ((j - b - 1) * (j + b + 1))
-        coeffs[j], rest = divmod(2 * (b + 1) * binom, j)
-        if rest:
-            raise ArithmeticError(f"coefficient of x^{j} is not an integer")
+        coeffs[j] = _exact(2 * (b + 1) * binom, j, "g_b", j)
     return Series(tuple(coeffs))
 
 
@@ -308,10 +328,9 @@ def marker_cells(slope: Slope, restriction: Restriction, order: int) -> tuple[di
     where d = g_en^2 - g_ee*g_nn.  Restrictions replace the numerator by
     g_ee, g_nn, g_en + (1-s)*d or g_en + (1-t)*d for EE, NN, EN and NE.
     """
-    g, g_ee, g_en, g_nn = _g_parts(slope, order)
-    delta = g_en * g_en - g_ee * g_nn
+    g, g_ee, g_en, g_nn, delta, den = _bounce_free_parts(slope, order)
     denominator = {
-        (0, 0): 1 + 2 * g_en + delta,
+        (0, 0): den,
         (1, 0): -(g_en + delta),
         (0, 1): -(g_en + delta),
         (1, 1): delta,

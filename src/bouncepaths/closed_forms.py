@@ -18,6 +18,14 @@ class NonIntegerCoefficient(ArithmeticError):
     bug, not a user error."""
 
 
+def _exact(num: int, den: int, name: str, k: int) -> int:
+    """num / den for coefficient k of the named series, which must be exact."""
+    count, rest = divmod(num, den)
+    if rest:
+        raise NonIntegerCoefficient(f"{name}: coefficient {k} is not an integer")
+    return count
+
+
 class Step(Enum):
     E = "E"
     N = "N"
@@ -73,11 +81,24 @@ def binomial(m: int, n: int) -> int:
 
 
 def g_series(slope: Slope, order: int) -> Series:
-    """All paths to (alpha*k, beta*k): coefficient C((alpha+beta)k, alpha*k)."""
+    """All paths to (alpha*k, beta*k): coefficient C(sk, alpha*k), s = alpha+beta.
+
+    Past min(alpha, beta)*k = 2s each coefficient is the previous one times
+    the exact ratio (s(k-1)+1)...(sk) / ((alpha(k-1)+1)...(alpha*k) *
+    (beta(k-1)+1)...(beta*k)), in one division.  Up to there ``binomial``
+    is the cheaper way: its cost grows with min(alpha, beta)*k, a step's
+    with s.
+    """
     a, b = slope.alpha, slope.beta
-    return Series(
-        tuple(binomial((a + b) * k, a * k) if k else 0 for k in range(order + 1))
-    )
+    s = a + b
+    coeffs = [0]
+    for k in range(1, order + 1):
+        if min(a, b) * k <= 2 * s:
+            coeffs.append(binomial(s * k, a * k))
+            continue
+        up = coeffs[-1] * math.perm(s * k, s)
+        coeffs.append(_exact(up, math.perm(a * k, a) * math.perm(b * k, b), "g", k))
+    return Series(tuple(coeffs))
 
 
 def g_ab_series(slope: Slope, first: Step, last: Step, order: int) -> Series:
@@ -95,6 +116,7 @@ def _g_ab_from_g(g: Series, slope: Slope, first: Step, last: Step) -> Series:
     them east, the share m(m-1) / (n(n-1)) starts and ends with E, and
     likewise m(n-m) for EN and NE and (n-m)(n-m-1) for NN."""
     a, b = slope.alpha, slope.beta
+    name = f"g_{first.value}{last.value}"
     coeffs = [0]
     for k in range(1, g.order + 1):
         n, east = (a + b) * k, a * k
@@ -104,20 +126,14 @@ def _g_ab_from_g(g: Series, slope: Slope, first: Step, last: Step) -> Series:
         else:
             ways, north = north, north - 1
         ways *= east if last is Step.E else north
-        count, rest = divmod(g.coeffs[k] * ways, n * (n - 1))
-        if rest:
-            raise NonIntegerCoefficient(
-                f"g_{first.value}{last.value}: coefficient {k} is not an integer"
-            )
-        coeffs.append(count)
+        coeffs.append(_exact(g.coeffs[k] * ways, n * (n - 1), name, k))
     return Series(tuple(coeffs))
 
 
 def g_prefix_series(slope: Slope, first: Step, order: int) -> Series:
     """Paths starting with the given step, regardless of the last one."""
-    return g_ab_series(slope, first, Step.E, order) + g_ab_series(
-        slope, first, Step.N, order
-    )
+    g = g_series(slope, order)
+    return _g_ab_from_g(g, slope, first, Step.E) + _g_ab_from_g(g, slope, first, Step.N)
 
 
 def fuss_catalan(alpha: int, order: int) -> Series:
@@ -128,13 +144,9 @@ def fuss_catalan(alpha: int, order: int) -> Series:
     """
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
-    coeffs = []
-    for k in range(order + 1):
-        den = alpha * k + 1
-        count, rest = divmod(binomial((alpha + 1) * k, k), den)
-        if rest:
-            raise NonIntegerCoefficient(
-                f"C({(alpha + 1) * k}, {k}) is not divisible by {den}"
-            )
-        coeffs.append(count)
-    return Series(tuple(coeffs))
+    return Series(
+        tuple(
+            _exact(binomial((alpha + 1) * k, k), alpha * k + 1, f"c_{alpha}", k)
+            for k in range(order + 1)
+        )
+    )

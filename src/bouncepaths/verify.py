@@ -29,6 +29,7 @@ from .bounce import (
     bounce_table_from_closed_forms,
     expand_marker_quotient,
     g_b_series,
+    marker_cells,
     no_left_bounce_total,
     nrb_series,
     one_sided_bounce_series,
@@ -201,9 +202,10 @@ def suite_base_counts(
     order: int = 12,
     max_slope_sum: int = 8,
 ) -> list[CheckResult]:
-    """Identities of the binomial path counts themselves, and each g_ab
-    against its own binomial C((alpha+beta)k - 2, alpha*k + shift): the
-    library derives g_ab from g, so the two identities hold by construction."""
+    """Identities of the binomial path counts themselves, each g_ab against
+    its own binomial C((alpha+beta)k - 2, alpha*k + shift), and g against
+    C((alpha+beta)k, alpha*k): the library derives g_ab from g, so the two
+    identities hold by construction, and steps g by an exact ratio."""
     results = []
     for slope in _slope_range(alpha, beta, max_slope_sum):
         g = g_series(slope, order)
@@ -245,6 +247,15 @@ def suite_base_counts(
             if not check.passed:
                 break
         results.append(check)
+        binomials = (binomial((a + b) * k, a * k) if k else 0 for k in range(order + 1))
+        results.append(
+            _series_equal(
+                f"g matches its binomial for {a}/{b}",
+                g,
+                Series(tuple(binomials)),
+                context=f"slope=({a},{b})",
+            )
+        )
     return results
 
 
@@ -285,6 +296,14 @@ def suite_bounce_free(
         f_en = bounce_free_ab(slope, Restriction.EN, order)
         f_nn = bounce_free_ab(slope, Restriction.NN, order)
 
+        results.append(
+            _series_equal(
+                f"bounce determinant matches g_en^2 - g_ee*g_nn {tag}",
+                marker_cells(slope, Restriction.ALL, order)[1][(1, 1)],
+                g_en * g_en - g_ee * g_nn,
+                context=tag,
+            )
+        )
         results.append(
             _series_equal(
                 f"no-right-bounce EN dual form {tag}",

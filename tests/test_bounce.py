@@ -109,6 +109,17 @@ def test_bounce_free_prefix():
     assert f_estar == expected
 
 
+@pytest.mark.parametrize("slope", coprime_slopes(9), ids=str)
+def test_marker_delta_matches_the_two_product_form(slope):
+    # the (1, 1) denominator cell is delta = g_en^2 - g_ee*g_nn
+    order = 60
+    g_ee = g_ab_series(slope, Step.E, Step.E, order)
+    g_en = g_ab_series(slope, Step.E, Step.N, order)
+    g_nn = g_ab_series(slope, Step.N, Step.N, order)
+    delta = marker_cells(slope, Restriction.ALL, order)[1][(1, 1)]
+    assert delta == g_en * g_en - g_ee * g_nn
+
+
 # ----------------------------------------------------------- one-sided series
 
 

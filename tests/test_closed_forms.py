@@ -122,6 +122,22 @@ def test_g_ab_series_matches_direct_binomial(slope):
         assert coeffs(g_ab_series(slope, r.first, r.last, order)) == direct, r
 
 
+# g takes its binomial from math.comb for small min(alpha, beta)*k and steps
+# it by an exact ratio beyond; the extra cases sit on both sides of that switch
+G_CASES = [(slope, 60) for slope in coprime_slopes(12)] + [
+    (Slope(10000, 1), 5),
+    (Slope(255, 1), 520),
+    (Slope(65, 63), 30),
+]
+
+
+@pytest.mark.parametrize("slope, order", G_CASES, ids=str)
+def test_g_series_matches_math_comb(slope, order):
+    a, b = slope.alpha, slope.beta
+    expected = [math.comb((a + b) * k, a * k) for k in range(1, order + 1)]
+    assert coeffs(g_series(slope, order)) == expected
+
+
 @pytest.mark.parametrize("alpha", range(1, 6))
 def test_fuss_catalan_functional_equation(alpha):
     order = 12

@@ -1,6 +1,6 @@
 import pytest
 
-from bouncepaths import verify
+from bouncepaths import bounce, verify
 from bouncepaths.closed_forms import Slope, Step
 from bouncepaths.series import Series
 from bouncepaths.verify import (
@@ -58,6 +58,9 @@ def test_grid_equal_reports_first_mismatching_cell():
          "cross statistics match enumeration (alpha=1)"),
         (verify.suite_total_bounces, "g_b_series", dict(b_max=1, n_max=6),
          "enumeration matches for 0 total bounces"),
+        # x^6 of g for 3/2 lies past the switch from binomial to stepping
+        (verify.suite_base_counts, "g_series", dict(alpha=3, beta=2, order=8),
+         "g matches its binomial for 3/2"),
     ],
 )
 def test_cross_checks_catch_a_wrong_production_formula(
@@ -79,7 +82,7 @@ def test_reference_series_suite():
 
 def test_base_counts_single_slope():
     results = suite_base_counts(alpha=3, beta=4, order=8)
-    assert len(results) == 3
+    assert len(results) == 4
     assert all(r.passed for r in results)
 
 
@@ -95,9 +98,25 @@ def test_base_counts_catch_a_g_ab_that_keeps_both_identities(monkeypatch):
 
     monkeypatch.setattr(verify, "g_ab_series", skewed)
     results = suite_base_counts(alpha=3, beta=2, order=8)
-    assert [r.passed for r in results] == [True, True, False]
+    assert [r.passed for r in results] == [True, True, False, True]
     assert results[2].name == "g_ab matches its binomial for 3/2"
     assert results[2].detail.startswith("slope=(3,2) ee k=6 ")
+
+
+def test_bounce_free_catches_a_wrongly_scaled_delta(monkeypatch):
+    # delta over 4*alpha*beta instead of 2*alpha*beta; doubling it instead
+    # would make bounce_table reject a negative cell before any check ran
+    original = bounce._delta
+
+    def halved(slope, g_en):
+        return Series(tuple(c // 2 for c in original(slope, g_en).coeffs))
+
+    monkeypatch.setattr(bounce, "_delta", halved)
+    results = suite_bounce_free(alpha=3, beta=2, order=8)
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert failed["bounce determinant matches g_en^2 - g_ee*g_nn (3,2)"].startswith(
+        "(3,2) k=2 "
+    )
 
 
 def test_fuss_catalan_suite():
