@@ -10,29 +10,25 @@ with a fixed number of bounces.
 """
 
 import math
-from dataclasses import dataclass
 
 from .bounce import BounceTable, _g_parts, expand_marker_quotient
 from .closed_forms import NonIntegerCoefficient, Restriction, Slope, binomial, fuss_catalan
-from .series import Series
+from .series import Series, _Record
 
 
 class InvalidShape(ValueError):
     """Raised when the requested diagram rows are not weakly decreasing."""
 
 
-@dataclass(frozen=True)
-class TwoRowShape:
+class TwoRowShape(_Record):
     """Young diagram with two rows, the second possibly empty."""
 
-    first_row: int
-    second_row: int
+    __slots__ = ("first_row", "second_row")
 
-    def __post_init__(self):
-        if not self.first_row >= self.second_row >= 0:
-            raise InvalidShape(
-                f"rows ({self.first_row}, {self.second_row}) must be weakly decreasing"
-            )
+    def __init__(self, first_row: int, second_row: int):
+        if not first_row >= second_row >= 0:
+            raise InvalidShape(f"rows ({first_row}, {second_row}) must be weakly decreasing")
+        super().__init__(first_row, second_row)
 
     @property
     def cells(self) -> int:

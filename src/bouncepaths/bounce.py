@@ -13,11 +13,8 @@ not count.  Naming scheme used throughout the package:
   generating function over the series ring.
 """
 
-from dataclasses import dataclass
-from typing import Mapping
-
 from .closed_forms import Restriction, Slope, Step, _exact, _g_ab_from_g, binomial, g_series
-from .series import Series
+from .series import Series, _Record
 
 
 def _g_parts(slope: Slope, order: int) -> tuple[Series, Series, Series, Series]:
@@ -217,7 +214,7 @@ def g_b_series(total_bounces: int, order: int) -> Series:
 # --------------------------------------------------------------------- table
 
 
-MarkerCells = Mapping[tuple[int, int], Series]
+MarkerCells = dict[tuple[int, int], Series]
 
 
 def expand_marker_quotient(
@@ -283,28 +280,29 @@ def expand_marker_quotient(
     return out
 
 
-@dataclass(frozen=True)
-class BounceTable:
+class BounceTable(_Record):
     """Grid of series: entry (l, r) counts paths with l left, r right bounces."""
 
-    slope: Slope
-    trunc_order: int
-    max_left: int
-    max_right: int
-    restriction: Restriction
-    entries: tuple[tuple[Series, ...], ...]
+    __slots__ = ("slope", "trunc_order", "max_left", "max_right", "restriction", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.max_left + 1 or any(
-            len(row) != self.max_right + 1 for row in self.entries
-        ):
+    def __init__(
+        self,
+        slope: Slope,
+        trunc_order: int,
+        max_left: int,
+        max_right: int,
+        restriction: Restriction,
+        entries: tuple[tuple[Series, ...], ...],
+    ):
+        if len(entries) != max_left + 1 or any(len(row) != max_right + 1 for row in entries):
             raise ValueError("entry grid does not match the declared bounds")
-        for l, row in enumerate(self.entries):
+        for l, row in enumerate(entries):
             for r, series in enumerate(row):
-                if series.order != self.trunc_order:
+                if series.order != trunc_order:
                     raise ValueError(f"entry ({l}, {r}) has the wrong order")
-                if any(c < 0 for c in series.coeffs):
+                if min(series.coeffs) < 0:
                     raise ValueError(f"entry ({l}, {r}) has a negative coefficient")
+        super().__init__(slope, trunc_order, max_left, max_right, restriction, entries)
 
     def entry(self, left: int, right: int) -> Series:
         return self.entries[left][right]

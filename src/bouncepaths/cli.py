@@ -3,12 +3,13 @@
 Output is deterministic for a fixed invocation; table rows are emitted with
 the left index ascending, then the right index.  Integer values in JSON are
 decimal strings so that consumers without big integers stay exact.
+Start-up imports only argparse and the computing layers; json and inspect
+are imported by the commands that use them.
 """
 
 import argparse
-import inspect
-import json
 import sys
+from operator import add
 
 from .beta_one import (
     nhc_nrb_series,
@@ -134,6 +135,8 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
     elif args.format == "oeis-bfile":
         out.write("".join([f"{k} {v}\n" for k, v in pairs]))
     else:
+        import json
+
         payload = {
             "slope": [args.alpha, args.beta],
             "order": args.order,
@@ -153,16 +156,20 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
         for l in range(max_left + 1):
             for r in range(max_right + 1):
                 coeffs = table.entry(l, r).coeffs[1:]
-                print(f"{l} {r} : " + " ".join(str(v) for v in coeffs), file=out)
+                print(f"{l} {r} : " + " ".join(map(str, coeffs)), file=out)
     elif args.format == "csv":
+        # a cell's lines are "l,r," + "k," + value, one join per cell
+        ks = [f"{k}," for k in range(1, table.trunc_order + 1)]
         lines = ["l,r,k,count\n"]
         for l, row in enumerate(table.entries):
             for r, series in enumerate(row):
-                lines.extend(
-                    f"{l},{r},{k},{v}\n" for k, v in enumerate(series.coeffs[1:], 1)
-                )
+                cell = f"{l},{r},"
+                body = ("\n" + cell).join(map(add, ks, map(str, series.coeffs[1:])))
+                lines.append(f"{cell}{body}\n")
         out.write("".join(lines))
     else:
+        import json
+
         payload = {
             "slope": [args.alpha, args.beta],
             "order": args.order,
@@ -196,6 +203,8 @@ def _flag(key: str) -> str:
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
+    import inspect
+
     from . import verify as verification  # only verify needs the suites
 
     if (args.alpha is None) != (args.beta is None):
@@ -235,7 +244,14 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     for name in names:
         kwargs = {key: value for key, value in options.items() if key in accepted[name]}
         print(f"suite {name}:", file=out)
-        for result in verification.SUITES[name](**kwargs):
+        try:
+            results = verification.SUITES[name](**kwargs)
+        except BudgetExceeded:  # the request's size, reported by main
+            raise
+        except Exception as exc:  # a broken formula fails its suite, not the run
+            detail = f"{type(exc).__name__}: {exc}"
+            results = [verification.CheckResult(f"suite {name} raised", False, detail)]
+        for result in results:
             print(f"  {result}", file=out)
             if not result.passed:
                 failures += 1

@@ -7,10 +7,9 @@ else in the package is built on top of these series.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .series import Series
+from .series import Series, _Record
 
 
 class NonIntegerCoefficient(ArithmeticError):
@@ -56,18 +55,17 @@ class Restriction(Enum):
 AB_RESTRICTIONS = (Restriction.EE, Restriction.EN, Restriction.NE, Restriction.NN)
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(_Record):
     """Coprime pair (alpha, beta) defining the line y = (beta/alpha) x."""
 
-    alpha: int
-    beta: int
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        if self.alpha < 1 or self.beta < 1:
+    def __init__(self, alpha: int, beta: int):
+        if alpha < 1 or beta < 1:
             raise ValueError("slope components must be positive integers")
-        if math.gcd(self.alpha, self.beta) != 1:
-            raise ValueError(f"slope ({self.alpha}, {self.beta}) is not coprime")
+        if math.gcd(alpha, beta) != 1:
+            raise ValueError(f"slope ({alpha}, {beta}) is not coprime")
+        super().__init__(alpha, beta)
 
     def transpose(self) -> "Slope":
         return Slope(self.beta, self.alpha)

@@ -9,10 +9,10 @@ sequences.  Nothing here shares code with the closed forms.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .beta_one import TwoRowShape
 from .closed_forms import Restriction, Slope, Step, binomial
+from .series import _Record
 
 # Longest paths the oracle walks.  The sweep's cost grows with its state
 # count, which stays small up to 40 steps even for the costliest slope, (1, 1).
@@ -27,11 +27,13 @@ class BudgetExceeded(RuntimeError):
     """The requested enumeration is larger than the oracle's budget."""
 
 
-@dataclass(frozen=True)
-class StepWord:
+class StepWord(_Record):
     """A concrete lattice path as a sequence of E/N steps."""
 
-    steps: tuple[Step, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[Step, ...]):
+        super().__init__(steps)
 
     @staticmethod
     def from_string(word: str) -> "StepWord":
@@ -44,15 +46,15 @@ class StepWord:
         return "".join(step.value for step in self.steps)
 
 
-@dataclass(frozen=True)
-class BounceProfile:
+class BounceProfile(_Record):
     """Per-path statistics; ``horizontal_crosses`` is None unless beta = 1."""
 
-    left: int
-    right: int
-    horizontal_crosses: int | None
-    first: Step
-    last: Step
+    __slots__ = ("left", "right", "horizontal_crosses", "first", "last")
+
+    def __init__(
+        self, left: int, right: int, horizontal_crosses: int | None, first: Step, last: Step
+    ):
+        super().__init__(left, right, horizontal_crosses, first, last)
 
     @property
     def bounce_free(self) -> bool:

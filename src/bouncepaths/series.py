@@ -7,7 +7,47 @@ a coefficient that both inputs do not determine.  Coefficients are plain
 Python ints, hence arbitrary precision and every comparison is exact.
 """
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+
+class _Record:
+    """Base of the package's records: equality, hashing, repr and pickling
+    over the fields named in ``__slots__``, as a frozen dataclass gives them,
+    without importing :mod:`dataclasses`.  A record of another class
+    compares as NotImplemented, and fields cannot be assigned after
+    ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # ``_values``: the fields as one tuple, read in C
+        get = attrgetter(*cls.__slots__)
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class SeriesError(Exception):
@@ -34,17 +74,17 @@ def _require_unit(c0: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(_Record):
     """Integer power series truncated at ``order = len(coeffs) - 1``."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not isinstance(coeffs, tuple):
+            coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     # ---------------------------------------------------------------- basics
 

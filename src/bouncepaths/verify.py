@@ -8,7 +8,6 @@ command and the acceptance tests.
 
 import math
 import random
-from dataclasses import dataclass
 
 from .beta_one import (
     TwoRowShape,
@@ -46,14 +45,19 @@ from .closed_forms import (
     g_series,
 )
 from .enumeration import count_matching, count_table, enumerate_profiles, enumerate_syt
-from .series import Series
+from .series import Series, _Record
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_Record):
+    """One check's outcome; unlike the other records it may be changed."""
+
+    __slots__ = ("name", "passed", "detail")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # mutable, hence unhashable
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        super().__init__(name, passed, detail)
 
     def __str__(self):
         mark = "PASS" if self.passed else "FAIL"

@@ -206,10 +206,12 @@ def test_unrenderable_listing_leaves_stdout_empty(digit_limit_640, fmt, capsys):
 
 
 def test_importing_the_cli_leaves_verify_unloaded():
-    # -S skips the site hooks, which may import random on their own
+    # -S skips the site hooks, which may import random or typing on their
+    # own; json and inspect are imported by the commands that use them
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import bouncepaths.cli; "
-        "print(sorted({'bouncepaths.verify', 'random'} & set(sys.modules)))"
+        "print(sorted({'bouncepaths.verify', 'random', 'dataclasses', 'inspect', "
+        "'json', 'typing'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
@@ -262,6 +264,26 @@ def test_verify_budget_exceeded_is_an_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: 28 steps exceed the budget of 24\n"
+
+
+def test_verify_reports_a_raising_suite_and_runs_the_next(monkeypatch, capsys):
+    # a doubled delta gives a negative table cell, which BounceTable rejects
+    from bouncepaths import bounce
+
+    original = bounce._delta
+    monkeypatch.setattr(bounce, "_delta", lambda slope, g_en: 2 * original(slope, g_en))
+    code, text = run("verify", "--suite", "bounce-free", "--suite", "ring",
+                     "--alpha", "3", "--beta", "2", "--order", "8", "--count", "3")
+    assert code == 1 and capsys.readouterr().err == ""
+    lines = text.splitlines()
+    assert lines[:2] == [
+        "suite bounce-free:",
+        "  FAIL  suite bounce-free raised  "
+        "[ValueError: entry (1, 1) has a negative coefficient]",
+    ]
+    assert lines[2] == "suite ring:"
+    assert lines[3:-1] and all(line.startswith("  PASS  ") for line in lines[3:-1])
+    assert lines[-1] == "verify: 1 check(s) failed"
 
 
 def test_bfile_rejected_for_tables(capsys):
