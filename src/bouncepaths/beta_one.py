@@ -12,7 +12,7 @@ with a fixed number of bounces.
 import math
 
 from .bounce import BounceTable, _g_parts, expand_marker_quotient
-from .closed_forms import NonIntegerCoefficient, Restriction, Slope, binomial, fuss_catalan
+from .closed_forms import NonIntegerCoefficient, Restriction, Slope, _exact, binomial, fuss_catalan
 from .series import Series, _Record
 
 
@@ -97,10 +97,7 @@ def nhc_prefix_series(alpha: int, order: int) -> Series:
     coeffs = [0] * (order + 1)
     for k in range(1, order + 1):
         num = alpha * (alpha + 2) * binomial((alpha + 1) * k + 1, k - 1)
-        den = (alpha + 1) * k + 1
-        if num % den:
-            raise NonIntegerCoefficient(f"coefficient of x^{k} is not an integer")
-        coeffs[k] = num // den
+        coeffs[k] = _exact(num, (alpha + 1) * k + 1, "h", k)
     return Series(tuple(coeffs))
 
 

@@ -52,73 +52,90 @@ def _delta(slope: Slope, g_en: Series) -> Series:
     )
 
 
-def _bounce_free_parts(slope: Slope, order: int) -> tuple[Series, ...]:
-    """(g, g_ee, g_en, g_nn, delta, den): the g parts, delta = g_en^2 -
-    g_ee*g_nn and the bounce-free denominator den = (1+g_en)^2 - g_ee*g_nn,
-    which is 1 + 2*g_en + delta."""
+MarkerCells = dict[tuple[int, int], Series]
+
+
+def _marker_grids(slope: Slope, order: int) -> tuple[dict, MarkerCells]:
+    """Numerator grids of every restriction, and the denominator grid, of the
+    bounce generating function.
+
+    With s marking left and t marking right bounces, the generating function
+    for all paths is
+
+        (g + (2-s-t) * d) / (1 + (2-s-t) * g_en + (1-s)(1-t) * d),
+
+    where d = g_en^2 - g_ee*g_nn.  Restrictions replace the numerator by
+    g_ee, g_nn, g_en + (1-s)*d or g_en + (1-t)*d for EE, NN, EN and NE.  A
+    grid maps the marker degrees (i, j) to the series at s^i t^j.  At s = t = 0
+    it counts bounce-free paths, and at s = 0, t = 1 paths with no left bounces.
+    """
     g, g_ee, g_en, g_nn = _g_parts(slope, order)
-    delta = _delta(slope, g_en)
-    return g, g_ee, g_en, g_nn, delta, 1 + 2 * g_en + delta
+    d = _delta(slope, g_en)
+    minus_d, g_en_d = -d, g_en + d
+    numerators = {
+        Restriction.ALL: {(0, 0): g + 2 * d, (1, 0): minus_d, (0, 1): minus_d},
+        Restriction.EE: {(0, 0): g_ee},
+        Restriction.NN: {(0, 0): g_nn},
+        Restriction.EN: {(0, 0): g_en_d, (1, 0): minus_d},
+        Restriction.NE: {(0, 0): g_en_d, (0, 1): minus_d},
+    }
+    denominator = {(0, 0): 1 + 2 * g_en + d, (1, 0): -g_en_d, (0, 1): -g_en_d, (1, 1): d}
+    return numerators, denominator
+
+
+def _marker_value(grids: tuple[dict, MarkerCells], classes, s: int, t: int) -> Series:
+    """The generating function of the given classes, summed, at the markers (s, t)."""
+    numerators, denominator = grids
+
+    def at(*parts: MarkerCells) -> Series:
+        return sum(s**i * t**j * cell for part in parts for (i, j), cell in part.items())
+
+    return at(*(numerators[c] for c in classes)).div(at(denominator))
 
 
 def nrb_series(slope: Slope, restriction: Restriction, order: int) -> Series:
     """Paths of the given class with no right bounces: g_ab / (1 + g_en).
 
-    For EE and NN the same series also counts the class with no left
+    This is the generating function of :func:`_marker_grids` at s = 1, t = 0,
+    where d cancels for EE, EN and NN, so the direct quotient does not compute
+    it.  For EE and NN the same series also counts the class with no left
     bounces, and the EN series counts the mirrored NE-paths with no left
-    bounces.  NE-paths with no *right* bounces are not covered by these
-    quotients, hence only EE, EN and NN are accepted.
+    bounces.  NE-paths with no right bounces keep d at that point,
+    (g_en + d) / (1 + g_en), hence only EE, EN and NN are accepted.
     """
     if restriction not in (Restriction.EE, Restriction.EN, Restriction.NN):
-        raise ValueError(
-            "no-right-bounce series is defined for the EE, EN and NN classes"
-        )
+        raise ValueError("no-right-bounce series is defined for the EE, EN and NN classes")
     _, g_ee, g_en, g_nn = _g_parts(slope, order)
-    numerator = {
-        Restriction.EE: g_ee,
-        Restriction.EN: g_en,
-        Restriction.NN: g_nn,
-    }[restriction]
+    numerator = {Restriction.EE: g_ee, Restriction.EN: g_en, Restriction.NN: g_nn}[restriction]
     return numerator.div(1 + g_en)
 
 
 def bounce_free_ab(slope: Slope, restriction: Restriction, order: int) -> Series:
-    """Bounce-free paths with prescribed first and last steps.
-
-    f_ee = g_ee / ((1+g_en)^2 - g_ee*g_nn), f_nn likewise with g_nn, and
-    f_en = f_ne = 1 - (1+g_en) / ((1+g_en)^2 - g_ee*g_nn).
-    """
+    """Bounce-free paths with prescribed first and last steps."""
     if restriction is Restriction.ALL:
         raise ValueError("this series is defined per first/last step restriction")
-    _, g_ee, g_en, g_nn, _, den = _bounce_free_parts(slope, order)
-    if restriction is Restriction.EE:
-        return g_ee.div(den)
-    if restriction is Restriction.NN:
-        return g_nn.div(den)
-    return 1 - (1 + g_en).div(den)
+    return _marker_value(_marker_grids(slope, order), (restriction,), 0, 0)
 
 
 def bounce_free_prefix(slope: Slope, first: Step, order: int) -> Series:
-    """Bounce-free paths starting with the given step (ending anywhere).
-
-    By symmetry the same series counts bounce-free paths *ending* with that
-    step.  f_ee + f_en is the one quotient 1 + (g_ee - 1 - g_en) / den, and
-    f_nn + f_en likewise with g_nn.
-    """
-    _, g_ee, g_en, g_nn, _, den = _bounce_free_parts(slope, order)
-    return 1 + ((g_ee if first is Step.E else g_nn) - 1 - g_en).div(den)
+    """Bounce-free paths starting with the given step (ending anywhere); by
+    symmetry the same series counts bounce-free paths *ending* with it."""
+    e, n = (Restriction.EE, Restriction.EN), (Restriction.NN, Restriction.NE)
+    return _marker_value(_marker_grids(slope, order), e if first is Step.E else n, 0, 0)
 
 
 def _bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Series]:
-    """(f_ee, f_en, f_nn) over one denominator."""
-    _, g_ee, g_en, g_nn, _, den = _bounce_free_parts(slope, order)
-    return g_ee.div(den), 1 - (1 + g_en).div(den), g_nn.div(den)
+    """(f_ee, f_en, f_nn) from one pair of grids."""
+    grids = _marker_grids(slope, order)
+    return tuple(
+        _marker_value(grids, (r,), 0, 0)
+        for r in (Restriction.EE, Restriction.EN, Restriction.NN)
+    )
 
 
 def bounce_free_total(slope: Slope, order: int) -> Series:
-    """All bounce-free paths: (g + 2(g_en^2 - g_ee*g_nn)) / ((1+g_en)^2 - g_ee*g_nn)."""
-    g, _, _, _, delta, den = _bounce_free_parts(slope, order)
-    return (g + 2 * delta).div(den)
+    """All bounce-free paths: the generating function at s = t = 0."""
+    return _marker_value(_marker_grids(slope, order), (Restriction.ALL,), 0, 0)
 
 
 def one_sided_bounce_series(slope: Slope, side: str, count: int, order: int) -> Series:
@@ -140,13 +157,9 @@ def one_sided_bounce_series(slope: Slope, side: str, count: int, order: int) -> 
 
 
 def no_left_bounce_total(slope: Slope, order: int) -> Series:
-    """Paths with no left bounces (equally: no right bounces).
-
-    Closed form (g + g_en^2 - g_ee*g_nn) / (1 + g_en); equals the sum of the
-    one-sided series over all counts.
-    """
-    g, _, g_en, _, delta, _ = _bounce_free_parts(slope, order)
-    return (g + delta).div(1 + g_en)
+    """Paths with no left bounces (equally: no right bounces); equals the sum
+    of the one-sided series over all counts."""
+    return _marker_value(_marker_grids(slope, order), (Restriction.ALL,), 0, 1)
 
 
 def b_lr_closed_form(slope: Slope, left: int, right: int, order: int) -> Series:
@@ -212,9 +225,6 @@ def g_b_series(total_bounces: int, order: int) -> Series:
 
 
 # --------------------------------------------------------------------- table
-
-
-MarkerCells = dict[tuple[int, int], Series]
 
 
 def expand_marker_quotient(
@@ -316,34 +326,10 @@ class BounceTable(_Record):
 
 
 def marker_cells(slope: Slope, restriction: Restriction, order: int) -> tuple[dict, dict]:
-    """Numerator and denominator marker grids of the bounce generating function.
-
-    With s marking left and t marking right bounces, the generating function
-    for all paths is
-
-        (g + (2-s-t) * d) / (1 + (2-s-t) * g_en + (1-s)(1-t) * d),
-
-    where d = g_en^2 - g_ee*g_nn.  Restrictions replace the numerator by
-    g_ee, g_nn, g_en + (1-s)*d or g_en + (1-t)*d for EE, NN, EN and NE.
-    """
-    g, g_ee, g_en, g_nn, delta, den = _bounce_free_parts(slope, order)
-    denominator = {
-        (0, 0): den,
-        (1, 0): -(g_en + delta),
-        (0, 1): -(g_en + delta),
-        (1, 1): delta,
-    }
-    if restriction is Restriction.ALL:
-        numerator = {(0, 0): g + 2 * delta, (1, 0): -delta, (0, 1): -delta}
-    elif restriction is Restriction.EE:
-        numerator = {(0, 0): g_ee}
-    elif restriction is Restriction.NN:
-        numerator = {(0, 0): g_nn}
-    elif restriction is Restriction.EN:
-        numerator = {(0, 0): g_en + delta, (1, 0): -delta}
-    else:
-        numerator = {(0, 0): g_en + delta, (0, 1): -delta}
-    return numerator, denominator
+    """Numerator grid of the restriction and the denominator grid of the
+    bounce generating function (see :func:`_marker_grids`)."""
+    numerators, denominator = _marker_grids(slope, order)
+    return numerators[restriction], denominator
 
 
 def bounce_table(

@@ -330,6 +330,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (CliError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

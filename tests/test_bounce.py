@@ -120,6 +120,32 @@ def test_marker_delta_matches_the_two_product_form(slope):
     assert delta == g_en * g_en - g_ee * g_nn
 
 
+@pytest.mark.parametrize("slope", coprime_slopes(9), ids=str)
+def test_bounce_free_and_no_left_bounce_match_the_closed_forms(slope):
+    # the paper's quotients over the two-product determinant
+    order = 60
+    g = g_series(slope, order)
+    g_ee = g_ab_series(slope, Step.E, Step.E, order)
+    g_en = g_ab_series(slope, Step.E, Step.N, order)
+    g_nn = g_ab_series(slope, Step.N, Step.N, order)
+    den = (1 + g_en) * (1 + g_en) - g_ee * g_nn
+    f_ee, f_nn = g_ee.div(den), g_nn.div(den)
+    f_en = 1 - (1 + g_en).div(den)
+    expected = {
+        Restriction.EE: f_ee,
+        Restriction.EN: f_en,
+        Restriction.NE: f_en,
+        Restriction.NN: f_nn,
+    }
+    for restriction, series in expected.items():
+        assert bounce_free_ab(slope, restriction, order) == series
+    delta = g_en * g_en - g_ee * g_nn
+    assert bounce_free_total(slope, order) == (g + 2 * delta).div(den)
+    assert bounce_free_prefix(slope, Step.E, order) == f_ee + f_en
+    assert bounce_free_prefix(slope, Step.N, order) == f_nn + f_en
+    assert no_left_bounce_total(slope, order) == (g + delta).div(1 + g_en)
+
+
 # ----------------------------------------------------------- one-sided series
 
 

@@ -266,6 +266,16 @@ def test_verify_budget_exceeded_is_an_error(monkeypatch, capsys):
     assert err == "error: 28 steps exceed the budget of 24\n"
 
 
+def test_running_out_of_memory_is_an_error(monkeypatch, capsys):
+    def exhausted(slope, order):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "g_series", exhausted)
+    code, text = run("coeffs", "--series", "g", "--alpha", "1", "--order", "5")
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_verify_reports_a_raising_suite_and_runs_the_next(monkeypatch, capsys):
     # a doubled delta gives a negative table cell, which BounceTable rejects
     from bouncepaths import bounce
