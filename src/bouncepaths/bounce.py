@@ -247,6 +247,13 @@ def expand_marker_quotient(
     share one product over the sum of their neighbours.  The same recurrence
     over valuations bounds each q[l][r] from below; a cell whose bound
     exceeds N is zero and is not computed.
+
+    When both grids are closed under the mirror (i, j) -> (j, i), so is the
+    quotient, and a cell with r < l <= max_right is the (r, l) cell of an
+    earlier row.  The bounce grids of ALL, EE and NN are: rotating a path by
+    180 degrees about the midpoint of its segment keeps its line points and
+    reverses its step word, so left and right bounces trade places and the
+    first and last steps swap.
     """
     lead = denominator[(0, 0)]
     inv = lead.reciprocal()
@@ -265,10 +272,17 @@ def expand_marker_quotient(
     # (-inv * d, valuation of d, offsets of the cells equal to d)
     groups = [(-(cell * inv), low(cell), keys) for cell, keys in offsets.items()]
 
+    mirrored = all(
+        grid.get((j, i)) == cell for grid in (numerator, denominator)
+        for (i, j), cell in grid.items()
+    )
     out = [[zero] * (max_right + 1) for _ in range(max_left + 1)]
     bound = [[vanished] * (max_right + 1) for _ in range(max_left + 1)]
     for l in range(max_left + 1):
         for r in range(max_right + 1):
+            if mirrored and r < l <= max_right:
+                out[l][r], bound[l][r] = out[r][l], bound[r][l]
+                continue
             acc = scaled.get((l, r), zero)
             low_lr = low(acc)
             terms = []

@@ -39,6 +39,10 @@ from .closed_forms import (
 from .enumeration import MAX_STEPS, BudgetExceeded
 
 FORMATS = ("table", "csv", "json", "oeis-bfile")
+# coefficients a bounce-table may list, (max_left+1)(max_right+1) * order; at the
+# limit, order 100 with the default bounds took 1.5 s for slope (1,1) and 6.2 s
+# for (10,9) on a 2-core host with CPython 3.11
+MAX_TABLE_COEFFICIENTS = 1_000_000
 
 
 class CliError(Exception):
@@ -150,37 +154,41 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     slope = _slope_and_order(args)
     max_left = args.max_left if args.max_left is not None else args.order - 1
     max_right = args.max_right if args.max_right is not None else args.order - 1
+    size = (max_left + 1) * (max_right + 1) * args.order
+    if min(max_left, max_right) >= 0 and size > MAX_TABLE_COEFFICIENTS:
+        raise CliError(
+            f"a table of {size} coefficients exceeds the limit of "
+            f"{MAX_TABLE_COEFFICIENTS}; lower --order, --max-left or --max-right"
+        )
     restriction = Restriction(args.restriction)
     table = bounce_table(slope, restriction, max_left, max_right, args.order)
+    # the mirrored cells of a symmetric table are one Series, and so are its
+    # zero cells: each distinct cell is rendered once
+    distinct = {id(series): series for row in table.entries for series in row}
     if args.format == "table":
-        for l in range(max_left + 1):
-            for r in range(max_right + 1):
-                coeffs = table.entry(l, r).coeffs[1:]
-                print(f"{l} {r} : " + " ".join(map(str, coeffs)), file=out)
+        text = {key: " ".join(map(str, s.coeffs[1:])) for key, s in distinct.items()}
+        for l, row in enumerate(table.entries):
+            for r, series in enumerate(row):
+                print(f"{l} {r} : {text[id(series)]}", file=out)
     elif args.format == "csv":
-        # a cell's lines are "l,r," + "k," + value, one join per cell
+        # a cell's lines are "l,r," + "k,value", one join per cell
         ks = [f"{k}," for k in range(1, table.trunc_order + 1)]
+        pairs = {key: list(map(add, ks, map(str, s.coeffs[1:]))) for key, s in distinct.items()}
         lines = ["l,r,k,count\n"]
         for l, row in enumerate(table.entries):
             for r, series in enumerate(row):
                 cell = f"{l},{r},"
-                body = ("\n" + cell).join(map(add, ks, map(str, series.coeffs[1:])))
-                lines.append(f"{cell}{body}\n")
+                lines.append(cell + ("\n" + cell).join(pairs[id(series)]) + "\n")
         out.write("".join(lines))
     else:
         import json
 
+        values = {key: [str(v) for v in s.coeffs[1:]] for key, s in distinct.items()}
         payload = {
             "slope": [args.alpha, args.beta],
             "order": args.order,
             "restriction": restriction.value,
-            "table": [
-                [
-                    [str(v) for v in table.entry(l, r).coeffs[1:]]
-                    for r in range(max_right + 1)
-                ]
-                for l in range(max_left + 1)
-            ],
+            "table": [[values[id(series)] for series in row] for row in table.entries],
         }
         print(json.dumps(payload, indent=2), file=out)
     return 0
@@ -246,7 +254,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         print(f"suite {name}:", file=out)
         try:
             results = verification.SUITES[name](**kwargs)
-        except BudgetExceeded:  # the request's size, reported by main
+        except (BudgetExceeded, MemoryError):  # the request's size, reported by main
             raise
         except Exception as exc:  # a broken formula fails its suite, not the run
             detail = f"{type(exc).__name__}: {exc}"

@@ -239,7 +239,11 @@ def marker_grids(draw):
 
     Cells may have valuation 0 whatever their marker degree, and non-lead
     denominator cells are drawn from a pool of three so that equal cells
-    occur often."""
+    occur often.  About half the draws close both grids under the mirror
+    (i, j) -> (j, i), as the bounce grids of ALL, EE and NN are; some of
+    those then differ from a mirror-closed grid in one off-diagonal cell.
+    The bounds are drawn independently, so mirrors of cells often fall
+    outside them."""
     order = draw(st.integers(0, 6))
     keys = [(i, j) for i in range(3) for j in range(3)]
 
@@ -248,15 +252,23 @@ def marker_grids(draw):
         tail = draw(st.lists(st.integers(-4, 4), min_size=order + 1, max_size=order + 1))
         return Series((0,) * zeros + tuple(tail[zeros:]))
 
-    numerator = {
+    mirrored = draw(st.booleans())
+
+    def close(grid):
+        return {**grid, **{(j, i): cell for (i, j), cell in grid.items()}} if mirrored else grid
+
+    numerator = close({
         key: series(order + 1)
         for key in draw(st.lists(st.sampled_from(keys), max_size=5, unique=True))
-    }
+    })
     lead_tail = draw(st.lists(st.integers(-4, 4), min_size=order, max_size=order))
     lead = Series((draw(st.sampled_from([1, -1])),) + tuple(lead_tail))
     pool = [series(order + 1) for _ in range(3)]
     rest = draw(st.lists(st.sampled_from(keys[1:]), max_size=5, unique=True))
-    denominator = {(0, 0): lead, **{key: draw(st.sampled_from(pool)) for key in rest}}
+    denominator = close({(0, 0): lead, **{key: draw(st.sampled_from(pool)) for key in rest}})
+    if mirrored and draw(st.booleans()):
+        grid = draw(st.sampled_from([numerator, denominator]))
+        grid[draw(st.sampled_from([(i, j) for i, j in keys if i != j]))] = series(order + 1)
     return numerator, denominator, draw(st.integers(0, 4)), draw(st.integers(0, 4))
 
 
@@ -269,6 +281,22 @@ def test_expand_marker_quotient_matches_reference(grids):
     ) == reference_expand_marker_quotient(numerator, denominator, max_left, max_right)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(coprime_slopes(7)), st.integers(1, 12))
+def test_path_reversal_symmetry_of_the_reference_expansion(slope, order):
+    # rotating a path by 180 degrees swaps left and right bounces and turns
+    # an EN-path into an NE-path; the plain expansion does not assume it
+    bound = order - 1
+    grids = {
+        r: reference_expand_marker_quotient(*marker_cells(slope, r, order), bound, bound)
+        for r in Restriction
+    }
+    for restriction in (Restriction.ALL, Restriction.EE, Restriction.NN):
+        grid = grids[restriction]
+        assert grid == [list(column) for column in zip(*grid)], restriction
+    assert grids[Restriction.NE] == [list(column) for column in zip(*grids[Restriction.EN])]
+
+
 def test_expand_marker_quotient_matches_reference_on_bounce_cells():
     for slope in (Slope(1, 1), Slope(3, 2)):
         for restriction in Restriction:
@@ -276,6 +304,37 @@ def test_expand_marker_quotient_matches_reference_on_bounce_cells():
             assert expand_marker_quotient(
                 numerator, denominator, 9, 7
             ) == reference_expand_marker_quotient(numerator, denominator, 9, 7)
+
+
+def count_products(monkeypatch, slope, restriction, max_left, max_right, order):
+    calls = []
+    product = Series.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return product(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Series, "__mul__", counted)
+        bounce_table(slope, restriction, max_left, max_right, order)
+    return len(calls)
+
+
+def test_symmetric_tables_expand_one_triangle(monkeypatch):
+    # at order 20 the cells with 0 < l + r <= 19 can be nonzero; an axis
+    # cell needs one product over its neighbours, an interior cell two
+    def products(cells):
+        return sum(1 if l == 0 or r == 0 else 2 for l, r in cells)
+
+    cells = [(l, r) for l in range(20) for r in range(20) if 0 < l + r <= 19]
+    upper = [(l, r) for l, r in cells if l <= r]
+    counts = {
+        restriction: count_products(monkeypatch, Slope(1, 1), restriction, 19, 19, 20)
+        - count_products(monkeypatch, Slope(1, 1), restriction, 0, 0, 20)
+        for restriction in (Restriction.ALL, Restriction.EN)
+    }
+    assert counts[Restriction.ALL] <= products(upper) < products(cells)
+    assert counts[Restriction.EN] == products(cells)
 
 
 def test_bounce_table_frozen_values():

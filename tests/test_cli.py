@@ -253,6 +253,30 @@ def test_coeffs_route_is_not_an_option(capsys):
     capsys.readouterr()
 
 
+def test_bounce_table_too_large_is_refused_before_any_work(monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("the table was computed")
+
+    monkeypatch.setattr(cli, "bounce_table", refused)
+    code, text = run("bounce-table", "--alpha", "1", "--order", "400", "--format", "csv")
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: a table of 64000000 coefficients exceeds the limit of 1000000; "
+        "lower --order, --max-left or --max-right\n"
+    )
+
+
+def test_bounce_table_limit_counts_cells_times_order(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_TABLE_COEFFICIENTS", 60)
+    bounds = ("bounce-table", "--alpha", "2", "--order", "5", "--max-left", "2")
+    assert run(*bounds, "--max-right", "3")[0] == 0  # 3 * 4 * 5 = 60
+    assert run(*bounds, "--max-right", "4")[0] == 1  # 75
+    assert "exceeds the limit of 60" in capsys.readouterr().err
+    # a negative bound is refused as such, however large the product
+    assert run(*bounds[:-1], "-9", "--max-right", "-9")[0] == 1
+    assert capsys.readouterr().err == "error: marker bounds must be non-negative\n"
+
+
 def test_verify_budget_exceeded_is_an_error(monkeypatch, capsys):
     from bouncepaths import verify as verification
 
@@ -273,6 +297,18 @@ def test_running_out_of_memory_is_an_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "g_series", exhausted)
     code, text = run("coeffs", "--series", "g", "--alpha", "1", "--order", "5")
     assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_verify_running_out_of_memory_is_an_error(monkeypatch, capsys):
+    from bouncepaths import verify as verification
+
+    def exhausted():
+        raise MemoryError
+
+    monkeypatch.setitem(verification.SUITES, "exhausted", exhausted)
+    code, text = run("verify", "--suite", "exhausted")
+    assert (code, text) == (1, "suite exhausted:\n")
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
