@@ -8,11 +8,13 @@ not count.  Naming scheme used throughout the package:
 * ``g``   -- all paths (see :mod:`bouncepaths.closed_forms`),
 * ``f``   -- bounce-free paths,
 * ``nrb`` -- paths with no right bounces (equivalently, none on the left),
-* ``b_lr`` / :class:`BounceTable` -- paths with exactly ``l`` left and ``r``
-  right bounces; the table is the coefficient grid of the two-marker
-  generating function over the series ring.
+* :class:`BounceTable` -- paths with exactly ``l`` left and ``r`` right
+  bounces, as the coefficient grid of the two-marker generating function
+  over the series ring.  The closed-form cell sums ``b_lr`` that
+  cross-check it live in :mod:`bouncepaths.verify`.
 """
 
+# binomial is unused here, but the benchmark's self-tests call bounce.binomial
 from .closed_forms import Restriction, Slope, Step, _exact, _g_ab_from_g, binomial, g_series
 from .series import Series, _Record
 
@@ -124,83 +126,15 @@ def bounce_free_prefix(slope: Slope, first: Step, order: int) -> Series:
     return _marker_value(_marker_grids(slope, order), e if first is Step.E else n, 0, 0)
 
 
-def _bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Series]:
-    """(f_ee, f_en, f_nn) from one pair of grids."""
-    grids = _marker_grids(slope, order)
-    return tuple(
-        _marker_value(grids, (r,), 0, 0)
-        for r in (Restriction.EE, Restriction.EN, Restriction.NN)
-    )
-
-
 def bounce_free_total(slope: Slope, order: int) -> Series:
     """All bounce-free paths: the generating function at s = t = 0."""
     return _marker_value(_marker_grids(slope, order), (Restriction.ALL,), 0, 0)
-
-
-def one_sided_bounce_series(slope: Slope, side: str, count: int, order: int) -> Series:
-    """Paths with exactly ``count`` bounces on one side and none on the other.
-
-    For ``count = m >= 1`` this is the product of a bounce-free prefix, m - 1
-    bounce-free EN/NE bridges, and a bounce-free suffix; the two sides give
-    the same series because the bridge factor is shared.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if count < 1:
-        raise ValueError("count must be at least 1; use bounce_free_total for 0")
-    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
-    start_e, start_n = f_ee + f_en, f_nn + f_en
-    if side == "left":
-        return start_e * f_en ** (count - 1) * start_n
-    return start_n * f_en ** (count - 1) * start_e
 
 
 def no_left_bounce_total(slope: Slope, order: int) -> Series:
     """Paths with no left bounces (equally: no right bounces); equals the sum
     of the one-sided series over all counts."""
     return _marker_value(_marker_grids(slope, order), (Restriction.ALL,), 0, 1)
-
-
-def b_lr_closed_form(slope: Slope, left: int, right: int, order: int) -> Series:
-    """Paths with exactly ``left`` and ``right`` bounces, both at least 1.
-
-    Finite sum over the number i of maximal right-bounce runs, in four parts
-    according to whether the first and last bounces are left or right ones.
-    Terms whose binomial weight vanishes are skipped, which also keeps every
-    exponent non-negative.
-    """
-    if left < 1 or right < 1:
-        raise ValueError("both bounce counts must be at least 1")
-    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
-    start_e = f_ee + f_en
-    start_n = f_nn + f_en
-    ee_nn = f_ee * f_nn
-
-    total = Series.zero(order)
-    for i in range(1, left):
-        w = binomial(left - 1, i) * binomial(right - 1, i - 1)
-        if w:
-            total = total + w * (
-                start_e * start_n * ee_nn**i * f_en ** (left + right - 2 * i - 1)
-            )
-    for i in range(1, left + 1):
-        w = binomial(left - 1, i - 1) * binomial(right - 1, i - 1)
-        if w:
-            shared = f_en ** (left + right - 2 * i)
-            total = total + w * (
-                start_e * start_e * f_ee ** (i - 1) * f_nn**i * shared
-            )
-            total = total + w * (
-                start_n * start_n * f_ee**i * f_nn ** (i - 1) * shared
-            )
-    for i in range(2, left + 2):
-        w = binomial(left - 1, i - 2) * binomial(right - 1, i - 1)
-        if w:
-            total = total + w * (
-                start_n * start_e * ee_nn ** (i - 1) * f_en ** (left + right - 2 * i + 1)
-            )
-    return total
 
 
 def g_b_series(total_bounces: int, order: int) -> Series:
@@ -364,37 +298,5 @@ def bounce_table(
         max_left=max_left,
         max_right=max_right,
         restriction=restriction,
-        entries=tuple(tuple(row) for row in grid),
-    )
-
-
-def bounce_table_from_closed_forms(
-    slope: Slope, max_left: int, max_right: int, order: int
-) -> BounceTable:
-    """Unrestricted bounce table assembled entry by entry from closed forms.
-
-    Entry (0, 0) is the bounce-free series, the axes come from the one-sided
-    products, and the interior from :func:`b_lr_closed_form`.  Used to
-    cross-check :func:`bounce_table`.
-    """
-    grid: list[list[Series]] = []
-    for l in range(max_left + 1):
-        row = []
-        for r in range(max_right + 1):
-            if l == 0 and r == 0:
-                row.append(bounce_free_total(slope, order))
-            elif r == 0:
-                row.append(one_sided_bounce_series(slope, "left", l, order))
-            elif l == 0:
-                row.append(one_sided_bounce_series(slope, "right", r, order))
-            else:
-                row.append(b_lr_closed_form(slope, l, r, order))
-        grid.append(row)
-    return BounceTable(
-        slope=slope,
-        trunc_order=order,
-        max_left=max_left,
-        max_right=max_right,
-        restriction=Restriction.ALL,
         entries=tuple(tuple(row) for row in grid),
     )

@@ -39,9 +39,11 @@ from .closed_forms import (
 from .enumeration import MAX_STEPS, BudgetExceeded
 
 FORMATS = ("table", "csv", "json", "oeis-bfile")
-# coefficients a bounce-table may list, (max_left+1)(max_right+1) * order; at the
-# limit, order 100 with the default bounds took 1.5 s for slope (1,1) and 6.2 s
-# for (10,9) on a 2-core host with CPython 3.11
+# coefficients a bounce-table may list, (max_left+1)(max_right+1) * order, at
+# slope (1,1); coefficients grow longer with alpha + beta, so each one counts
+# (alpha+beta)/2.  At the limit with the default bounds, fresh processes took
+# 1.5 s for (1,1) order 100, 0.6 s for (3,2) order 73, 0.3 s for (10,9) order 47
+# and 0.2 s for (40,39) order 29 on a 2-core host with CPython 3.11
 MAX_TABLE_COEFFICIENTS = 1_000_000
 
 
@@ -155,10 +157,11 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     max_left = args.max_left if args.max_left is not None else args.order - 1
     max_right = args.max_right if args.max_right is not None else args.order - 1
     size = (max_left + 1) * (max_right + 1) * args.order
-    if min(max_left, max_right) >= 0 and size > MAX_TABLE_COEFFICIENTS:
+    limit = 2 * MAX_TABLE_COEFFICIENTS // (slope.alpha + slope.beta)
+    if min(max_left, max_right) >= 0 and size > limit:
         raise CliError(
             f"a table of {size} coefficients exceeds the limit of "
-            f"{MAX_TABLE_COEFFICIENTS}; lower --order, --max-left or --max-right"
+            f"{limit}; lower --order, --max-left or --max-right"
         )
     restriction = Restriction(args.restriction)
     table = bounce_table(slope, restriction, max_left, max_right, args.order)

@@ -4,13 +4,15 @@ Every generating function in the package can be checked against this
 module: it counts all C((alpha+beta)k, alpha*k) step words of a given
 semilength by their bounces and horizontal crosses with a transfer count
 over the grid (Stanley, EC1 4.7), classifying each line vertex as
-``classify`` does, and it counts two-row standard Young tableaux as ballot
-sequences.  Nothing here shares code with the closed forms.
+``classify`` does, and it counts two-row standard Young tableaux, given as
+a :class:`TwoRowShape`, as ballot sequences.  Nothing here shares code with
+the generating functions: from the package it imports only the slope and
+step types, ``binomial`` for the sweep's path-count self-check, and the
+record base of :mod:`bouncepaths.series`.
 """
 
 from collections import Counter
 
-from .beta_one import TwoRowShape
 from .closed_forms import Restriction, Slope, Step, binomial
 from .series import _Record
 
@@ -224,6 +226,30 @@ def count_matching(
 
 
 # ------------------------------------------------------------------ tableaux
+
+
+class InvalidShape(ValueError):
+    """Raised when the requested diagram rows are not weakly decreasing."""
+
+
+class TwoRowShape(_Record):
+    """Young diagram with two rows, the second possibly empty."""
+
+    __slots__ = ("first_row", "second_row")
+
+    def __init__(self, first_row: int, second_row: int):
+        if not first_row >= second_row >= 0:
+            raise InvalidShape(f"rows ({first_row}, {second_row}) must be weakly decreasing")
+        super().__init__(first_row, second_row)
+
+    @property
+    def cells(self) -> int:
+        return self.first_row + self.second_row
+
+    def as_partition(self) -> tuple[int, ...]:
+        if self.second_row == 0:
+            return (self.first_row,)
+        return (self.first_row, self.second_row)
 
 
 def enumerate_syt(shape: TwoRowShape) -> int:

@@ -4,37 +4,35 @@ Each suite returns a list of :class:`CheckResult`; a failing check carries
 the first mismatching coefficient (slope, k, and grid cell where relevant)
 in its detail string.  The suites back both the command line ``verify``
 command and the acceptance tests.
+
+The library computes each series by one production formula.  The
+alternative formulas the suites hold it against are defined here, beside
+the suites that call them: the closed-form cell sums of the bounce table,
+the beta = 1 and Fuss-Catalan forms of the bounce-free series, and the
+hook-length count of two-row tableaux.
 """
 
 import math
 import random
 
-from .beta_one import (
-    TwoRowShape,
-    bounce_free_ab_beta1,
-    bounce_table_beta1,
-    f_ab_via_fuss_catalan,
-    nhc_nrb_series,
-    nhc_prefix_series,
-    nhc_series,
-    rational_dyck_series,
-    syt_two_row_count,
-)
+from .beta_one import nhc_nrb_series, nhc_prefix_series, nhc_series, rational_dyck_series
 from .bounce import (
+    _g_parts,
+    _marker_grids,
+    _marker_value,
     bounce_free_ab,
     bounce_free_prefix,
     bounce_free_total,
     bounce_table,
-    bounce_table_from_closed_forms,
     expand_marker_quotient,
     g_b_series,
     marker_cells,
     no_left_bounce_total,
     nrb_series,
-    one_sided_bounce_series,
 )
 from .closed_forms import (
     AB_RESTRICTIONS,
+    NonIntegerCoefficient,
     Restriction,
     Slope,
     Step,
@@ -44,7 +42,14 @@ from .closed_forms import (
     g_prefix_series,
     g_series,
 )
-from .enumeration import count_matching, count_table, enumerate_profiles, enumerate_syt
+from .enumeration import (
+    InvalidShape,
+    TwoRowShape,
+    count_matching,
+    count_table,
+    enumerate_profiles,
+    enumerate_syt,
+)
 from .series import Series, _Record
 
 
@@ -280,6 +285,102 @@ def suite_fuss_catalan(alpha_max: int = 5, order: int = 12) -> list[CheckResult]
     return results
 
 
+# ---------------------------------------------------- closed-form cell sums
+
+
+def _bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Series]:
+    """(f_ee, f_en, f_nn) from one pair of grids."""
+    grids = _marker_grids(slope, order)
+    return tuple(
+        _marker_value(grids, (r,), 0, 0)
+        for r in (Restriction.EE, Restriction.EN, Restriction.NN)
+    )
+
+
+def one_sided_bounce_series(slope: Slope, side: str, count: int, order: int) -> Series:
+    """Paths with exactly ``count`` bounces on one side and none on the other.
+
+    For ``count = m >= 1`` this is the product of a bounce-free prefix, m - 1
+    bounce-free EN/NE bridges, and a bounce-free suffix; the two sides give
+    the same series because the bridge factor is shared.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if count < 1:
+        raise ValueError("count must be at least 1; use bounce_free_total for 0")
+    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
+    start_e, start_n = f_ee + f_en, f_nn + f_en
+    if side == "left":
+        return start_e * f_en ** (count - 1) * start_n
+    return start_n * f_en ** (count - 1) * start_e
+
+
+def b_lr_closed_form(slope: Slope, left: int, right: int, order: int) -> Series:
+    """Paths with exactly ``left`` and ``right`` bounces, both at least 1.
+
+    Finite sum over the number i of maximal right-bounce runs, in four parts
+    according to whether the first and last bounces are left or right ones.
+    Terms whose binomial weight vanishes are skipped, which also keeps every
+    exponent non-negative.
+    """
+    if left < 1 or right < 1:
+        raise ValueError("both bounce counts must be at least 1")
+    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
+    start_e = f_ee + f_en
+    start_n = f_nn + f_en
+    ee_nn = f_ee * f_nn
+
+    total = Series.zero(order)
+    for i in range(1, left):
+        w = binomial(left - 1, i) * binomial(right - 1, i - 1)
+        if w:
+            total = total + w * (
+                start_e * start_n * ee_nn**i * f_en ** (left + right - 2 * i - 1)
+            )
+    for i in range(1, left + 1):
+        w = binomial(left - 1, i - 1) * binomial(right - 1, i - 1)
+        if w:
+            shared = f_en ** (left + right - 2 * i)
+            total = total + w * (
+                start_e * start_e * f_ee ** (i - 1) * f_nn**i * shared
+            )
+            total = total + w * (
+                start_n * start_n * f_ee**i * f_nn ** (i - 1) * shared
+            )
+    for i in range(2, left + 2):
+        w = binomial(left - 1, i - 2) * binomial(right - 1, i - 1)
+        if w:
+            total = total + w * (
+                start_n * start_e * ee_nn ** (i - 1) * f_en ** (left + right - 2 * i + 1)
+            )
+    return total
+
+
+def bounce_table_from_closed_forms(
+    slope: Slope, max_left: int, max_right: int, order: int
+) -> list[list[Series]]:
+    """Unrestricted bounce grid assembled entry by entry from closed forms.
+
+    Entry (0, 0) is the bounce-free series, the axes come from the one-sided
+    products, and the interior from :func:`b_lr_closed_form`.  Used to
+    cross-check :func:`bounce_table`.
+    """
+    grid: list[list[Series]] = []
+    for l in range(max_left + 1):
+        row = []
+        for r in range(max_right + 1):
+            if l == 0 and r == 0:
+                row.append(bounce_free_total(slope, order))
+            elif r == 0:
+                row.append(one_sided_bounce_series(slope, "left", l, order))
+            elif l == 0:
+                row.append(one_sided_bounce_series(slope, "right", r, order))
+            else:
+                row.append(b_lr_closed_form(slope, l, r, order))
+        grid.append(row)
+    return grid
+
+
 # --------------------------------------------------------- bounce-free forms
 
 
@@ -498,7 +599,7 @@ def suite_table_dual(
             _grid_equal(
                 f"closed forms match expansion {tag}",
                 _coeff_grid(expanded.entries),
-                _coeff_grid(assembled.entries),
+                _coeff_grid(assembled),
                 context=tag,
             )
         )
@@ -506,6 +607,62 @@ def suite_table_dual(
 
 
 # ------------------------------------------------------ beta = 1 specializations
+
+
+def f_ab_via_fuss_catalan(alpha: int, restriction: Restriction, order: int) -> Series:
+    """Bounce-free path classes written in the Fuss-Catalan series c = c_alpha:
+
+        f_ee = (alpha*c - 1)(c - 1) / q,   f_nn = (c - 1)^2 / q,
+        f_en = f_ne = c(c - 1) / q,        q = (1-alpha)c^2 + (alpha+1)c - 1.
+    """
+    if restriction is Restriction.ALL:
+        raise ValueError("this series is defined per first/last step restriction")
+    c = fuss_catalan(alpha, order)
+    q = (1 - alpha) * c * c + (alpha + 1) * c - 1
+    if restriction is Restriction.EE:
+        numerator = (alpha * c - 1) * (c - 1)
+    elif restriction is Restriction.NN:
+        numerator = (c - 1) * (c - 1)
+    else:
+        numerator = c * (c - 1)
+    return numerator.div(q)
+
+
+def bounce_free_ab_beta1(alpha: int, restriction: Restriction, order: int) -> Series:
+    """Simplified bounce-free forms valid for beta = 1:
+
+        f_ee = g_ee / (1 + g - g_ee),   f_en = (g_nn + g_en) / (1 + g - g_ee),
+        f_nn = g_nn / (1 + g - g_ee).
+    """
+    if restriction is Restriction.ALL:
+        raise ValueError("this series is defined per first/last step restriction")
+    g, g_ee, g_en, g_nn = _g_parts(Slope(alpha, 1), order)
+    den = 1 + g - g_ee
+    numerators = {
+        Restriction.EE: g_ee,
+        Restriction.EN: g_nn + g_en,
+        Restriction.NE: g_nn + g_en,
+        Restriction.NN: g_nn,
+    }
+    return numerators[restriction].div(den)
+
+
+def bounce_table_beta1(
+    alpha: int, max_left: int, max_right: int, order: int
+) -> list[list[Series]]:
+    """Bounce grid from the simplified beta = 1 two-marker form
+
+        (g + (2-s-t) g_nn) / (1 + (2-s-t) g_en + (1-s)(1-t) g_nn).
+    """
+    g, _, g_en, g_nn = _g_parts(Slope(alpha, 1), order)
+    numerator = {(0, 0): g + 2 * g_nn, (1, 0): -g_nn, (0, 1): -g_nn}
+    denominator = {
+        (0, 0): 1 + 2 * g_en + g_nn,
+        (1, 0): -(g_en + g_nn),
+        (0, 1): -(g_en + g_nn),
+        (1, 1): g_nn,
+    }
+    return expand_marker_quotient(numerator, denominator, max_left, max_right)
 
 
 def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
@@ -580,7 +737,7 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
             _grid_equal(
                 f"simplified marker form matches general table ({tag})",
                 _coeff_grid(general_table.entries),
-                _coeff_grid(simplified.entries),
+                _coeff_grid(simplified),
                 context=tag,
             )
         )
@@ -671,6 +828,31 @@ def suite_total_bounces(b_max: int = 6, n_max: int = 11) -> list[CheckResult]:
             )
         )
     return results
+
+
+def syt_two_row_count(n: int, b: int) -> int:
+    """Standard Young tableaux of shape (n+b, n-b-1), for n > b >= 0.
+
+    Uses hook lengths; a zero-length second row degenerates to a single row.
+    Equals the number of E-start paths to (n, n) with exactly b bounces.
+    """
+    if b < 0 or n <= b:
+        raise InvalidShape(f"need n > b >= 0, got n={n}, b={b}")
+    shape = TwoRowShape(n + b, n - b - 1)
+    return _hook_length_count(shape.as_partition())
+
+
+def _hook_length_count(partition: tuple[int, ...]) -> int:
+    hook_product = 1
+    for i, row_len in enumerate(partition):
+        for j in range(row_len):
+            arm = row_len - j - 1
+            leg = sum(1 for below in partition[i + 1 :] if below > j)
+            hook_product *= arm + leg + 1
+    total = math.factorial(sum(partition))
+    if total % hook_product:
+        raise NonIntegerCoefficient(f"hook product {hook_product} does not divide {total}")
+    return total // hook_product
 
 
 def suite_syt(n_max: int = 16) -> list[CheckResult]:

@@ -1,3 +1,7 @@
+import argparse
+import ast
+import contextlib
+import inspect
 import io
 import json
 import re
@@ -6,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bouncepaths import cli
+import bouncepaths
+from bouncepaths import cli, verify
 from bouncepaths.enumeration import BudgetExceeded
 from bouncepaths.verify import CheckResult
 
@@ -220,6 +226,17 @@ def test_importing_the_cli_leaves_verify_unloaded():
     assert result.stdout == "[]\n"
 
 
+def test_package_exports_every_public_name_it_binds():
+    tree = ast.parse(Path(bouncepaths.__file__).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert set(bouncepaths.__all__) == {name for name in bound if not name.startswith("_")}
+
+
 def test_verify_rejects_options_no_selected_suite_takes(capsys):
     code, text = run("verify", "--suite", "ring", "--suite", "syt", "--count", "5",
                      "--max-steps", "30", "--n-max", "9")
@@ -268,10 +285,12 @@ def test_bounce_table_too_large_is_refused_before_any_work(monkeypatch, capsys):
 
 def test_bounce_table_limit_counts_cells_times_order(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_TABLE_COEFFICIENTS", 60)
-    bounds = ("bounce-table", "--alpha", "2", "--order", "5", "--max-left", "2")
-    assert run(*bounds, "--max-right", "3")[0] == 0  # 3 * 4 * 5 = 60
-    assert run(*bounds, "--max-right", "4")[0] == 1  # 75
-    assert "exceeds the limit of 60" in capsys.readouterr().err
+    bounds = ("bounce-table", "--alpha", "2", "--order", "5", "--max-left", "1")
+    # slope (2, 1) weighs each coefficient (2 + 1) / 2, so its limit is 40
+    assert run(*bounds, "--max-right", "3")[0] == 0  # 2 * 4 * 5 = 40
+    assert run(*bounds, "--max-right", "4")[0] == 1  # 50
+    assert "a table of 50 coefficients exceeds the limit of 40;" in capsys.readouterr().err
+    assert run("bounce-table", "--alpha", "1", *bounds[3:], "--max-right", "4")[0] == 0
     # a negative bound is refused as such, however large the product
     assert run(*bounds[:-1], "-9", "--max-right", "-9")[0] == 1
     assert capsys.readouterr().err == "error: marker bounds must be non-negative\n"
@@ -338,6 +357,72 @@ def test_bfile_rejected_for_tables(capsys):
             "--format", "oeis-bfile")
     assert excinfo.value.code == 2  # rejected by argparse choices
     capsys.readouterr()
+
+
+# argv drawn from the parser's own grammar: every subcommand, option and
+# choice, a name outside each catalogue, a non-integer, and small integers,
+# zero, -1, each verify bound's minimum, the value below it and the value past
+# its maximum.  A verify draw names one or two suites and gives every bounded
+# option they take, so no suite runs at its (costly) defaults; an option they
+# do not take is rare.
+SUBPARSERS = next(
+    action for action in cli.build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+).choices
+
+
+def _option_values(action):
+    if action.dest == "series":
+        return st.sampled_from([*cli.SERIES, "nope"])
+    if action.choices:
+        return st.sampled_from([*action.choices, "nope"])
+    minimum, maximum = cli.VERIFY_BOUNDS.get(action.dest, (1, None))
+    edges = {-1, 0, minimum - 1, minimum} | ({maximum + 1} if maximum is not None else set())
+    return st.one_of(
+        st.integers(minimum, minimum + 3).map(str),
+        st.sampled_from([*map(str, sorted(edges)), "x"]),
+    )
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    argv = [command]
+    taken = set()
+    if command == "verify":
+        for name in draw(st.lists(st.sampled_from([*verify.SUITES, "nope"]),
+                                  min_size=1, max_size=2)):
+            argv += ["--suite", name]
+            if name in verify.SUITES:
+                taken.update(inspect.signature(verify.SUITES[name]).parameters)
+    for action in SUBPARSERS[command]._actions:
+        if not action.option_strings or action.dest in ("help", "suite"):
+            continue
+        if command == "verify" and action.dest in cli.VERIFY_BOUNDS:
+            give = action.dest in taken or draw(st.integers(0, 29)) == 0
+        elif action.required:
+            give = draw(st.integers(0, 19)) > 0
+        else:
+            give = draw(st.booleans())
+        if give:
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:  # a flag such as --include-k0 takes no value
+                argv.append(draw(_option_values(action)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_any_argv_gives_an_answer_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv, out=out)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert "Traceback" not in err.getvalue()
+    assert (code, len(errors)) in ((0, 0), (1, 1), (2, 1)), (argv, err.getvalue())
 
 
 # ------------------------------------------------------------------- tables

@@ -1,22 +1,26 @@
+import ast
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bouncepaths.beta_one import TwoRowShape, _hook_length_count, syt_two_row_count
+from bouncepaths import enumeration
 from bouncepaths.closed_forms import Restriction, Slope, Step, binomial
 from bouncepaths.enumeration import (
     BudgetExceeded,
     MalformedPath,
     StepWord,
+    TwoRowShape,
     classify,
     count_matching,
     count_table,
     enumerate_profiles,
     enumerate_syt,
 )
+from bouncepaths.verify import _hook_length_count, syt_two_row_count
 
 
 # ----------------------------------------------------------------- classify
@@ -153,6 +157,20 @@ def test_transfer_count_matches_brute_force():
 def test_budgets():
     with pytest.raises(BudgetExceeded):
         enumerate_profiles(Slope(1, 1), 21)  # 42 steps > MAX_STEPS = 40
+
+
+def test_the_oracle_imports_no_generating_function():
+    # the oracle checks the generating functions, so it must not share their code
+    tree = ast.parse(Path(enumeration.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.startswith("bouncepaths")
+        ):
+            package.add(node.module)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("bouncepaths"))
+    assert package == {"closed_forms", "series"}
 
 
 # ------------------------------------------------------------ transposition

@@ -11,10 +11,9 @@ from collections import Counter
 
 import pytest
 
-from bouncepaths.beta_one import InvalidShape, TwoRowShape
 from bouncepaths.bounce import BounceTable, bounce_table
 from bouncepaths.closed_forms import Restriction, Slope, Step
-from bouncepaths.enumeration import BounceProfile, StepWord
+from bouncepaths.enumeration import BounceProfile, InvalidShape, StepWord, TwoRowShape
 from bouncepaths.series import Series
 from bouncepaths.verify import CheckResult
 
