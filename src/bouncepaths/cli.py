@@ -3,8 +3,8 @@
 Output is deterministic for a fixed invocation; table rows are emitted with
 the left index ascending, then the right index.  Integer values in JSON are
 decimal strings so that consumers without big integers stay exact.
-Start-up imports only argparse and the computing layers; json and inspect
-are imported by the commands that use them.
+Start-up imports only argparse and the computing layers; json is imported
+by the commands that print it.
 """
 
 import argparse
@@ -41,9 +41,13 @@ from .enumeration import MAX_STEPS, BudgetExceeded
 FORMATS = ("table", "csv", "json", "oeis-bfile")
 # coefficients a bounce-table may list, (max_left+1)(max_right+1) * order, at
 # slope (1,1); coefficients grow longer with alpha + beta, so each one counts
-# (alpha+beta)/2.  At the limit with the default bounds, fresh processes took
-# 1.5 s for (1,1) order 100, 0.6 s for (3,2) order 73, 0.3 s for (10,9) order 47
-# and 0.2 s for (40,39) order 29 on a 2-core host with CPython 3.11
+# (alpha+beta)/2.  A cell's series takes about order^2 products of coefficients
+# that grow with (alpha+beta) * order, so past the order where the full table
+# reaches the limit, (alpha+beta)/2 * order^3 = 100^3, each coefficient also
+# counts the square of that ratio.  Fresh processes at the limit took 1.3 s for
+# (1,1) order 100 with the default bounds, 1.3-1.8 s for (1,1) orders 105-131
+# with the widest bounds and 0.2 s for order 372 with no bounces, on a 2-core
+# host with CPython 3.11
 MAX_TABLE_COEFFICIENTS = 1_000_000
 
 
@@ -157,7 +161,10 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     max_left = args.max_left if args.max_left is not None else args.order - 1
     max_right = args.max_right if args.max_right is not None else args.order - 1
     size = (max_left + 1) * (max_right + 1) * args.order
-    limit = 2 * MAX_TABLE_COEFFICIENTS // (slope.alpha + slope.beta)
+    # twice the weighted size of the full table at this order, and at (1,1) order 100
+    steps, reach = slope.alpha + slope.beta, 2 * 100**3
+    full = max(reach, steps * args.order**3)
+    limit = 2 * MAX_TABLE_COEFFICIENTS * reach**2 // (steps * full**2)
     if min(max_left, max_right) >= 0 and size > limit:
         raise CliError(
             f"a table of {size} coefficients exceeds the limit of "
@@ -213,9 +220,17 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def cmd_verify(args: argparse.Namespace, out) -> int:
-    import inspect
+def _parameters(suite) -> tuple[str, ...]:
+    """The parameter names of a suite, read from its code object after
+    following ``__wrapped__`` (set by ``functools.wraps``) to the original
+    function, as ``inspect.signature`` does."""
+    while hasattr(suite, "__wrapped__"):
+        suite = suite.__wrapped__
+    code = suite.__code__
+    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
 
+
+def cmd_verify(args: argparse.Namespace, out) -> int:
     from . import verify as verification  # only verify needs the suites
 
     if (args.alpha is None) != (args.beta is None):
@@ -242,9 +257,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         if maximum is not None and options[key] > maximum:
             raise CliError(f"{_flag(key)} must be at most {maximum}, got {options[key]}")
     # each suite takes the options its signature names
-    accepted = {
-        name: inspect.signature(verification.SUITES[name]).parameters for name in names
-    }
+    accepted = {name: _parameters(verification.SUITES[name]) for name in names}
     unused = [key for key in options if not any(key in a for a in accepted.values())]
     if unused:
         raise CliError(

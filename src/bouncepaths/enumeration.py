@@ -4,7 +4,8 @@ Every generating function in the package can be checked against this
 module: it counts all C((alpha+beta)k, alpha*k) step words of a given
 semilength by their bounces and horizontal crosses with a transfer count
 over the grid (Stanley, EC1 4.7), classifying each line vertex as
-``classify`` does, and it counts two-row standard Young tableaux, given as
+``classify`` does; each state carries its whole (left, right) distribution
+packed into one int.  It also counts two-row standard Young tableaux, given as
 a :class:`TwoRowShape`, as ballot sequences.  Nothing here shares code with
 the generating functions: from the package it imports only the slope and
 step types, ``binomial`` for the sweep's path-count self-check, and the
@@ -114,42 +115,56 @@ def classify(path: "StepWord | str", slope: Slope) -> BounceProfile:
 # ------------------------------------------------------------- full sweeps
 
 
-def _sweep(alpha, beta, k):
+def _sweep(alpha, beta, k, width):
     """Transfer count over all paths to (alpha*k, beta*k), one step at a time.
 
-    After ``steps`` steps the state (x, last, first, left, right, crosses)
-    fixes the vertex (x, steps - x); a vertex on the line is classified as
+    After ``steps`` steps the state (x, last, first, crosses) fixes the
+    vertex (x, steps - x); a vertex on the line is classified as
     ``classify`` does it before the next step leaves it.  The origin and the
-    endpoint are not classified.  Returns path counts keyed
-    (first, last, left, right, crosses).
+    endpoint are not classified.  A state's value packs its path counts by
+    (left, right) into one int, ``width`` bits for slot l*k + r: a right
+    bounce shifts it by one slot, a left bounce by k slots, and merging two
+    states adds their ints.  No slot spills into another:
+    - a path meets the line at k - 1 inner points, so l, r < k and slot
+      l*k + r names one (l, r);
+    - a slot counts prefixes of one length that still reach the endpoint,
+      and those extend to disjoint sets of paths, so no slot exceeds
+      C((alpha+beta)k, alpha*k); with ``width`` past that count's bit
+      length, no sum carries into the next slot.
+    Returns path counts keyed (first, last, left, right, crosses).
     """
     ex, ey = alpha * k, beta * k
     track_h = beta == 1
-    states = {(1, "E", "E", 0, 0, 0): 1, (0, "N", "N", 0, 0, 0): 1}
+    right, left = width, width * k
+    states = {(1, "E", "E", 0): 1, (0, "N", "N", 0): 1}
     for steps in range(1, ex + ey):
         advanced: dict[tuple, int] = {}
-        for (x, last, first, l, r, h), count in states.items():
+        for (x, last, first, h), packed in states.items():
             y = steps - x
             on_line = alpha * y == beta * x
             if x < ex:
                 if on_line and last == "N":
-                    key = (x + 1, "E", first, l, r + 1, h)
+                    key, value = (x + 1, "E", first, h), packed << right
                 elif on_line and track_h:  # E in, E out: a horizontal cross
-                    key = (x + 1, "E", first, l, r, h + 1)
+                    key, value = (x + 1, "E", first, h + 1), packed
                 else:
-                    key = (x + 1, "E", first, l, r, h)
-                advanced[key] = advanced.get(key, 0) + count
+                    key, value = (x + 1, "E", first, h), packed
+                advanced[key] = advanced.get(key, 0) + value
             if y < ey:
-                if on_line and last == "E":
-                    key = (x, "N", first, l + 1, r, h)
-                else:
-                    key = (x, "N", first, l, r, h)
-                advanced[key] = advanced.get(key, 0) + count
+                key = (x, "N", first, h)
+                value = packed << left if on_line and last == "E" else packed
+                advanced[key] = advanced.get(key, 0) + value
         states = advanced
-    return {
-        (first, last, l, r, h): count
-        for (_, last, first, l, r, h), count in states.items()
-    }
+    mask = (1 << width) - 1
+    counts = {}
+    for (_, last, first, h), packed in states.items():
+        slot = 0
+        while packed:
+            if count := packed & mask:
+                counts[(first, last, *divmod(slot, k), h)] = count
+            packed >>= width
+            slot += 1
+    return counts
 
 
 def enumerate_profiles(slope: Slope, k: int) -> Counter:
@@ -161,23 +176,18 @@ def enumerate_profiles(slope: Slope, k: int) -> Counter:
     if steps > MAX_STEPS:
         raise BudgetExceeded(f"{steps} steps exceed the budget of {MAX_STEPS}")
 
-    raw = _sweep(alpha, beta, k)
-    if sum(raw.values()) != binomial(steps, alpha * k):
+    paths = binomial(steps, alpha * k)
+    raw = _sweep(alpha, beta, k, paths.bit_length() + 1)
+    # also fails if a slot carried into its neighbour
+    if sum(raw.values()) != paths:
         raise RuntimeError("the sweep lost or duplicated paths; this is a bug")
 
     track_h = beta == 1
-    profiles: Counter = Counter()
-    for (first, last, left, right, crosses), count in raw.items():
-        profiles[
-            BounceProfile(
-                left=left,
-                right=right,
-                horizontal_crosses=crosses if track_h else None,
-                first=Step(first),
-                last=Step(last),
-            )
-        ] = count
-    return profiles
+    step = {"E": Step.E, "N": Step.N}
+    return Counter({
+        BounceProfile(left, right, crosses if track_h else None, step[first], step[last]): count
+        for (first, last, left, right, crosses), count in raw.items()
+    })
 
 
 def count_table(
@@ -206,9 +216,14 @@ def count_matching(
     crosses: int | None = None,
     total_bounces: int | None = None,
 ) -> int:
-    """Total count of profiles matching all the given filters."""
+    """Total count of profiles matching all the given filters; ``crosses``
+    raises ValueError on profiles that carry none (beta != 1)."""
     total = 0
     for profile, count in profiles.items():
+        if crosses is not None and profile.horizontal_crosses != crosses:
+            if profile.horizontal_crosses is None:
+                raise ValueError("horizontal crosses are tracked only when beta = 1")
+            continue
         if first is not None and profile.first is not first:
             continue
         if last is not None and profile.last is not last:
@@ -216,8 +231,6 @@ def count_matching(
         if left is not None and profile.left != left:
             continue
         if right is not None and profile.right != right:
-            continue
-        if crosses is not None and profile.horizontal_crosses != crosses:
             continue
         if total_bounces is not None and profile.total_bounces != total_bounces:
             continue

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -213,7 +214,7 @@ def test_unrenderable_listing_leaves_stdout_empty(digit_limit_640, fmt, capsys):
 
 def test_importing_the_cli_leaves_verify_unloaded():
     # -S skips the site hooks, which may import random or typing on their
-    # own; json and inspect are imported by the commands that use them
+    # own; json is imported by the commands that print it
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import bouncepaths.cli; "
         "print(sorted({'bouncepaths.verify', 'random', 'dataclasses', 'inspect', "
@@ -224,6 +225,43 @@ def test_importing_the_cli_leaves_verify_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout == "[]\n"
+
+
+def test_running_verify_leaves_inspect_unloaded():
+    # the suites' parameter names come from their code objects
+    probe = (
+        "import io, sys; sys.path.insert(0, sys.argv[1]); from bouncepaths import cli; "
+        "code = cli.main(['verify', '--suite', 'syt', '--n-max', '2'], out=io.StringIO()); "
+        "print(code, 'inspect' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "0 False\n"
+
+
+def test_verify_reads_the_options_of_a_wrapped_suite(monkeypatch, capsys):
+    # a tracer wraps the suites with functools.wraps; the options are the
+    # wrapped function's
+    received = []
+
+    def suite(order: int = 3, *, count: int = 1):
+        received.append((order, count))
+        return [CheckResult("wrapped", True)]
+
+    @functools.wraps(suite)
+    def wrapper(*args, **kwargs):
+        return suite(*args, **kwargs)
+
+    monkeypatch.setitem(verify.SUITES, "wrapped", wrapper)
+    code, text = run("verify", "--suite", "wrapped", "--order", "7", "--count", "2")
+    assert (code, received) == (0, [(7, 2)])
+    assert text == "suite wrapped:\n  PASS  wrapped\nverify: all suites passed\n"
+    assert run("verify", "--suite", "wrapped", "--n-max", "4") == (1, "")
+    assert capsys.readouterr().err == (
+        "error: --n-max taken by none of the suites wrapped\n"
+    )
 
 
 def test_package_exports_every_public_name_it_binds():
@@ -278,7 +316,7 @@ def test_bounce_table_too_large_is_refused_before_any_work(monkeypatch, capsys):
     code, text = run("bounce-table", "--alpha", "1", "--order", "400", "--format", "csv")
     assert (code, text) == (1, "")
     assert capsys.readouterr().err == (
-        "error: a table of 64000000 coefficients exceeds the limit of 1000000; "
+        "error: a table of 64000000 coefficients exceeds the limit of 244; "
         "lower --order, --max-left or --max-right\n"
     )
 
@@ -294,6 +332,36 @@ def test_bounce_table_limit_counts_cells_times_order(monkeypatch, capsys):
     # a negative bound is refused as such, however large the product
     assert run(*bounds[:-1], "-9", "--max-right", "-9")[0] == 1
     assert capsys.readouterr().err == "error: marker bounds must be non-negative\n"
+
+
+def test_bounce_table_limit_weighs_long_orders(monkeypatch, capsys):
+    # a narrow table is cheap to list but not to compute: each cell's series
+    # takes about order^2 products, so past the order where the full table
+    # reaches the limit the limit falls with the order
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(cli, "bounce_table", admitted)
+    narrow = ("--max-left", "0", "--max-right", "0", "--format", "csv")
+    for order, limit in (("2000", 0), ("1000", 1), ("373", 371)):
+        assert run("bounce-table", "--alpha", "1", "--order", order, *narrow) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: a table of {order} coefficients exceeds the limit of {limit}; "
+            "lower --order, --max-left or --max-right\n"
+        )
+    # admitted: the longest narrow (1,1) table, and the full tables at the
+    # orders where the weight starts
+    for alpha, beta, order, bounds in ((1, 1, 372, narrow), (1, 1, 100, ()),
+                                        (3, 2, 73, ()), (40, 39, 29, ())):
+        with pytest.raises(Admitted):
+            run("bounce-table", "--alpha", str(alpha), "--beta", str(beta),
+                "--order", str(order), *bounds)
+    assert run("bounce-table", "--alpha", "1", "--order", "131", "--max-left", "38",
+               "--max-right", "38")[0] == 1
+    assert "exceeds the limit of 197866;" in capsys.readouterr().err
 
 
 def test_verify_budget_exceeded_is_an_error(monkeypatch, capsys):

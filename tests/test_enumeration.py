@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bouncepaths import enumeration
 from bouncepaths.closed_forms import Restriction, Slope, Step, binomial
 from bouncepaths.enumeration import (
+    BounceProfile,
     BudgetExceeded,
     MalformedPath,
     StepWord,
@@ -117,6 +118,17 @@ def test_first_step_marginals_match_prefix_series(slope, k):
         assert count_matching(profiles, first=step) == expected
 
 
+def test_crosses_filter_requires_tracked_crosses():
+    profiles = enumerate_profiles(Slope(2, 1), 2)
+    assert count_matching(profiles, crosses=0, first=Step.N) > 0
+    # away from unit rise no profile carries crosses, whatever else is asked
+    untracked = enumerate_profiles(Slope(2, 3), 2)
+    for filters in ({}, {"left": 9}, {"first": Step.N, "last": Step.N}):
+        with pytest.raises(ValueError, match="beta = 1"):
+            count_matching(untracked, crosses=0, **filters)
+    assert count_matching(untracked, left=0) > 0
+
+
 def test_count_table_values():
     profiles = enumerate_profiles(Slope(1, 1), 2)
     assert count_table(profiles) == {(0, 0): 4, (1, 0): 1, (0, 1): 1}
@@ -152,6 +164,67 @@ def test_transfer_count_matches_brute_force():
                         word[i] = "E"
                     brute[classify("".join(word), slope)] += 1
                 assert enumerate_profiles(slope, k) == brute, (slope, k)
+
+
+def reference_sweep(alpha, beta, k):
+    """Transfer count over all paths to (alpha*k, beta*k), one step at a time.
+
+    After ``steps`` steps the state (x, last, first, left, right, crosses)
+    fixes the vertex (x, steps - x); a vertex on the line is classified as
+    ``classify`` does it before the next step leaves it.  The origin and the
+    endpoint are not classified.  Returns path counts keyed
+    (first, last, left, right, crosses).
+    """
+    ex, ey = alpha * k, beta * k
+    track_h = beta == 1
+    states = {(1, "E", "E", 0, 0, 0): 1, (0, "N", "N", 0, 0, 0): 1}
+    for steps in range(1, ex + ey):
+        advanced: dict[tuple, int] = {}
+        for (x, last, first, l, r, h), count in states.items():
+            y = steps - x
+            on_line = alpha * y == beta * x
+            if x < ex:
+                if on_line and last == "N":
+                    key = (x + 1, "E", first, l, r + 1, h)
+                elif on_line and track_h:  # E in, E out: a horizontal cross
+                    key = (x + 1, "E", first, l, r, h + 1)
+                else:
+                    key = (x + 1, "E", first, l, r, h)
+                advanced[key] = advanced.get(key, 0) + count
+            if y < ey:
+                if on_line and last == "E":
+                    key = (x, "N", first, l + 1, r, h)
+                else:
+                    key = (x, "N", first, l, r, h)
+                advanced[key] = advanced.get(key, 0) + count
+        states = advanced
+    return {
+        (first, last, l, r, h): count
+        for (_, last, first, l, r, h), count in states.items()
+    }
+
+
+def reference_profiles(slope: Slope, k: int) -> Counter:
+    track_h = slope.beta == 1
+    return Counter({
+        BounceProfile(l, r, h if track_h else None, Step(first), Step(last)): count
+        for (first, last, l, r, h), count in reference_sweep(slope.alpha, slope.beta, k).items()
+    })
+
+
+def test_packed_sweep_matches_the_reference_sweep():
+    """Every coprime slope with alpha + beta <= 9 and every k up to 24 steps,
+    then the budget edges of the oracle suites, crosses tracked."""
+    cases = [
+        (Slope(alpha, total - alpha), k)
+        for total in range(2, 10)
+        for alpha in range(1, total)
+        if math.gcd(alpha, total - alpha) == 1
+        for k in range(1, 24 // total + 1)
+    ]
+    cases += [(Slope(1, 1), 20), (Slope(2, 1), 13), (Slope(3, 1), 10)]
+    for slope, k in cases:
+        assert enumerate_profiles(slope, k) == reference_profiles(slope, k), (slope, k)
 
 
 def test_budgets():
