@@ -2,10 +2,10 @@
 
 Every generating function in the package can be checked against this
 module: it counts all C((alpha+beta)k, alpha*k) step words of a given
-semilength by their bounces and horizontal crosses with a transfer count
-over the grid (Stanley, EC1 4.7), classifying each line vertex as
-``classify`` does; each state carries its whole (left, right) distribution
-packed into one int.  It also counts two-row standard Young tableaux, given as
+semilength by their bounces, and on request their horizontal crosses, with
+a transfer count over the grid (Stanley, EC1 4.7), classifying each line
+vertex as ``classify`` does; each state carries its whole (left, right)
+distribution packed into one int.  It also counts two-row standard Young tableaux, given as
 a :class:`TwoRowShape`, as ballot sequences.  Nothing here shares code with
 the generating functions: from the package it imports only the slope and
 step types, ``binomial`` for the sweep's path-count self-check, and the
@@ -115,16 +115,23 @@ def classify(path: "StepWord | str", slope: Slope) -> BounceProfile:
 # ------------------------------------------------------------- full sweeps
 
 
-def _sweep(alpha, beta, k, width):
+def _sweep(alpha, beta, k, width, track_h):
     """Transfer count over all paths to (alpha*k, beta*k), one step at a time.
 
     After ``steps`` steps the state (x, last, first, crosses) fixes the
     vertex (x, steps - x); a vertex on the line is classified as
     ``classify`` does it before the next step leaves it.  The origin and the
-    endpoint are not classified.  A state's value packs its path counts by
-    (left, right) into one int, ``width`` bits for slot l*k + r: a right
-    bounce shifts it by one slot, a left bounce by k slots, and merging two
-    states adds their ints.  No slot spills into another:
+    endpoint are not classified.  Only two fields vary with the walk:
+    - ``last``, the arrival step, is kept only at the step's line vertex,
+      x = alpha * steps / (alpha + beta), which includes the endpoint, and
+      is None elsewhere.  Merging those states is exact: a vertex off the
+      line is not classified, and the step that leaves it is the next
+      vertex's arrival step, so no later step reads the one before;
+    - ``crosses`` counts horizontal crosses when ``track_h``, else stays 0.
+    A state's value packs its path counts by (left, right) into one int,
+    ``width`` bits for slot l*k + r: a right bounce shifts it by one slot, a
+    left bounce by k slots, and merging two states adds their ints.  No slot
+    spills into another:
     - a path meets the line at k - 1 inner points, so l, r < k and slot
       l*k + r names one (l, r);
     - a slot counts prefixes of one length that still reach the endpoint,
@@ -134,27 +141,31 @@ def _sweep(alpha, beta, k, width):
     Returns path counts keyed (first, last, left, right, crosses).
     """
     ex, ey = alpha * k, beta * k
-    track_h = beta == 1
     right, left = width, width * k
-    states = {(1, "E", "E", 0): 1, (0, "N", "N", 0): 1}
+    # a line vertex needs alpha + beta | steps (the slope is coprime), so
+    # none is one step from the origin
+    states = {(1, None, "E", 0): 1, (0, None, "N", 0): 1}
+    line = -1
     for steps in range(1, ex + ey):
+        rounds, rest = divmod(steps + 1, alpha + beta)
+        after = -1 if rest else alpha * rounds
         advanced: dict[tuple, int] = {}
         for (x, last, first, h), packed in states.items():
-            y = steps - x
-            on_line = alpha * y == beta * x
+            on_line = x == line
             if x < ex:
+                arrival = "E" if x + 1 == after else None
                 if on_line and last == "N":
-                    key, value = (x + 1, "E", first, h), packed << right
+                    key, value = (x + 1, arrival, first, h), packed << right
                 elif on_line and track_h:  # E in, E out: a horizontal cross
-                    key, value = (x + 1, "E", first, h + 1), packed
+                    key, value = (x + 1, arrival, first, h + 1), packed
                 else:
-                    key, value = (x + 1, "E", first, h), packed
+                    key, value = (x + 1, arrival, first, h), packed
                 advanced[key] = advanced.get(key, 0) + value
-            if y < ey:
-                key = (x, "N", first, h)
+            if steps - x < ey:
+                key = (x, "N" if x == after else None, first, h)
                 value = packed << left if on_line and last == "E" else packed
                 advanced[key] = advanced.get(key, 0) + value
-        states = advanced
+        states, line = advanced, after
     mask = (1 << width) - 1
     counts = {}
     for (_, last, first, h), packed in states.items():
@@ -167,8 +178,14 @@ def _sweep(alpha, beta, k, width):
     return counts
 
 
-def enumerate_profiles(slope: Slope, k: int) -> Counter:
-    """Classify every path of semilength k; returns a profile multiset."""
+def enumerate_profiles(slope: Slope, k: int, *, crosses: bool = False) -> Counter:
+    """Classify every path of semilength k; returns a profile multiset.
+
+    Horizontal crosses are counted only with ``crosses=True`` and beta = 1.
+    Otherwise every profile has ``horizontal_crosses=None``, as ``classify``
+    gives for beta != 1, and paths that differ only in their crosses share
+    one profile.
+    """
     if k < 1:
         raise ValueError("semilength must be at least 1")
     alpha, beta = slope.alpha, slope.beta
@@ -177,16 +194,16 @@ def enumerate_profiles(slope: Slope, k: int) -> Counter:
         raise BudgetExceeded(f"{steps} steps exceed the budget of {MAX_STEPS}")
 
     paths = binomial(steps, alpha * k)
-    raw = _sweep(alpha, beta, k, paths.bit_length() + 1)
+    track_h = crosses and beta == 1
+    raw = _sweep(alpha, beta, k, paths.bit_length() + 1, track_h)
     # also fails if a slot carried into its neighbour
     if sum(raw.values()) != paths:
         raise RuntimeError("the sweep lost or duplicated paths; this is a bug")
 
-    track_h = beta == 1
     step = {"E": Step.E, "N": Step.N}
     return Counter({
-        BounceProfile(left, right, crosses if track_h else None, step[first], step[last]): count
-        for (first, last, left, right, crosses), count in raw.items()
+        BounceProfile(left, right, h if track_h else None, step[first], step[last]): count
+        for (first, last, left, right, h), count in raw.items()
     })
 
 
@@ -217,12 +234,16 @@ def count_matching(
     total_bounces: int | None = None,
 ) -> int:
     """Total count of profiles matching all the given filters; ``crosses``
-    raises ValueError on profiles that carry none (beta != 1)."""
+    raises ValueError on profiles that carry none (beta != 1, or
+    ``enumerate_profiles`` called without ``crosses=True``)."""
     total = 0
     for profile, count in profiles.items():
         if crosses is not None and profile.horizontal_crosses != crosses:
             if profile.horizontal_crosses is None:
-                raise ValueError("horizontal crosses are tracked only when beta = 1")
+                raise ValueError(
+                    "horizontal crosses are tracked only when beta = 1 "
+                    "and enumerate_profiles is called with crosses=True"
+                )
             continue
         if first is not None and profile.first is not first:
             continue

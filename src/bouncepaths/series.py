@@ -7,7 +7,8 @@ a coefficient that both inputs do not determine.  Coefficients are plain
 Python ints, hence arbitrary precision and every comparison is exact.
 """
 
-from operator import attrgetter
+from itertools import compress, count
+from operator import add, attrgetter
 
 
 class _Record:
@@ -23,10 +24,12 @@ class _Record:
         # ``_values``: the fields as one tuple, read in C
         get = attrgetter(*cls.__slots__)
         cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        # each field's slot descriptor setter, which bypasses the ``__setattr__`` guard
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -125,10 +128,7 @@ class Series(_Record):
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all vanish."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        return next(compress(count(), self.coeffs), None)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
@@ -151,7 +151,7 @@ class Series(_Record):
             return Series((self.coeffs[0] + other,) + self.coeffs[1:])
         if not isinstance(other, Series):
             return NotImplemented
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Series(tuple(map(add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 

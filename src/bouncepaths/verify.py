@@ -503,17 +503,17 @@ def suite_oracle_vs_table(
         tag = f"({slope.alpha},{slope.beta})"
         name = f"table vs enumeration {tag}, {semilengths * (slope.alpha + slope.beta)} steps"
         bound = semilengths - 1
-        ks = range(1, semilengths + 1)
-        counts = {}
-        for k in ks:
+        # each restriction's count tables, one per k
+        counts = {restriction: [] for restriction in restrictions}
+        for k in range(1, semilengths + 1):
             profiles = enumerate_profiles(slope, k)
-            for restriction in restrictions:
-                counts[restriction, k] = count_table(profiles, restriction)
-        for restriction in restrictions:
+            for restriction, tables in counts.items():
+                tables.append(count_table(profiles, restriction))
+        for restriction, tables in counts.items():
             table = bounce_table(slope, restriction, bound, bound, semilengths)
             # no path has semilength 0, so the oracle's k = 0 coefficient is 0
             oracle = [
-                [(0, *(counts[restriction, k].get((l, r), 0) for k in ks)) for r in range(bound + 1)]
+                [(0, *(t.get((l, r), 0) for t in tables)) for r in range(bound + 1)]
                 for l in range(bound + 1)
             ]
             check = _grid_equal(
@@ -927,7 +927,7 @@ def suite_crosses(
         # no path has semilength 0, so every enumerated k = 0 coefficient is 0
         counts = {label: [0] for label in series}
         for k in range(1, semilengths + 1):
-            profiles = enumerate_profiles(slope, k)
+            profiles = enumerate_profiles(slope, k, crosses=True)
             for label, (_, filters) in series.items():
                 counts[label].append(count_matching(profiles, **filters))
         name = f"cross statistics match enumeration ({tag})"

@@ -212,6 +212,16 @@ def test_unrenderable_listing_leaves_stdout_empty(digit_limit_640, fmt, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_unrenderable_table_leaves_stdout_empty(digit_limit_640, fmt, capsys):
+    # the table is computed, but its last coefficients exceed 640 digits
+    code, text = run("bounce-table", "--alpha", "40", "--beta", "39", "--order", "29",
+                     "--max-left", "1", "--max-right", "1", "--format", fmt)
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_importing_the_cli_leaves_verify_unloaded():
     # -S skips the site hooks, which may import random or typing on their
     # own; json is imported by the commands that print it

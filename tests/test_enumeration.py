@@ -119,14 +119,21 @@ def test_first_step_marginals_match_prefix_series(slope, k):
 
 
 def test_crosses_filter_requires_tracked_crosses():
-    profiles = enumerate_profiles(Slope(2, 1), 2)
+    profiles = enumerate_profiles(Slope(2, 1), 2, crosses=True)
     assert count_matching(profiles, crosses=0, first=Step.N) > 0
-    # away from unit rise no profile carries crosses, whatever else is asked
-    untracked = enumerate_profiles(Slope(2, 3), 2)
-    for filters in ({}, {"left": 9}, {"first": Step.N, "last": Step.N}):
-        with pytest.raises(ValueError, match="beta = 1"):
-            count_matching(untracked, crosses=0, **filters)
-    assert count_matching(untracked, left=0) > 0
+    # away from unit rise, or unless asked for, no profile carries crosses,
+    # whatever else is asked
+    for untracked in (
+        enumerate_profiles(Slope(2, 3), 2),
+        enumerate_profiles(Slope(2, 3), 2, crosses=True),
+        enumerate_profiles(Slope(2, 1), 2),
+    ):
+        assert all(p.horizontal_crosses is None for p in untracked)
+        for filters in ({}, {"left": 9}, {"first": Step.N, "last": Step.N}):
+            with pytest.raises(ValueError, match="beta = 1") as raised:
+                count_matching(untracked, crosses=0, **filters)
+            assert "crosses=True" in str(raised.value)
+        assert count_matching(untracked, left=0) > 0
 
 
 def test_count_table_values():
@@ -163,7 +170,7 @@ def test_transfer_count_matches_brute_force():
                     for i in east:
                         word[i] = "E"
                     brute[classify("".join(word), slope)] += 1
-                assert enumerate_profiles(slope, k) == brute, (slope, k)
+                assert enumerate_profiles(slope, k, crosses=True) == brute, (slope, k)
 
 
 def reference_sweep(alpha, beta, k):
@@ -224,7 +231,23 @@ def test_packed_sweep_matches_the_reference_sweep():
     ]
     cases += [(Slope(1, 1), 20), (Slope(2, 1), 13), (Slope(3, 1), 10)]
     for slope, k in cases:
-        assert enumerate_profiles(slope, k) == reference_profiles(slope, k), (slope, k)
+        profiles = enumerate_profiles(slope, k, crosses=True)
+        assert profiles == reference_profiles(slope, k), (slope, k)
+
+
+def test_untracked_crosses_merge_the_tracked_profiles():
+    """Every coprime slope with alpha + beta <= 9 and up to 20 steps: the
+    profiles without crosses are those with crosses, dropped and merged."""
+    for total in range(2, 10):
+        for alpha in range(1, total):
+            if math.gcd(alpha, total - alpha) != 1:
+                continue
+            slope = Slope(alpha, total - alpha)
+            for k in range(1, 20 // total + 1):
+                merged: Counter = Counter()
+                for p, count in enumerate_profiles(slope, k, crosses=True).items():
+                    merged[BounceProfile(p.left, p.right, None, p.first, p.last)] += count
+                assert enumerate_profiles(slope, k) == merged, (slope, k)
 
 
 def test_budgets():

@@ -2,6 +2,7 @@ import pytest
 
 from bouncepaths import bounce, verify
 from bouncepaths.closed_forms import Slope, Step
+from bouncepaths.enumeration import enumerate_profiles
 from bouncepaths.series import Series
 from bouncepaths.verify import (
     SUITES,
@@ -155,3 +156,22 @@ def test_registry_is_complete():
         "syt",
         "crosses",
     }
+
+
+def test_only_the_crosses_suite_asks_for_crosses(monkeypatch):
+    asked = []
+
+    def recording(slope, k, **keywords):
+        asked.append(keywords.get("crosses", False))
+        return enumerate_profiles(slope, k, **keywords)
+
+    monkeypatch.setattr(verify, "enumerate_profiles", recording)
+    for suite, options, crosses in (
+        ("oracle-vs-table", dict(max_slope_sum=4, max_steps=8), False),
+        ("total-bounces", dict(b_max=2, n_max=4), False),
+        ("syt", dict(n_max=4), False),
+        ("crosses", dict(alpha_max=2, max_steps=8, order=4), True),
+    ):
+        asked.clear()
+        assert all(check.passed for check in SUITES[suite](**options)), suite
+        assert asked and set(asked) == {crosses}, suite
