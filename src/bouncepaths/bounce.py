@@ -16,7 +16,7 @@ not count.  Naming scheme used throughout the package:
 
 # binomial is unused here, but the benchmark's self-tests call bounce.binomial
 from .closed_forms import Restriction, Slope, Step, _exact, _g_ab_from_g, binomial, g_series
-from .series import Series, _Record
+from .series import Series, _mul_add, _Record
 
 
 def _g_parts(slope: Slope, order: int) -> tuple[Series, Series, Series, Series]:
@@ -180,7 +180,10 @@ def expand_marker_quotient(
     Every input cell is scaled by inv once, and equal denominator cells
     share one product over the sum of their neighbours.  The same recurrence
     over valuations bounds each q[l][r] from below; a cell whose bound
-    exceeds N is zero and is not computed.
+    exceeds N is zero and is not computed.  A computed cell accumulates in
+    place in one coefficient list, from a copy of inv*n[l][r], each group's
+    product by the series ring's multiply-accumulate kernel, and becomes
+    one Series when finished: mirrored cells share it, all zero cells one.
 
     When both grids are closed under the mirror (i, j) -> (j, i), so is the
     quotient, and a cell with r < l <= max_right is the (r, l) cell of an
@@ -203,8 +206,8 @@ def expand_marker_quotient(
     for key, cell in denominator.items():
         if key != (0, 0) and not cell.is_zero():
             offsets.setdefault(cell, []).append(key)
-    # (-inv * d, valuation of d, offsets of the cells equal to d)
-    groups = [(-(cell * inv), low(cell), keys) for cell, keys in offsets.items()]
+    # (coefficients of -inv * d, valuation of d, offsets of the cells equal to d)
+    groups = [((-(cell * inv)).coeffs, low(cell), keys) for cell, keys in offsets.items()]
 
     mirrored = all(
         grid.get((j, i)) == cell for grid in (numerator, denominator)
@@ -222,18 +225,21 @@ def expand_marker_quotient(
             terms = []
             for factor, v, keys in groups:
                 near = [
-                    (bound[l - i][r - j], out[l - i][r - j])
+                    (bound[l - i][r - j], out[l - i][r - j].coeffs)
                     for i, j in keys
                     if i <= l and j <= r and bound[l - i][r - j] < vanished
                 ]
                 if near:
-                    low_lr = min(low_lr, v + min(b for b, _ in near))
-                    terms.append((factor, near))
+                    start = min(b for b, _ in near)
+                    low_lr = min(low_lr, v + start)
+                    terms.append((factor, v, start, [cell for _, cell in near]))
             if low_lr >= vanished:
                 continue
-            for factor, near in terms:
-                acc = acc + factor * sum((cell for _, cell in near[1:]), near[0][1])
-            out[l][r] = acc
+            coeffs = list(acc.coeffs)
+            for factor, v, start, cells in terms:
+                total = cells[0] if len(cells) == 1 else list(map(sum, zip(*cells)))
+                _mul_add(coeffs, total, factor, start, v)
+            out[l][r] = Series(tuple(coeffs))
             bound[l][r] = low_lr
     return out
 

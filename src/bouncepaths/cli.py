@@ -44,10 +44,10 @@ FORMATS = ("table", "csv", "json", "oeis-bfile")
 # (alpha+beta)/2.  A cell's series takes about order^2 products of coefficients
 # that grow with (alpha+beta) * order, so past the order where the full table
 # reaches the limit, (alpha+beta)/2 * order^3 = 100^3, each coefficient also
-# counts the square of that ratio.  Fresh processes at the limit took 1.3 s for
-# (1,1) order 100 with the default bounds, 1.3-1.8 s for (1,1) orders 105-131
-# with the widest bounds and 0.2 s for order 372 with no bounces, on a 2-core
-# host with CPython 3.11
+# counts the square of that ratio.  Fresh processes at the limit took 0.8 s for
+# (1,1) order 100 with the default bounds, 0.8-1.0 s for (1,1) orders 105-131
+# with the widest bounds and 0.14 s for order 372 with no bounces (best of 4),
+# on a shared 2-core host with CPython 3.11.7
 MAX_TABLE_COEFFICIENTS = 1_000_000
 
 
@@ -173,32 +173,42 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     restriction = Restriction(args.restriction)
     table = bounce_table(slope, restriction, max_left, max_right, args.order)
     # the mirrored cells of a symmetric table are one Series, and so are its
-    # zero cells: each distinct cell is rendered once
-    distinct = {id(series): series for row in table.entries for series in row}
+    # zero cells: each distinct cell is rendered once, from its first nonzero
+    # coefficient on, after a slice of one rendering of the zero coefficients
+    order = table.trunc_order
+    labels = [f"{k}," for k in range(1, order + 1)] if args.format == "csv" else None
+    zeros = [label + "0" for label in labels] if labels else ["0"] * order
+    text = {}
+    for row in table.entries:
+        for series in row:
+            if id(series) not in text:
+                v = series.valuation()
+                start = order + 1 if v is None else max(v, 1)
+                values = map(str, series.coeffs[start:])
+                if labels:  # csv: "k,value"
+                    values = map(add, labels[start - 1 :], values)
+                text[id(series)] = zeros[: start - 1] + list(values)
     if args.format == "table":
-        text = {key: " ".join(map(str, s.coeffs[1:])) for key, s in distinct.items()}
+        joined = {key: " ".join(values) for key, values in text.items()}
         for l, row in enumerate(table.entries):
             for r, series in enumerate(row):
-                print(f"{l} {r} : {text[id(series)]}", file=out)
+                print(f"{l} {r} : {joined[id(series)]}", file=out)
     elif args.format == "csv":
         # a cell's lines are "l,r," + "k,value", one join per cell
-        ks = [f"{k}," for k in range(1, table.trunc_order + 1)]
-        pairs = {key: list(map(add, ks, map(str, s.coeffs[1:]))) for key, s in distinct.items()}
         lines = ["l,r,k,count\n"]
         for l, row in enumerate(table.entries):
             for r, series in enumerate(row):
                 cell = f"{l},{r},"
-                lines.append(cell + ("\n" + cell).join(pairs[id(series)]) + "\n")
+                lines.append(cell + ("\n" + cell).join(text[id(series)]) + "\n")
         out.write("".join(lines))
     else:
         import json
 
-        values = {key: [str(v) for v in s.coeffs[1:]] for key, s in distinct.items()}
         payload = {
             "slope": [args.alpha, args.beta],
             "order": args.order,
             "restriction": restriction.value,
-            "table": [[values[id(series)] for series in row] for row in table.entries],
+            "table": [[text[id(series)] for series in row] for row in table.entries],
         }
         print(json.dumps(payload, indent=2), file=out)
     return 0

@@ -29,6 +29,9 @@ class Step(Enum):
     E = "E"
     N = "N"
 
+    # members are singletons compared by identity; Enum.__hash__ runs in Python
+    __hash__ = object.__hash__
+
 
 class Restriction(Enum):
     """First/last step restriction of a path class."""

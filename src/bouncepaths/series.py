@@ -70,6 +70,18 @@ class ValuationMismatch(SeriesError):
     numerator provides."""
 
 
+def _mul_add(out: list, a, b, va: int, vb: int) -> None:
+    """Add the product of the coefficient sequences a and b into ``out`` in
+    place, truncated at x^(len(out) - 1): out[i+j] += a_i b_j over i >= va
+    and j >= vb, where a and b vanish below those indices."""
+    n = len(out) - 1
+    for i in range(va, n - vb + 1):
+        ai = a[i]
+        if ai:
+            for j in range(vb, n - i + 1):
+                out[i + j] += ai * b[j]
+
+
 def _require_unit(c0: int) -> None:
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(
@@ -190,11 +202,7 @@ class Series(_Record):
                     for j in range(i + 1, n - i + 1):
                         out[i + j] += twice * a[j]
             return Series(tuple(out))
-        for i in range(va, n - vb + 1):
-            ai = a[i]
-            if ai:
-                for j in range(vb, n - i + 1):
-                    out[i + j] += ai * b[j]
+        _mul_add(out, a, b, va, vb)
         return Series(tuple(out))
 
     __rmul__ = __mul__

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bouncepaths import bounce
 from bouncepaths.bounce import (
     BounceTable,
     bounce_free_ab,
@@ -246,7 +247,7 @@ def marker_grids(draw):
     those then differ from a mirror-closed grid in one off-diagonal cell.
     The bounds are drawn independently, so mirrors of cells often fall
     outside them."""
-    order = draw(st.integers(0, 6))
+    order = draw(st.integers(0, 12))
     keys = [(i, j) for i in range(3) for j in range(3)]
 
     def series(max_zeros):
@@ -309,22 +310,24 @@ def test_expand_marker_quotient_matches_reference_on_bounce_cells():
 
 
 def count_products(monkeypatch, slope, restriction, max_left, max_right, order):
+    """Calls of the multiply-accumulate kernel the expansion adds each
+    neighbour group's product with."""
     calls = []
-    product = Series.__mul__
+    product = bounce._mul_add
 
-    def counted(self, other):
+    def counted(*args):
         calls.append(None)
-        return product(self, other)
+        return product(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(Series, "__mul__", counted)
+        patch.setattr(bounce, "_mul_add", counted)
         bounce_table(slope, restriction, max_left, max_right, order)
     return len(calls)
 
 
 def test_symmetric_tables_expand_one_triangle(monkeypatch):
     # at order 20 the cells with 0 < l + r <= 19 can be nonzero; an axis
-    # cell needs one product over its neighbours, an interior cell two
+    # cell adds one product over its neighbours, an interior cell two
     def products(cells):
         return sum(1 if l == 0 or r == 0 else 2 for l, r in cells)
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -11,12 +12,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bouncepaths
 from bouncepaths import cli, verify
+from bouncepaths.bounce import bounce_table
+from bouncepaths.closed_forms import Restriction, Slope
 from bouncepaths.enumeration import BudgetExceeded
-from bouncepaths.verify import CheckResult
+from bouncepaths.verify import CheckResult, coprime_slopes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -549,6 +552,63 @@ def test_bounce_table_json_schema():
     assert payload["order"] == 3
     assert payload["table"][0][0] == ["2", "4", "10"]
     assert payload["table"][1][0] == ["0", "1", "4"]
+
+
+def plain_table_rendering(fmt, alpha, beta, restriction, order, max_left, max_right):
+    """The bounce-table output with str called on every coefficient k = 1..order."""
+    table = bounce_table(Slope(alpha, beta), Restriction(restriction), max_left, max_right, order)
+    values = [
+        [[str(series.coefficient(k)) for k in range(1, order + 1)] for series in row]
+        for row in table.entries
+    ]
+    cells = [(l, r, cell) for l, row in enumerate(values) for r, cell in enumerate(row)]
+    if fmt == "table":
+        return "".join(f"{l} {r} : {' '.join(cell)}\n" for l, r, cell in cells)
+    if fmt == "csv":
+        return "l,r,k,count\n" + "".join(
+            f"{l},{r},{k},{value}\n" for l, r, cell in cells for k, value in enumerate(cell, 1)
+        )
+    payload = {"slope": [alpha, beta], "order": order, "restriction": restriction,
+               "table": values}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(coprime_slopes(7)),
+    st.sampled_from([r.value for r in Restriction]),
+    st.integers(1, 9),
+    st.integers(0, 11),
+    st.integers(0, 11),
+)
+# mirrored cells (all) and cells that vanish entirely (l + r >= order)
+@example(slope=Slope(1, 1), restriction="all", order=4, max_left=5, max_right=3)
+def test_bounce_table_formats_match_a_plain_rendering(
+    slope, restriction, order, max_left, max_right
+):
+    # the bounds fall below, at and above the order
+    args = (slope.alpha, slope.beta, restriction, order, max_left, max_right)
+    for fmt in ("table", "csv", "json"):
+        code, text = run(
+            "bounce-table", "--alpha", str(slope.alpha), "--beta", str(slope.beta),
+            "--restriction", restriction, "--order", str(order), "--max-left",
+            str(max_left), "--max-right", str(max_right), "--format", fmt,
+        )
+        assert code == 0
+        assert text == plain_table_rendering(fmt, *args), fmt
+
+
+BENCHMARK_OUTCOMES = json.loads((ROOT / "perfbench" / "outcomes.json").read_text())
+BENCHMARK_TABLES = sorted(key for key in BENCHMARK_OUTCOMES if key.startswith("bounce-table "))
+
+
+@pytest.mark.parametrize("key", BENCHMARK_TABLES, ids=lambda key: key[len("bounce-table "):])
+def test_benchmark_table_jobs_reproduce_their_recorded_digests(key):
+    # the benchmark's bounce-table jobs, in-process: argv is the key split on spaces
+    code, text = run(*key.split(" "))
+    record = BENCHMARK_OUTCOMES[key]
+    assert code == record["exit"]
+    assert hashlib.sha256(text.encode()).hexdigest() == record["sha256"]
 
 
 # ------------------------------------------------------------------- verify

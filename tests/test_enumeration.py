@@ -1,4 +1,5 @@
 import ast
+import enum
 import itertools
 import math
 from collections import Counter
@@ -152,6 +153,24 @@ def test_count_table_marginals_partition_all_paths():
     for cell, total in table_all.items():
         assert total == sum(t.get(cell, 0) for t in by_class)
     assert sum(table_all.values()) == binomial(12, 8)
+
+
+def test_profiles_hash_without_enum_hash(monkeypatch):
+    """Hashing a profile hashes its two steps; Step hashes by identity, so
+    the oracle never runs the Python-level Enum.__hash__."""
+    cases = [(Slope(1, 1), 5, True), (Slope(2, 1), 4, True), (Slope(2, 3), 2, False)]
+    expected = [enumerate_profiles(slope, k, crosses=crosses) for slope, k, crosses in cases]
+
+    def refuse(self):
+        raise AssertionError(f"Enum.__hash__ called on {self!r}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enum.Enum, "__hash__", refuse)
+        for (slope, k, crosses), before in zip(cases, expected):
+            profiles = enumerate_profiles(slope, k, crosses=crosses)
+            assert profiles == before
+            for restriction in Restriction:
+                assert count_table(profiles, restriction) == count_table(before, restriction)
 
 
 def test_transfer_count_matches_brute_force():
