@@ -1,92 +1,73 @@
-"""Exact enumeration of rational-slope lattice paths by bounce statistics."""
+"""Exact enumeration of rational-slope lattice paths by bounce statistics.
 
-from .beta_one import nhc_nrb_series, nhc_prefix_series, nhc_series, rational_dyck_series
-from .bounce import (
-    BounceTable,
-    bounce_free_ab,
-    bounce_free_prefix,
-    bounce_free_total,
-    bounce_table,
-    expand_marker_quotient,
-    g_b_series,
-    marker_cells,
-    no_left_bounce_total,
-    nrb_series,
-)
-from .closed_forms import (
-    AB_RESTRICTIONS,
-    NonIntegerCoefficient,
-    Restriction,
-    Slope,
-    Step,
-    binomial,
-    fuss_catalan,
-    g_ab_series,
-    g_prefix_series,
-    g_series,
-)
-from .enumeration import (
-    BounceProfile,
-    BudgetExceeded,
-    InvalidShape,
-    MalformedPath,
-    StepWord,
-    TwoRowShape,
-    classify,
-    count_matching,
-    count_table,
-    enumerate_profiles,
-    enumerate_syt,
-)
-from .series import (
-    NonUnitConstantTerm,
-    NonzeroConstantTerm,
-    Series,
-    SeriesError,
-    ValuationMismatch,
-)
+Each public name is imported from its layer module when first read (PEP 562),
+so ``import bouncepaths`` loads no layer, and a command line job compiles only
+the modules its command runs.
+"""
 
-__all__ = [
-    "AB_RESTRICTIONS",
-    "BounceProfile",
-    "BounceTable",
-    "BudgetExceeded",
-    "InvalidShape",
-    "MalformedPath",
-    "NonIntegerCoefficient",
-    "NonUnitConstantTerm",
-    "NonzeroConstantTerm",
-    "Restriction",
-    "Series",
-    "SeriesError",
-    "Slope",
-    "Step",
-    "StepWord",
-    "TwoRowShape",
-    "ValuationMismatch",
-    "binomial",
-    "bounce_free_ab",
-    "bounce_free_prefix",
-    "bounce_free_total",
-    "bounce_table",
-    "classify",
-    "count_matching",
-    "count_table",
-    "enumerate_profiles",
-    "enumerate_syt",
-    "expand_marker_quotient",
-    "fuss_catalan",
-    "g_ab_series",
-    "g_b_series",
-    "g_prefix_series",
-    "g_series",
-    "marker_cells",
-    "nhc_nrb_series",
-    "nhc_prefix_series",
-    "nhc_series",
-    "no_left_bounce_total",
-    "nrb_series",
-    "rational_dyck_series",
-]
+_EXPORTS = {
+    "beta_one": ("nhc_nrb_series", "nhc_prefix_series", "nhc_series", "rational_dyck_series"),
+    "bounce": (
+        "BounceTable",
+        "bounce_free_ab",
+        "bounce_free_prefix",
+        "bounce_free_total",
+        "bounce_table",
+        "expand_marker_quotient",
+        "g_b_series",
+        "marker_cells",
+        "no_left_bounce_total",
+        "nrb_series",
+    ),
+    "closed_forms": (
+        "AB_RESTRICTIONS",
+        "NonIntegerCoefficient",
+        "Restriction",
+        "Slope",
+        "Step",
+        "binomial",
+        "fuss_catalan",
+        "g_ab_series",
+        "g_prefix_series",
+        "g_series",
+    ),
+    "enumeration": (
+        "BounceProfile",
+        "BudgetExceeded",
+        "InvalidShape",
+        "MalformedPath",
+        "StepWord",
+        "TwoRowShape",
+        "classify",
+        "count_matching",
+        "count_table",
+        "enumerate_profiles",
+        "enumerate_syt",
+    ),
+    "series": (
+        "NonUnitConstantTerm",
+        "NonzeroConstantTerm",
+        "Series",
+        "SeriesError",
+        "ValuationMismatch",
+    ),
+}
+_LAYER = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_LAYER)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _LAYER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement's path, which -X importtime reports
+    layer = __import__(f"{__name__}.{_LAYER[name]}", fromlist=[name])
+    value = getattr(layer, name)
+    globals()[name] = value  # later reads find it without this call
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -8,7 +8,6 @@ module counts paths by their horizontal crosses, and the rational Dyck
 paths among them.
 """
 
-from .bounce import _g_parts
 from .closed_forms import Restriction, Slope, _exact, binomial, fuss_catalan
 from .series import Series
 
@@ -18,6 +17,8 @@ def nhc_series(alpha: int, restriction: Restriction, order: int) -> Series:
     for EN and NE."""
     if restriction not in (Restriction.EE, Restriction.EN, Restriction.NE):
         raise ValueError("horizontal crosses are tracked for EE, EN and NE paths")
+    from .bounce import _g_parts  # the other series here need only c_alpha
+
     _, g_ee, g_en, _ = _g_parts(Slope(alpha, 1), order)
     numerator = g_ee if restriction is Restriction.EE else g_en
     return numerator.div(1 + g_ee)

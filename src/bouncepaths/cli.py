@@ -3,29 +3,15 @@
 Output is deterministic for a fixed invocation; table rows are emitted with
 the left index ascending, then the right index.  Integer values in JSON are
 decimal strings so that consumers without big integers stay exact.
-Start-up imports only argparse and the computing layers; json is imported
-by the commands that print it.
+Start-up imports only argparse and the closed forms with the series ring
+they build on.  Each command imports the other layers it runs, and json
+when it prints JSON, so a job compiles only the modules its command uses.
 """
 
 import argparse
 import sys
 from operator import add
 
-from .beta_one import (
-    nhc_nrb_series,
-    nhc_prefix_series,
-    nhc_series,
-    rational_dyck_series,
-)
-from .bounce import (
-    bounce_free_ab,
-    bounce_free_prefix,
-    bounce_free_total,
-    bounce_table,
-    g_b_series,
-    no_left_bounce_total,
-    nrb_series,
-)
 from .closed_forms import (
     AB_RESTRICTIONS,
     Restriction,
@@ -36,7 +22,6 @@ from .closed_forms import (
     g_prefix_series,
     g_series,
 )
-from .enumeration import MAX_STEPS, BudgetExceeded
 
 FORMATS = ("table", "csv", "json", "oeis-bfile")
 # coefficients a bounce-table may list, (max_left+1)(max_right+1) * order, at
@@ -71,25 +56,31 @@ def _require(requirement, slope: Slope, what: str):
 
 
 # A builder(s, a) returns the series for the validated Slope s and the parsed
-# arguments a.  Builders look layer functions up by their module-level names
-# when called, so a wrapper bound to those names later (a tracer, a test
-# double) sees the call.
+# arguments a.  Builders look layer functions up when called: the closed forms
+# by this module's names, the bounce and beta = 1 series on their module,
+# which the first builder that needs it imports.  So a job loads no layer its
+# series does not use, and a wrapper bound to those names later (a tracer, a
+# test double) sees the call.
+
+
+def _layer(name: str):
+    # __import__ takes the path of an import statement, which -X importtime
+    # reports; importlib.import_module does not
+    return getattr(__import__(__package__, fromlist=[name]), name)
 
 
 def _g_ab(r: Restriction):
     return lambda s, a: g_ab_series(s, r.first, r.last, a.order)
 
 
-def _f_ab(r: Restriction):
-    return lambda s, a: bounce_free_ab(s, r, a.order)
+def _bounce(function: str, *fixed):
+    """The builder of bounce.<function>(slope, *fixed, order)."""
+    return lambda s, a: getattr(_layer("bounce"), function)(s, *fixed, a.order)
 
 
-def _nrb(r: Restriction):
-    return lambda s, a: nrb_series(s, r, a.order)
-
-
-def _nhc(r: Restriction):
-    return lambda s, a: nhc_series(s.alpha, r, a.order)
+def _beta_one(function: str, *fixed):
+    """The builder of beta_one.<function>(alpha, *fixed, order)."""
+    return lambda s, a: getattr(_layer("beta_one"), function)(s.alpha, *fixed, a.order)
 
 
 # name -> (slope requirement, builder)
@@ -99,17 +90,17 @@ SERIES = {
     "g_estar": (ANY_SLOPE, lambda s, a: g_prefix_series(s, Step.E, a.order)),
     "g_nstar": (ANY_SLOPE, lambda s, a: g_prefix_series(s, Step.N, a.order)),
     "c_alpha": (BETA1, lambda s, a: fuss_catalan(s.alpha, a.order)),
-    "f": (ANY_SLOPE, lambda s, a: bounce_free_total(s, a.order)),
-    **{f"f_{r.value}": (ANY_SLOPE, _f_ab(r)) for r in AB_RESTRICTIONS},
-    "f_estar": (ANY_SLOPE, lambda s, a: bounce_free_prefix(s, Step.E, a.order)),
-    "f_nstar": (ANY_SLOPE, lambda s, a: bounce_free_prefix(s, Step.N, a.order)),
-    **{f"nrb_{r.value}": (ANY_SLOPE, _nrb(r)) for r in NRB_RESTRICTIONS},
-    "nlb": (ANY_SLOPE, lambda s, a: no_left_bounce_total(s, a.order)),
-    "g_b": (DIAGONAL, lambda s, a: g_b_series(a.bounces or 0, a.order)),
-    **{f"nhc_{r.value}": (BETA1, _nhc(r)) for r in NHC_RESTRICTIONS},
-    "h": (BETA1, lambda s, a: nhc_prefix_series(s.alpha, a.order)),
-    "H": (BETA1, lambda s, a: nhc_nrb_series(s.alpha, a.order)),
-    "H_ne": (BETA1, lambda s, a: rational_dyck_series(s.alpha, a.order)),
+    "f": (ANY_SLOPE, _bounce("bounce_free_total")),
+    **{f"f_{r.value}": (ANY_SLOPE, _bounce("bounce_free_ab", r)) for r in AB_RESTRICTIONS},
+    "f_estar": (ANY_SLOPE, _bounce("bounce_free_prefix", Step.E)),
+    "f_nstar": (ANY_SLOPE, _bounce("bounce_free_prefix", Step.N)),
+    **{f"nrb_{r.value}": (ANY_SLOPE, _bounce("nrb_series", r)) for r in NRB_RESTRICTIONS},
+    "nlb": (ANY_SLOPE, _bounce("no_left_bounce_total")),
+    "g_b": (DIAGONAL, lambda s, a: _layer("bounce").g_b_series(a.bounces or 0, a.order)),
+    **{f"nhc_{r.value}": (BETA1, _beta_one("nhc_series", r)) for r in NHC_RESTRICTIONS},
+    "h": (BETA1, _beta_one("nhc_prefix_series")),
+    "H": (BETA1, _beta_one("nhc_nrb_series")),
+    "H_ne": (BETA1, _beta_one("rational_dyck_series")),
 }
 
 SERIES_NAMES = ", ".join(SERIES)
@@ -157,6 +148,8 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
 
 
 def cmd_bounce_table(args: argparse.Namespace, out) -> int:
+    from . import bounce
+
     slope = _slope_and_order(args)
     max_left = args.max_left if args.max_left is not None else args.order - 1
     max_right = args.max_right if args.max_right is not None else args.order - 1
@@ -171,7 +164,7 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
             f"{limit}; lower --order, --max-left or --max-right"
         )
     restriction = Restriction(args.restriction)
-    table = bounce_table(slope, restriction, max_left, max_right, args.order)
+    table = bounce.bounce_table(slope, restriction, max_left, max_right, args.order)
     # the mirrored cells of a symmetric table are one Series, and so are its
     # zero cells: each distinct cell is rendered once, from its first nonzero
     # coefficient on, after a slice of one rendering of the zero coefficients
@@ -214,16 +207,19 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     return 0
 
 
-# (smallest, largest) value of each verify option: below the smallest a suite
-# compares nothing, above the largest it would exceed the oracle's budget.
-# syt and total-bounces, the suites that take --n-max, walk diagonal paths of
-# 2n steps.
-VERIFY_BOUNDS = {
-    "count": (1, None), "order": (1, None), "alpha_max": (1, None),
-    "n_max": (1, MAX_STEPS // 2),
-    "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
-    "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),
-}
+def verify_bounds() -> dict:
+    """(smallest, largest) value of each verify option: below the smallest a
+    suite compares nothing, above the largest it would exceed the oracle's
+    budget.  syt and total-bounces, the suites that take --n-max, walk
+    diagonal paths of 2n steps."""
+    from .enumeration import MAX_STEPS
+
+    return {
+        "count": (1, None), "order": (1, None), "alpha_max": (1, None),
+        "n_max": (1, MAX_STEPS // 2),
+        "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
+        "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),
+    }
 
 
 def _flag(key: str) -> str:
@@ -242,24 +238,29 @@ def _parameters(suite) -> tuple[str, ...]:
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     from . import verify as verification  # only verify needs the suites
+    from .enumeration import BudgetExceeded
 
     if (args.alpha is None) != (args.beta is None):
         raise CliError("--alpha and --beta select one slope; give both or neither")
     if args.alpha is not None:
         Slope(args.alpha, args.beta)  # rejects a non-coprime pair
-    names = args.suite or list(verification.SUITES)
-    unknown = [n for n in names if n not in verification.SUITES]
+    suites = verification.SUITES
+    if not args.suite or not suites.keys() >= set(args.suite):
+        from . import identities  # the other suites, and the order of all
+
+        suites = identities.all_suites()
+    names = args.suite or list(suites)
+    unknown = [n for n in names if n not in suites]
     if unknown:
         raise CliError(
-            f"unknown suite(s) {', '.join(unknown)}; "
-            f"available: {', '.join(verification.SUITES)}"
+            f"unknown suite(s) {', '.join(unknown)}; available: {', '.join(suites)}"
         )
     options = {
         key: value
         for key, value in vars(args).items()
         if key not in ("command", "suite") and value is not None
     }
-    for key, (minimum, maximum) in VERIFY_BOUNDS.items():
+    for key, (minimum, maximum) in verify_bounds().items():
         if key not in options:
             continue
         if options[key] < minimum:
@@ -267,7 +268,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         if maximum is not None and options[key] > maximum:
             raise CliError(f"{_flag(key)} must be at most {maximum}, got {options[key]}")
     # each suite takes the options its signature names
-    accepted = {name: _parameters(verification.SUITES[name]) for name in names}
+    accepted = {name: _parameters(suites[name]) for name in names}
     unused = [key for key in options if not any(key in a for a in accepted.values())]
     if unused:
         raise CliError(
@@ -279,8 +280,10 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         kwargs = {key: value for key, value in options.items() if key in accepted[name]}
         print(f"suite {name}:", file=out)
         try:
-            results = verification.SUITES[name](**kwargs)
-        except (BudgetExceeded, MemoryError):  # the request's size, reported by main
+            results = suites[name](**kwargs)
+        except BudgetExceeded as exc:  # the request's size, one error line
+            raise CliError(str(exc)) from None
+        except MemoryError:  # reported by main
             raise
         except Exception as exc:  # a broken formula fails its suite, not the run
             detail = f"{type(exc).__name__}: {exc}"
@@ -361,7 +364,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if args.command == "bounce-table":
             return cmd_bounce_table(args, out)
         return cmd_verify(args, out)
-    except (CliError, ValueError, BudgetExceeded) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # its message is empty

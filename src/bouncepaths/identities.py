@@ -1,0 +1,722 @@
+"""Identity suites: every closed form against its alternative formulas.
+
+The library computes each series by one production formula.  The
+alternative formulas the suites hold it against are defined here, beside
+the suites that call them: the closed-form cell sums of the bounce table,
+and the beta = 1 and Fuss-Catalan forms of the bounce-free series.  The
+suites report through the check record and comparison helpers of
+:mod:`bouncepaths.verify`.
+
+``SUITES`` holds these nine suites; ``verify.SUITES`` holds the four that
+compare against enumeration.  Only the ``verify`` command imports this
+module, and only when it runs an identity suite, runs every suite, or is
+given a suite name neither registry holds.
+"""
+
+import random
+
+from . import verify
+from .beta_one import nhc_nrb_series, nhc_prefix_series
+from .bounce import (
+    _g_parts,
+    _marker_grids,
+    _marker_value,
+    bounce_free_ab,
+    bounce_free_prefix,
+    bounce_free_total,
+    bounce_table,
+    expand_marker_quotient,
+    marker_cells,
+    no_left_bounce_total,
+    nrb_series,
+)
+from .closed_forms import (
+    AB_RESTRICTIONS,
+    Restriction,
+    Slope,
+    Step,
+    binomial,
+    fuss_catalan,
+    g_ab_series,
+    g_series,
+)
+from .series import Series
+from .verify import CheckResult, _coeff_grid, _grid_equal, _series_equal, coprime_slopes
+
+
+def _slope_range(alpha, beta, max_slope_sum):
+    if alpha is not None and beta is not None:
+        return [Slope(alpha, beta)]
+    return coprime_slopes(max_slope_sum)
+
+
+# ----------------------------------------------------------- fixed sequences
+
+REFERENCE_SEQUENCES = {
+    # slope (2, 1), bounce-free EE- and EN-paths through x^8
+    # (the OEIS pair A000259/A000305)
+    "f_ee(2,1)": (1, 4, 18, 89, 466, 2537, 14209, 81316),
+    "f_en(2,1)": (1, 3, 13, 63, 326, 1761, 9808, 55895),
+    # alpha = 2: E-start, crossless, no right bounces through x^8 (OEIS A046646)
+    "H(2)": (2, 6, 24, 110, 546, 2856, 15504, 86526),
+}
+
+
+def suite_reference_series() -> list[CheckResult]:
+    """The published reference sequences reproduced exactly."""
+    results = []
+    slope = Slope(2, 1)
+    results.append(
+        _series_equal(
+            "reference f_ee(2,1) through x^8",
+            bounce_free_ab(slope, Restriction.EE, 8),
+            Series((0,) + REFERENCE_SEQUENCES["f_ee(2,1)"]),
+        )
+    )
+    results.append(
+        _series_equal(
+            "reference f_en(2,1) through x^8",
+            bounce_free_ab(slope, Restriction.EN, 8),
+            Series((0,) + REFERENCE_SEQUENCES["f_en(2,1)"]),
+        )
+    )
+    results.append(
+        _series_equal(
+            "reference H(2) through x^8",
+            nhc_nrb_series(2, 8),
+            Series((0,) + REFERENCE_SEQUENCES["H(2)"]),
+        )
+    )
+    return results
+
+
+# -------------------------------------------------------------- series ring
+
+
+def _random_series(rng: random.Random, order: int | None = None) -> Series:
+    if order is None:
+        order = rng.randint(0, 8)
+    return Series(tuple(rng.randint(-9, 9) for _ in range(order + 1)))
+
+
+def suite_ring(count: int = 1000, seed: int = 20260809) -> list[CheckResult]:
+    """Ring axioms, inverse round trips and truncation consistency on
+    randomized small-coefficient inputs."""
+    rng = random.Random(seed)
+    for i in range(count):
+        order = rng.randint(0, 8)
+        a = _random_series(rng, order)
+        b = _random_series(rng, order)
+        c = _random_series(rng, order)
+        if (a + b) + c != a + (b + c):
+            return [CheckResult("ring axioms", False, f"add assoc, input {i}")]
+        if a * b != b * a:
+            return [CheckResult("ring axioms", False, f"mul comm, input {i}")]
+        if (a * b) * c != a * (b * c):
+            return [CheckResult("ring axioms", False, f"mul assoc, input {i}")]
+        if a * (b + c) != a * b + a * c:
+            return [CheckResult("ring axioms", False, f"distributivity, input {i}")]
+        if a * a != a * Series(a.coeffs):
+            # a square takes its own path; an equal copy takes the general one
+            return [CheckResult("ring axioms", False, f"square, input {i}")]
+
+        unit = Series((rng.choice((1, -1)),) + a.coeffs[1:])
+        if unit * unit.reciprocal() != Series.one(order):
+            return [CheckResult("ring axioms", False, f"reciprocal, input {i}")]
+        if (a * unit).div(unit) != a:
+            return [CheckResult("ring axioms", False, f"div round trip, input {i}")]
+
+        m = rng.randint(0, order)
+        if (a * b).truncate(m) != a.truncate(m) * b.truncate(m):
+            return [CheckResult("ring axioms", False, f"truncation, input {i}")]
+    return [CheckResult(f"ring axioms on {count} randomized inputs", True)]
+
+
+# -------------------------------------------------------------- closed forms
+
+
+def suite_base_counts(
+    alpha: int | None = None,
+    beta: int | None = None,
+    order: int = 12,
+    max_slope_sum: int = 8,
+) -> list[CheckResult]:
+    """Identities of the binomial path counts themselves, each g_ab against
+    its own binomial C((alpha+beta)k - 2, alpha*k + shift), and g against
+    C((alpha+beta)k, alpha*k): the library derives g_ab from g, so the two
+    identities hold by construction, and steps g by an exact ratio."""
+    results = []
+    for slope in _slope_range(alpha, beta, max_slope_sum):
+        g = g_series(slope, order)
+        g_ee = g_ab_series(slope, Step.E, Step.E, order)
+        g_en = g_ab_series(slope, Step.E, Step.N, order)
+        g_nn = g_ab_series(slope, Step.N, Step.N, order)
+        results.append(
+            _series_equal(
+                f"beta*(E-start) = alpha*(N-start) for {slope.alpha}/{slope.beta}",
+                slope.beta * (g_ee + g_en),
+                slope.alpha * (g_nn + g_en),
+                context=f"slope=({slope.alpha},{slope.beta})",
+            )
+        )
+        results.append(
+            _series_equal(
+                f"g splits by first/last step for {slope.alpha}/{slope.beta}",
+                g_ee + 2 * g_en + g_nn,
+                g,
+                context=f"slope=({slope.alpha},{slope.beta})",
+            )
+        )
+        a, b = slope.alpha, slope.beta
+        for r in AB_RESTRICTIONS:
+            # each east boundary step leaves one east move fewer to place
+            shift = -(r.first is Step.E) - (r.last is Step.E)
+            direct = Series(
+                tuple(
+                    binomial((a + b) * k - 2, a * k + shift) if k else 0
+                    for k in range(order + 1)
+                )
+            )
+            check = _series_equal(
+                f"g_ab matches its binomial for {a}/{b}",
+                g_ab_series(slope, r.first, r.last, order),
+                direct,
+                context=f"slope=({a},{b}) {r.value}",
+            )
+            if not check.passed:
+                break
+        results.append(check)
+        binomials = (binomial((a + b) * k, a * k) if k else 0 for k in range(order + 1))
+        results.append(
+            _series_equal(
+                f"g matches its binomial for {a}/{b}",
+                g,
+                Series(tuple(binomials)),
+                context=f"slope=({a},{b})",
+            )
+        )
+    return results
+
+
+def suite_fuss_catalan(alpha_max: int = 5, order: int = 12) -> list[CheckResult]:
+    """c = 1 + x*c^(alpha+1) for every alpha."""
+    results = []
+    x = Series.x(order)
+    for alpha in range(1, alpha_max + 1):
+        c = fuss_catalan(alpha, order)
+        results.append(
+            _series_equal(
+                f"functional equation for c_{alpha}",
+                1 + x * c ** (alpha + 1),
+                c,
+                context=f"alpha={alpha}",
+            )
+        )
+    return results
+
+
+# ---------------------------------------------------- closed-form cell sums
+
+
+def _bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Series]:
+    """(f_ee, f_en, f_nn) from one pair of grids."""
+    grids = _marker_grids(slope, order)
+    return tuple(
+        _marker_value(grids, (r,), 0, 0)
+        for r in (Restriction.EE, Restriction.EN, Restriction.NN)
+    )
+
+
+def one_sided_bounce_series(slope: Slope, side: str, count: int, order: int) -> Series:
+    """Paths with exactly ``count`` bounces on one side and none on the other.
+
+    For ``count = m >= 1`` this is the product of a bounce-free prefix, m - 1
+    bounce-free EN/NE bridges, and a bounce-free suffix; the two sides give
+    the same series because the bridge factor is shared.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if count < 1:
+        raise ValueError("count must be at least 1; use bounce_free_total for 0")
+    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
+    start_e, start_n = f_ee + f_en, f_nn + f_en
+    if side == "left":
+        return start_e * f_en ** (count - 1) * start_n
+    return start_n * f_en ** (count - 1) * start_e
+
+
+def b_lr_closed_form(slope: Slope, left: int, right: int, order: int) -> Series:
+    """Paths with exactly ``left`` and ``right`` bounces, both at least 1.
+
+    Finite sum over the number i of maximal right-bounce runs, in four parts
+    according to whether the first and last bounces are left or right ones.
+    Terms whose binomial weight vanishes are skipped, which also keeps every
+    exponent non-negative.
+    """
+    if left < 1 or right < 1:
+        raise ValueError("both bounce counts must be at least 1")
+    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
+    start_e = f_ee + f_en
+    start_n = f_nn + f_en
+    ee_nn = f_ee * f_nn
+
+    total = Series.zero(order)
+    for i in range(1, left):
+        w = binomial(left - 1, i) * binomial(right - 1, i - 1)
+        if w:
+            total = total + w * (
+                start_e * start_n * ee_nn**i * f_en ** (left + right - 2 * i - 1)
+            )
+    for i in range(1, left + 1):
+        w = binomial(left - 1, i - 1) * binomial(right - 1, i - 1)
+        if w:
+            shared = f_en ** (left + right - 2 * i)
+            total = total + w * (
+                start_e * start_e * f_ee ** (i - 1) * f_nn**i * shared
+            )
+            total = total + w * (
+                start_n * start_n * f_ee**i * f_nn ** (i - 1) * shared
+            )
+    for i in range(2, left + 2):
+        w = binomial(left - 1, i - 2) * binomial(right - 1, i - 1)
+        if w:
+            total = total + w * (
+                start_n * start_e * ee_nn ** (i - 1) * f_en ** (left + right - 2 * i + 1)
+            )
+    return total
+
+
+def bounce_table_from_closed_forms(
+    slope: Slope, max_left: int, max_right: int, order: int
+) -> list[list[Series]]:
+    """Unrestricted bounce grid assembled entry by entry from closed forms.
+
+    Entry (0, 0) is the bounce-free series, the axes come from the one-sided
+    products, and the interior from :func:`b_lr_closed_form`.  Used to
+    cross-check :func:`bounce_table`.
+    """
+    grid: list[list[Series]] = []
+    for l in range(max_left + 1):
+        row = []
+        for r in range(max_right + 1):
+            if l == 0 and r == 0:
+                row.append(bounce_free_total(slope, order))
+            elif r == 0:
+                row.append(one_sided_bounce_series(slope, "left", l, order))
+            elif l == 0:
+                row.append(one_sided_bounce_series(slope, "right", r, order))
+            else:
+                row.append(b_lr_closed_form(slope, l, r, order))
+        grid.append(row)
+    return grid
+
+
+# --------------------------------------------------------- bounce-free forms
+
+
+def suite_bounce_free(
+    alpha: int | None = None,
+    beta: int | None = None,
+    order: int = 12,
+    max_slope_sum: int = 7,
+) -> list[CheckResult]:
+    """Internal consistency of the bounce-free machinery."""
+    results = []
+    for slope in _slope_range(alpha, beta, max_slope_sum):
+        tag = f"({slope.alpha},{slope.beta})"
+        g_ee = g_ab_series(slope, Step.E, Step.E, order)
+        g_en = g_ab_series(slope, Step.E, Step.N, order)
+        g_nn = g_ab_series(slope, Step.N, Step.N, order)
+        f_ee = bounce_free_ab(slope, Restriction.EE, order)
+        f_en = bounce_free_ab(slope, Restriction.EN, order)
+        f_nn = bounce_free_ab(slope, Restriction.NN, order)
+
+        results.append(
+            _series_equal(
+                f"bounce determinant matches g_en^2 - g_ee*g_nn {tag}",
+                marker_cells(slope, Restriction.ALL, order)[1][(1, 1)],
+                g_en * g_en - g_ee * g_nn,
+                context=tag,
+            )
+        )
+        results.append(
+            _series_equal(
+                f"no-right-bounce EN dual form {tag}",
+                f_en + (f_ee * f_nn).div(1 - f_en),
+                nrb_series(slope, Restriction.EN, order),
+                context=tag,
+            )
+        )
+        results.append(
+            _series_equal(
+                f"reciprocal of 1 - f_en {tag}",
+                (1 - f_en).reciprocal(),
+                ((1 + g_en) ** 2 - g_ee * g_nn).div(1 + g_en),
+                context=tag,
+            )
+        )
+        results.append(
+            _series_equal(
+                f"one-sided sum equals no-left-bounce total {tag}",
+                _one_sided_total(slope, order),
+                no_left_bounce_total(slope, order),
+                context=tag,
+            )
+        )
+        results.append(
+            _series_equal(
+                f"bounce-free splits by first/last step {tag}",
+                f_ee + 2 * f_en + f_nn,
+                bounce_free_total(slope, order),
+                context=tag,
+            )
+        )
+
+        # marker form over bounce-free series vs the one over raw counts
+        delta_f = f_en * f_en - f_ee * f_nn
+        numerator = {
+            (0, 0): bounce_free_total(slope, order),
+            (1, 0): -delta_f,
+            (0, 1): -delta_f,
+        }
+        denominator = {
+            (0, 0): Series.one(order),
+            (1, 0): -f_en,
+            (0, 1): -f_en,
+            (1, 1): delta_f,
+        }
+        grid = expand_marker_quotient(numerator, denominator, 3, 3)
+        table = bounce_table(slope, Restriction.ALL, 3, 3, order)
+        results.append(
+            _grid_equal(
+                f"bounce-free marker form matches count marker form {tag}",
+                _coeff_grid(table.entries),
+                _coeff_grid(grid),
+                context=tag,
+            )
+        )
+
+        # swapping the slope components swaps the bounce sides
+        mirrored = slope.transpose()
+        for m in (1, 2, 3):
+            results.append(
+                _series_equal(
+                    f"left series of {tag} mirrors right series, {m} bounces",
+                    one_sided_bounce_series(slope, "left", m, order),
+                    one_sided_bounce_series(mirrored, "right", m, order),
+                    context=tag,
+                )
+            )
+    return results
+
+
+def _one_sided_total(slope: Slope, order: int) -> Series:
+    total = bounce_free_total(slope, order)
+    for m in range(1, order + 1):
+        total = total + one_sided_bounce_series(slope, "left", m, order)
+    return total
+
+
+def suite_specializations(
+    order: int = 12, max_slope_sum: int = 7
+) -> list[CheckResult]:
+    """Marker specializations: both markers 1 gives all paths, both 0 the
+    bounce-free ones, one of each the one-sided-free total."""
+    results = []
+    for slope in coprime_slopes(max_slope_sum):
+        tag = f"({slope.alpha},{slope.beta})"
+        bound = order - 1
+        table = bounce_table(slope, Restriction.ALL, bound, bound, order)
+        results.append(
+            _series_equal(
+                f"markers (1,1) give all paths {tag}",
+                table.sum_all(),
+                g_series(slope, order),
+                context=tag,
+            )
+        )
+        results.append(
+            _series_equal(
+                f"markers (0,0) give the bounce-free paths {tag}",
+                table.entry(0, 0),
+                bounce_free_total(slope, order),
+                context=tag,
+            )
+        )
+        axis_sum = Series.zero(order)
+        for r in range(bound + 1):
+            axis_sum = axis_sum + table.entry(0, r)
+        results.append(
+            _series_equal(
+                f"markers (0,1) give the no-left-bounce paths {tag}",
+                axis_sum,
+                no_left_bounce_total(slope, order),
+                context=tag,
+            )
+        )
+        for restriction in AB_RESTRICTIONS:
+            restricted = bounce_table(slope, restriction, bound, bound, order)
+            results.append(
+                _series_equal(
+                    f"markers (1,1) give all {restriction.value} paths {tag}",
+                    restricted.sum_all(),
+                    g_ab_series(slope, restriction.first, restriction.last, order),
+                    context=f"{tag} {restriction.value}",
+                )
+            )
+            results.append(
+                _series_equal(
+                    f"markers (0,0) give bounce-free {restriction.value} paths {tag}",
+                    restricted.entry(0, 0),
+                    bounce_free_ab(slope, restriction, order),
+                    context=f"{tag} {restriction.value}",
+                )
+            )
+    return results
+
+
+def suite_table_dual(
+    order: int = 12,
+    max_slope_sum: int = 6,
+    max_left: int = 4,
+    max_right: int = 4,
+) -> list[CheckResult]:
+    """Closed-form cell sums against the rational marker expansion."""
+    results = []
+    for slope in coprime_slopes(max_slope_sum):
+        tag = f"({slope.alpha},{slope.beta})"
+        expanded = bounce_table(slope, Restriction.ALL, max_left, max_right, order)
+        assembled = bounce_table_from_closed_forms(slope, max_left, max_right, order)
+        results.append(
+            _grid_equal(
+                f"closed forms match expansion {tag}",
+                _coeff_grid(expanded.entries),
+                _coeff_grid(assembled),
+                context=tag,
+            )
+        )
+    return results
+
+
+# ------------------------------------------------------ beta = 1 specializations
+
+
+def f_ab_via_fuss_catalan(alpha: int, restriction: Restriction, order: int) -> Series:
+    """Bounce-free path classes written in the Fuss-Catalan series c = c_alpha:
+
+        f_ee = (alpha*c - 1)(c - 1) / q,   f_nn = (c - 1)^2 / q,
+        f_en = f_ne = c(c - 1) / q,        q = (1-alpha)c^2 + (alpha+1)c - 1.
+    """
+    if restriction is Restriction.ALL:
+        raise ValueError("this series is defined per first/last step restriction")
+    c = fuss_catalan(alpha, order)
+    q = (1 - alpha) * c * c + (alpha + 1) * c - 1
+    if restriction is Restriction.EE:
+        numerator = (alpha * c - 1) * (c - 1)
+    elif restriction is Restriction.NN:
+        numerator = (c - 1) * (c - 1)
+    else:
+        numerator = c * (c - 1)
+    return numerator.div(q)
+
+
+def bounce_free_ab_beta1(alpha: int, restriction: Restriction, order: int) -> Series:
+    """Simplified bounce-free forms valid for beta = 1:
+
+        f_ee = g_ee / (1 + g - g_ee),   f_en = (g_nn + g_en) / (1 + g - g_ee),
+        f_nn = g_nn / (1 + g - g_ee).
+    """
+    if restriction is Restriction.ALL:
+        raise ValueError("this series is defined per first/last step restriction")
+    g, g_ee, g_en, g_nn = _g_parts(Slope(alpha, 1), order)
+    den = 1 + g - g_ee
+    numerators = {
+        Restriction.EE: g_ee,
+        Restriction.EN: g_nn + g_en,
+        Restriction.NE: g_nn + g_en,
+        Restriction.NN: g_nn,
+    }
+    return numerators[restriction].div(den)
+
+
+def bounce_table_beta1(
+    alpha: int, max_left: int, max_right: int, order: int
+) -> list[list[Series]]:
+    """Bounce grid from the simplified beta = 1 two-marker form
+
+        (g + (2-s-t) g_nn) / (1 + (2-s-t) g_en + (1-s)(1-t) g_nn).
+    """
+    g, _, g_en, g_nn = _g_parts(Slope(alpha, 1), order)
+    numerator = {(0, 0): g + 2 * g_nn, (1, 0): -g_nn, (0, 1): -g_nn}
+    denominator = {
+        (0, 0): 1 + 2 * g_en + g_nn,
+        (1, 0): -(g_en + g_nn),
+        (0, 1): -(g_en + g_nn),
+        (1, 1): g_nn,
+    }
+    return expand_marker_quotient(numerator, denominator, max_left, max_right)
+
+
+def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
+    """The unit-rise identities and simplified forms."""
+    results = []
+    for alpha in range(1, alpha_max + 1):
+        slope = Slope(alpha, 1)
+        tag = f"alpha={alpha}"
+        g_ee = g_ab_series(slope, Step.E, Step.E, order)
+        g_en = g_ab_series(slope, Step.E, Step.N, order)
+        g_nn = g_ab_series(slope, Step.N, Step.N, order)
+        results.append(
+            _series_equal(
+                f"g_ee = alpha*g_nn + (alpha-1)*g_en ({tag})",
+                g_ee,
+                alpha * g_nn + (alpha - 1) * g_en,
+                context=tag,
+            )
+        )
+        results.append(
+            _series_equal(
+                f"g_en^2 - g_ee*g_nn = g_nn ({tag})",
+                g_en * g_en - g_ee * g_nn,
+                g_nn,
+                context=tag,
+            )
+        )
+        results.append(
+            _series_equal(
+                f"h closed form = (g_ee+g_en)/(1+g_ee) ({tag})",
+                nhc_prefix_series(alpha, order),
+                (g_ee + g_en).div(1 + g_ee),
+                context=tag,
+            )
+        )
+        f_ee = bounce_free_ab(slope, Restriction.EE, order)
+        f_en = bounce_free_ab(slope, Restriction.EN, order)
+        f_nn = bounce_free_ab(slope, Restriction.NN, order)
+        results.append(
+            _series_equal(
+                f"f_ee = f_nn + (alpha-1)*f_en ({tag})",
+                f_ee,
+                f_nn + (alpha - 1) * f_en,
+                context=tag,
+            )
+        )
+        for restriction, general in (
+            (Restriction.EE, f_ee),
+            (Restriction.EN, f_en),
+            (Restriction.NN, f_nn),
+        ):
+            results.append(
+                _series_equal(
+                    f"simplified f_{restriction.value} ({tag})",
+                    bounce_free_ab_beta1(alpha, restriction, order),
+                    general,
+                    context=tag,
+                )
+            )
+            results.append(
+                _series_equal(
+                    f"Fuss-Catalan f_{restriction.value} ({tag})",
+                    f_ab_via_fuss_catalan(alpha, restriction, order),
+                    general,
+                    context=tag,
+                )
+            )
+        bound = order - 1  # no path of semilength <= order has more bounces
+        simplified = bounce_table_beta1(alpha, bound, bound, order)
+        general_table = bounce_table(slope, Restriction.ALL, bound, bound, order)
+        results.append(
+            _grid_equal(
+                f"simplified marker form matches general table ({tag})",
+                _coeff_grid(general_table.entries),
+                _coeff_grid(simplified),
+                context=tag,
+            )
+        )
+    return results
+
+
+def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
+    """Diagonal-slope reductions through the Catalan series."""
+    results = []
+    slope = Slope(1, 1)
+    c = fuss_catalan(1, order)
+    x = Series.x(order)
+    xc = x * c
+    f_ee = bounce_free_ab(slope, Restriction.EE, order)
+    f_en = bounce_free_ab(slope, Restriction.EN, order)
+    f_nn = bounce_free_ab(slope, Restriction.NN, order)
+    results.append(
+        _series_equal("f_ee = f_nn on the diagonal", f_ee, f_nn)
+    )
+    results.append(
+        _series_equal(
+            "f_ee = (x*c^2 - x*c)/(1 + x*c)",
+            f_ee,
+            (xc * c - xc).div(1 + xc),
+        )
+    )
+    results.append(
+        _series_equal("f_en = x*c^2/(1 + x*c)", f_en, (xc * c).div(1 + xc))
+    )
+    results.append(
+        _series_equal(
+            "f = 2(c - 1)", bounce_free_total(slope, order), 2 * (c - 1)
+        )
+    )
+    results.append(
+        _series_equal(
+            "E-start times N-start bounce-free product is (c - 1)^2",
+            bounce_free_prefix(slope, Step.E, order)
+            * bounce_free_prefix(slope, Step.N, order),
+            (c - 1) * (c - 1),
+        )
+    )
+    # two-marker form written directly in x*c(x)
+    numerator = {(0, 0): 4 * xc - 2 * x, (1, 0): x - xc, (0, 1): x - xc}
+    denominator = {
+        (0, 0): 1 + x - xc,
+        (1, 0): -xc,
+        (0, 1): -xc,
+        (1, 1): xc - x,
+    }
+    grid = expand_marker_quotient(numerator, denominator, 4, 4)
+    table = bounce_table(slope, Restriction.ALL, 4, 4, order)
+    results.append(
+        _grid_equal(
+            "Catalan marker form matches general table",
+            _coeff_grid(table.entries),
+            _coeff_grid(grid),
+        )
+    )
+    return results
+
+
+SUITES = {
+    "reference-series": suite_reference_series,
+    "ring": suite_ring,
+    "base-counts": suite_base_counts,
+    "fuss-catalan": suite_fuss_catalan,
+    "bounce-free": suite_bounce_free,
+    "specializations": suite_specializations,
+    "table-dual": suite_table_dual,
+    "beta1": suite_beta1,
+    "catalan-slope": suite_catalan_slope,
+}
+
+# the suites of both registries in the order plain ``verify`` runs them
+ORDER = (
+    "reference-series", "ring", "base-counts", "fuss-catalan", "bounce-free",
+    "oracle-vs-table", "specializations", "table-dual", "beta1", "catalan-slope",
+    "total-bounces", "syt", "crosses",
+)
+
+
+def all_suites() -> dict:
+    """Both registries by name, in ``ORDER`` and then any other entry of
+    ``verify.SUITES``.  The oracle suites are read from ``verify.SUITES``
+    when this is called, so a wrapper bound there sees their calls."""
+    suites = dict.fromkeys(ORDER)
+    suites.update(SUITES)
+    suites.update(verify.SUITES)
+    return suites

@@ -10,14 +10,16 @@ import time
 from bouncepaths.beta_one import nhc_nrb_series
 from bouncepaths.bounce import bounce_free_ab
 from bouncepaths.closed_forms import Restriction, Slope
-from bouncepaths.verify import (
+from bouncepaths.identities import (
     suite_beta1,
-    suite_crosses,
-    suite_oracle_vs_table,
     suite_ring,
     suite_specializations,
-    suite_syt,
     suite_table_dual,
+)
+from bouncepaths.verify import (
+    suite_crosses,
+    suite_oracle_vs_table,
+    suite_syt,
     suite_total_bounces,
 )
 

@@ -11,13 +11,12 @@ from bouncepaths.bounce import bounce_free_ab, bounce_table
 from bouncepaths.closed_forms import NonIntegerCoefficient, Restriction, Slope, fuss_catalan
 from bouncepaths.enumeration import InvalidShape, TwoRowShape
 from bouncepaths.series import Series
-from bouncepaths.verify import (
-    _hook_length_count,
+from bouncepaths.identities import (
     bounce_free_ab_beta1,
     bounce_table_beta1,
     f_ab_via_fuss_catalan,
-    syt_two_row_count,
 )
+from bouncepaths.verify import _hook_length_count, syt_two_row_count
 
 
 def coeffs(series, start=1):

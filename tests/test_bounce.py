@@ -19,12 +19,12 @@ from bouncepaths.bounce import (
 from bouncepaths.closed_forms import Restriction, Slope, Step, g_ab_series, g_series
 from bouncepaths.enumeration import count_matching, count_table, enumerate_profiles
 from bouncepaths.series import Series
-from bouncepaths.verify import (
+from bouncepaths.identities import (
     b_lr_closed_form,
     bounce_table_from_closed_forms,
-    coprime_slopes,
     one_sided_bounce_series,
 )
+from bouncepaths.verify import coprime_slopes
 
 
 def coeffs(series, start=1):

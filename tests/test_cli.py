@@ -1,11 +1,12 @@
 import argparse
-import ast
 import contextlib
 import functools
 import hashlib
+import importlib
 import inspect
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bouncepaths
-from bouncepaths import cli, verify
+from bouncepaths import bounce, cli, identities, verify
 from bouncepaths.bounce import bounce_table
 from bouncepaths.closed_forms import Restriction, Slope
 from bouncepaths.enumeration import BudgetExceeded
@@ -254,6 +255,43 @@ def test_running_verify_leaves_inspect_unloaded():
     assert result.stdout == "0 False\n"
 
 
+LAYERS = {"cli", "closed_forms", "series"}  # what importing the cli loads
+ORACLE = LAYERS | {"beta_one", "bounce", "enumeration", "verify"}
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import bouncepaths", set()),
+    ("import bouncepaths.cli", LAYERS),
+    ("main(['coeffs', '--series', 'g', '--alpha', '3', '--beta', '2', '--order', '6'])",
+     LAYERS),
+    ("main(['coeffs', '--series', 'c_alpha', '--alpha', '2', '--order', '6'])", LAYERS),
+    ("main(['coeffs', '--series', 'H', '--alpha', '2', '--order', '6'])",
+     LAYERS | {"beta_one"}),
+    ("main(['bounce-table', '--alpha', '2', '--order', '4', '--format', 'csv'])",
+     LAYERS | {"bounce"}),
+    ("main(['verify', '--suite', 'syt', '--n-max', '3'])", ORACLE),
+    ("main(['verify', '--suite', 'ring', '--count', '3'])", ORACLE | {"identities"}),
+], ids=["package", "cli", "coeffs-g", "coeffs-c_alpha", "coeffs-H", "bounce-table",
+        "verify-syt", "verify-ring"])
+def test_each_command_loads_only_the_modules_it_runs(statement, loaded):
+    # a fresh interpreter that compiles from source, as each CLI job does
+    if statement.startswith("main("):
+        statement = (
+            "from bouncepaths.cli import main; "
+            f"assert {statement[:-1]}, out=io.StringIO()) == 0"
+        )
+    probe = (
+        f"import io, sys; sys.path.insert(0, sys.argv[1]); {statement}; "
+        "print(*sorted(m for m in sys.modules if m.startswith('bouncepaths.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert set(result.stdout.split()) == {f"bouncepaths.{name}" for name in loaded}
+
+
 def test_verify_reads_the_options_of_a_wrapped_suite(monkeypatch, capsys):
     # a tracer wraps the suites with functools.wraps; the options are the
     # wrapped function's
@@ -278,14 +316,21 @@ def test_verify_reads_the_options_of_a_wrapped_suite(monkeypatch, capsys):
 
 
 def test_package_exports_every_public_name_it_binds():
-    tree = ast.parse(Path(bouncepaths.__file__).read_text())
-    bound = set()
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            bound.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign):
-            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert set(bouncepaths.__all__) == {name for name in bound if not name.startswith("_")}
+    # the package reads each export from its layer on first access
+    layers = [importlib.import_module(f"bouncepaths.{name}") for name in
+              ("beta_one", "bounce", "closed_forms", "enumeration", "series")]
+    for name in bouncepaths.__all__:
+        value = getattr(bouncepaths, name)
+        # a class or function names its defining module; a constant does not
+        home = getattr(value, "__module__", None)
+        owners = [m for m in layers if m.__name__ == home] or [
+            m for m in layers if name in vars(m)
+        ]
+        assert owners and all(vars(m)[name] is value for m in owners), name
+    assert set(bouncepaths.__all__) <= set(dir(bouncepaths))
+    assert "__version__" in dir(bouncepaths)
+    with pytest.raises(AttributeError, match="'bouncepaths' has no attribute 'nope'"):
+        bouncepaths.nope
 
 
 def test_verify_rejects_options_no_selected_suite_takes(capsys):
@@ -325,7 +370,7 @@ def test_bounce_table_too_large_is_refused_before_any_work(monkeypatch, capsys):
     def refused(*args):
         raise AssertionError("the table was computed")
 
-    monkeypatch.setattr(cli, "bounce_table", refused)
+    monkeypatch.setattr(bounce, "bounce_table", refused)
     code, text = run("bounce-table", "--alpha", "1", "--order", "400", "--format", "csv")
     assert (code, text) == (1, "")
     assert capsys.readouterr().err == (
@@ -357,7 +402,7 @@ def test_bounce_table_limit_weighs_long_orders(monkeypatch, capsys):
     def admitted(*args):
         raise Admitted
 
-    monkeypatch.setattr(cli, "bounce_table", admitted)
+    monkeypatch.setattr(bounce, "bounce_table", admitted)
     narrow = ("--max-left", "0", "--max-right", "0", "--format", "csv")
     for order, limit in (("2000", 0), ("1000", 1), ("373", 371)):
         assert run("bounce-table", "--alpha", "1", "--order", order, *narrow) == (1, "")
@@ -450,6 +495,8 @@ SUBPARSERS = next(
     action for action in cli.build_parser()._actions
     if isinstance(action, argparse._SubParsersAction)
 ).choices
+SUITES = identities.all_suites()
+VERIFY_BOUNDS = cli.verify_bounds()
 
 
 def _option_values(action):
@@ -457,7 +504,7 @@ def _option_values(action):
         return st.sampled_from([*cli.SERIES, "nope"])
     if action.choices:
         return st.sampled_from([*action.choices, "nope"])
-    minimum, maximum = cli.VERIFY_BOUNDS.get(action.dest, (1, None))
+    minimum, maximum = VERIFY_BOUNDS.get(action.dest, (1, None))
     edges = {-1, 0, minimum - 1, minimum} | ({maximum + 1} if maximum is not None else set())
     return st.one_of(
         st.integers(minimum, minimum + 3).map(str),
@@ -471,15 +518,15 @@ def cli_argv(draw):
     argv = [command]
     taken = set()
     if command == "verify":
-        for name in draw(st.lists(st.sampled_from([*verify.SUITES, "nope"]),
+        for name in draw(st.lists(st.sampled_from([*SUITES, "nope"]),
                                   min_size=1, max_size=2)):
             argv += ["--suite", name]
-            if name in verify.SUITES:
-                taken.update(inspect.signature(verify.SUITES[name]).parameters)
+            if name in SUITES:
+                taken.update(inspect.signature(SUITES[name]).parameters)
     for action in SUBPARSERS[command]._actions:
         if not action.option_strings or action.dest in ("help", "suite"):
             continue
-        if command == "verify" and action.dest in cli.VERIFY_BOUNDS:
+        if command == "verify" and action.dest in VERIFY_BOUNDS:
             give = action.dest in taken or draw(st.integers(0, 29)) == 0
         elif action.required:
             give = draw(st.integers(0, 19)) > 0

@@ -1,15 +1,13 @@
+import io
+import sys
+import types
+
 import pytest
 
-from bouncepaths import bounce, verify
+from bouncepaths import bounce, cli, identities, verify
 from bouncepaths.closed_forms import Slope, Step
 from bouncepaths.enumeration import enumerate_profiles
-from bouncepaths.series import Series
-from bouncepaths.verify import (
-    SUITES,
-    CheckResult,
-    _grid_equal,
-    _series_equal,
-    coprime_slopes,
+from bouncepaths.identities import (
     suite_base_counts,
     suite_bounce_free,
     suite_catalan_slope,
@@ -17,6 +15,17 @@ from bouncepaths.verify import (
     suite_reference_series,
     suite_ring,
 )
+from bouncepaths.series import Series
+from bouncepaths.verify import SUITES, CheckResult, _grid_equal, _series_equal, coprime_slopes
+
+# the suites of plain ``verify``, in the order it has always run them
+PLAIN_VERIFY_ORDER = [
+    "reference-series", "ring", "base-counts", "fuss-catalan", "bounce-free",
+    "oracle-vs-table", "specializations", "table-dual", "beta1", "catalan-slope",
+    "total-bounces", "syt", "crosses",
+]
+# the suites the benchmark's tracer wraps by name in verify.SUITES
+ORACLE_SUITES = ("oracle-vs-table", "total-bounces", "syt", "crosses")
 
 
 def test_coprime_slopes():
@@ -50,7 +59,7 @@ def test_grid_equal_reports_first_mismatching_cell():
         (verify.suite_crosses, "nhc_nrb_series",
          dict(alpha_max=1, max_steps=4, order=6),
          "three crossless no-right-bounce forms agree (alpha=1)"),
-        (verify.suite_beta1, "nhc_prefix_series", dict(alpha_max=1, order=6),
+        (identities.suite_beta1, "nhc_prefix_series", dict(alpha_max=1, order=6),
          "h closed form = (g_ee+g_en)/(1+g_ee) (alpha=1)"),
         (verify.suite_total_bounces, "g_b_series", dict(b_max=1, n_max=6),
          "coefficient formula for 0 total bounces"),
@@ -60,15 +69,17 @@ def test_grid_equal_reports_first_mismatching_cell():
         (verify.suite_total_bounces, "g_b_series", dict(b_max=1, n_max=6),
          "enumeration matches for 0 total bounces"),
         # x^6 of g for 3/2 lies past the switch from binomial to stepping
-        (verify.suite_base_counts, "g_series", dict(alpha=3, beta=2, order=8),
+        (identities.suite_base_counts, "g_series", dict(alpha=3, beta=2, order=8),
          "g matches its binomial for 3/2"),
     ],
 )
 def test_cross_checks_catch_a_wrong_production_formula(
     monkeypatch, suite, production, kwargs, failing
 ):
-    original = getattr(verify, production)
-    monkeypatch.setattr(verify, production, lambda *args: original(*args) + Series.x(6))
+    # the suite looks the production formula up in the module that defines it
+    module = sys.modules[suite.__module__]
+    original = getattr(module, production)
+    monkeypatch.setattr(module, production, lambda *args: original(*args) + Series.x(6))
     failed = [r.name for r in suite(**kwargs) if not r.passed]
     assert failing in failed
 
@@ -89,7 +100,7 @@ def test_base_counts_single_slope():
 
 def test_base_counts_catch_a_g_ab_that_keeps_both_identities(monkeypatch):
     # +x^6 on EE and NN, -x^6 on EN: both identities still hold
-    original = verify.g_ab_series
+    original = identities.g_ab_series
     shift = {(Step.E, Step.E): 1, (Step.N, Step.N): 1, (Step.E, Step.N): -1}
 
     def skewed(slope, first, last, order):
@@ -97,7 +108,7 @@ def test_base_counts_catch_a_g_ab_that_keeps_both_identities(monkeypatch):
             Series.x(order) ** 6
         )
 
-    monkeypatch.setattr(verify, "g_ab_series", skewed)
+    monkeypatch.setattr(identities, "g_ab_series", skewed)
     results = suite_base_counts(alpha=3, beta=2, order=8)
     assert [r.passed for r in results] == [True, True, False, True]
     assert results[2].name == "g_ab matches its binomial for 3/2"
@@ -141,21 +152,52 @@ def test_ring_suite_detects_count():
 
 
 def test_registry_is_complete():
-    assert set(SUITES) == {
-        "reference-series",
-        "ring",
-        "base-counts",
-        "fuss-catalan",
-        "bounce-free",
-        "oracle-vs-table",
-        "specializations",
-        "table-dual",
-        "beta1",
-        "catalan-slope",
-        "total-bounces",
-        "syt",
-        "crosses",
-    }
+    # the two registries together hold every suite, each once
+    assert not SUITES.keys() & identities.SUITES.keys()
+    assert set(SUITES) | set(identities.SUITES) == set(PLAIN_VERIFY_ORDER)
+    assert list(identities.all_suites()) == PLAIN_VERIFY_ORDER
+
+
+def test_the_benchmark_reads_public_oracle_suites_of_verify():
+    assert set(SUITES) == set(ORACLE_SUITES)
+    for name in ORACLE_SUITES:
+        suite = SUITES[name]
+        assert isinstance(suite, types.FunctionType), name
+        assert suite.__module__ == "bouncepaths.verify", name
+        assert not suite.__name__.startswith("_"), name
+        assert getattr(verify, suite.__name__) is suite, name
+
+
+def test_plain_verify_runs_every_suite_in_order(monkeypatch):
+    ran = []
+
+    def stub(name):
+        def suite():
+            ran.append(name)
+            return [CheckResult(name, True)]
+
+        return suite
+
+    for registry in (SUITES, identities.SUITES):
+        for name in registry:
+            monkeypatch.setitem(registry, name, stub(name))
+    out = io.StringIO()
+    assert cli.main(["verify"], out=out) == 0
+    headers = [line for line in out.getvalue().splitlines() if line.startswith("suite ")]
+    assert headers == [f"suite {name}:" for name in PLAIN_VERIFY_ORDER]
+    assert ran == PLAIN_VERIFY_ORDER
+
+
+def test_unknown_suite_error_lists_every_suite(capsys):
+    out = io.StringIO()
+    assert cli.main(["verify", "--suite", "syt", "--suite", "bogus", "--suite", "ring",
+                     "--suite", "nope"], out=out) == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "error: unknown suite(s) bogus, nope; available: reference-series, ring, "
+        "base-counts, fuss-catalan, bounce-free, oracle-vs-table, specializations, "
+        "table-dual, beta1, catalan-slope, total-bounces, syt, crosses\n"
+    )
 
 
 def test_only_the_crosses_suite_asks_for_crosses(monkeypatch):
