@@ -1,8 +1,8 @@
 """Exact enumeration of rational-slope lattice paths by bounce statistics.
 
-Each public name is imported from its layer module when first read (PEP 562),
-so ``import bouncepaths`` loads no layer, and a command line job compiles only
-the modules its command runs.
+Each public name is read from its layer module at every access (PEP 562),
+and the layer is imported on first use, so ``import bouncepaths`` loads no
+layer, and a command line job compiles only the modules its command runs.
 """
 
 _EXPORTS = {
@@ -62,11 +62,10 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     if name not in _LAYER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # an import statement's path, which -X importtime reports
+    # an import statement's path, which -X importtime reports; the value is
+    # not cached here, so a wrapper bound on the layer later is what is read
     layer = __import__(f"{__name__}.{_LAYER[name]}", fromlist=[name])
-    value = getattr(layer, name)
-    globals()[name] = value  # later reads find it without this call
-    return value
+    return getattr(layer, name)
 
 
 def __dir__():

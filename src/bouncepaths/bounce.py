@@ -11,7 +11,7 @@ not count.  Naming scheme used throughout the package:
 * :class:`BounceTable` -- paths with exactly ``l`` left and ``r`` right
   bounces, as the coefficient grid of the two-marker generating function
   over the series ring.  The closed-form cell sums ``b_lr`` that
-  cross-check it live in :mod:`bouncepaths.verify`.
+  cross-check it live in :mod:`bouncepaths.identities`.
 """
 
 # binomial is unused here, but the benchmark's self-tests call bounce.binomial

@@ -1,5 +1,8 @@
 """Command line front end: coefficient listings, table export, verification.
 
+This module handles arguments and rendering only: ``SERIES`` names the
+package function behind each series, and :mod:`bouncepaths.verify` holds
+the suites, their order and their option bounds.
 Output is deterministic for a fixed invocation; table rows are emitted with
 the left index ascending, then the right index.  Integer values in JSON are
 decimal strings so that consumers without big integers stay exact.
@@ -12,16 +15,7 @@ import argparse
 import sys
 from operator import add
 
-from .closed_forms import (
-    AB_RESTRICTIONS,
-    Restriction,
-    Slope,
-    Step,
-    fuss_catalan,
-    g_ab_series,
-    g_prefix_series,
-    g_series,
-)
+from .closed_forms import AB_RESTRICTIONS, Restriction, Slope, Step
 
 FORMATS = ("table", "csv", "json", "oeis-bfile")
 # coefficients a bounce-table may list, (max_left+1)(max_right+1) * order, at
@@ -42,7 +36,8 @@ class CliError(Exception):
 
 # ------------------------------------------------------------------ registry
 
-# Slope requirements of the registry entries.
+# Slope requirements of the registry entries; each picks the series
+# function's first argument: the Slope, its alpha, or the --bounces count.
 ANY_SLOPE, BETA1, DIAGONAL = None, "beta1", "diagonal"
 NRB_RESTRICTIONS = (Restriction.EE, Restriction.EN, Restriction.NN)
 NHC_RESTRICTIONS = (Restriction.EE, Restriction.EN, Restriction.NE)
@@ -55,52 +50,28 @@ def _require(requirement, slope: Slope, what: str):
         raise CliError(f"{what} requires the diagonal slope alpha = beta = 1")
 
 
-# A builder(s, a) returns the series for the validated Slope s and the parsed
-# arguments a.  Builders look layer functions up when called: the closed forms
-# by this module's names, the bounce and beta = 1 series on their module,
-# which the first builder that needs it imports.  So a job loads no layer its
-# series does not use, and a wrapper bound to those names later (a tracer, a
-# test double) sees the call.
-
-
-def _layer(name: str):
-    # __import__ takes the path of an import statement, which -X importtime
-    # reports; importlib.import_module does not
-    return getattr(__import__(__package__, fromlist=[name]), name)
-
-
-def _g_ab(r: Restriction):
-    return lambda s, a: g_ab_series(s, r.first, r.last, a.order)
-
-
-def _bounce(function: str, *fixed):
-    """The builder of bounce.<function>(slope, *fixed, order)."""
-    return lambda s, a: getattr(_layer("bounce"), function)(s, *fixed, a.order)
-
-
-def _beta_one(function: str, *fixed):
-    """The builder of beta_one.<function>(alpha, *fixed, order)."""
-    return lambda s, a: getattr(_layer("beta_one"), function)(s.alpha, *fixed, a.order)
-
-
-# name -> (slope requirement, builder)
+# name -> (slope requirement, function exported by the package, *fixed
+# arguments); the series is function(first, *fixed, order).  The function is
+# read from the package when the series is built, so a job loads only the
+# layer that defines it, and a wrapper bound on that layer later (a tracer, a
+# test double) is the function that runs.
 SERIES = {
-    "g": (ANY_SLOPE, lambda s, a: g_series(s, a.order)),
-    **{f"g_{r.value}": (ANY_SLOPE, _g_ab(r)) for r in AB_RESTRICTIONS},
-    "g_estar": (ANY_SLOPE, lambda s, a: g_prefix_series(s, Step.E, a.order)),
-    "g_nstar": (ANY_SLOPE, lambda s, a: g_prefix_series(s, Step.N, a.order)),
-    "c_alpha": (BETA1, lambda s, a: fuss_catalan(s.alpha, a.order)),
-    "f": (ANY_SLOPE, _bounce("bounce_free_total")),
-    **{f"f_{r.value}": (ANY_SLOPE, _bounce("bounce_free_ab", r)) for r in AB_RESTRICTIONS},
-    "f_estar": (ANY_SLOPE, _bounce("bounce_free_prefix", Step.E)),
-    "f_nstar": (ANY_SLOPE, _bounce("bounce_free_prefix", Step.N)),
-    **{f"nrb_{r.value}": (ANY_SLOPE, _bounce("nrb_series", r)) for r in NRB_RESTRICTIONS},
-    "nlb": (ANY_SLOPE, _bounce("no_left_bounce_total")),
-    "g_b": (DIAGONAL, lambda s, a: _layer("bounce").g_b_series(a.bounces or 0, a.order)),
-    **{f"nhc_{r.value}": (BETA1, _beta_one("nhc_series", r)) for r in NHC_RESTRICTIONS},
-    "h": (BETA1, _beta_one("nhc_prefix_series")),
-    "H": (BETA1, _beta_one("nhc_nrb_series")),
-    "H_ne": (BETA1, _beta_one("rational_dyck_series")),
+    "g": (ANY_SLOPE, "g_series"),
+    **{f"g_{r.value}": (ANY_SLOPE, "g_ab_series", r.first, r.last) for r in AB_RESTRICTIONS},
+    "g_estar": (ANY_SLOPE, "g_prefix_series", Step.E),
+    "g_nstar": (ANY_SLOPE, "g_prefix_series", Step.N),
+    "c_alpha": (BETA1, "fuss_catalan"),
+    "f": (ANY_SLOPE, "bounce_free_total"),
+    **{f"f_{r.value}": (ANY_SLOPE, "bounce_free_ab", r) for r in AB_RESTRICTIONS},
+    "f_estar": (ANY_SLOPE, "bounce_free_prefix", Step.E),
+    "f_nstar": (ANY_SLOPE, "bounce_free_prefix", Step.N),
+    **{f"nrb_{r.value}": (ANY_SLOPE, "nrb_series", r) for r in NRB_RESTRICTIONS},
+    "nlb": (ANY_SLOPE, "no_left_bounce_total"),
+    "g_b": (DIAGONAL, "g_b_series"),
+    **{f"nhc_{r.value}": (BETA1, "nhc_series", r) for r in NHC_RESTRICTIONS},
+    "h": (BETA1, "nhc_prefix_series"),
+    "H": (BETA1, "nhc_nrb_series"),
+    "H_ne": (BETA1, "rational_dyck_series"),
 }
 
 SERIES_NAMES = ", ".join(SERIES)
@@ -122,9 +93,10 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
         raise CliError(f"unknown series {args.series!r}; see --help for the catalogue")
     if args.bounces is not None and args.series != "g_b":
         raise CliError(f"--bounces applies only to g_b, not to {args.series!r}")
-    requirement, build = SERIES[args.series]
+    requirement, function, *fixed = SERIES[args.series]
     _require(requirement, slope, f"series {args.series!r}")
-    series = build(slope, args)
+    first = {ANY_SLOPE: slope, BETA1: slope.alpha, DIAGONAL: args.bounces or 0}[requirement]
+    series = getattr(sys.modules[__package__], function)(first, *fixed, args.order)
     start = 0 if args.include_k0 else 1
     pairs = [(k, series.coefficient(k)) for k in range(start, args.order + 1)]
     # every line is rendered before the first write, so a value that cannot
@@ -207,21 +179,6 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def verify_bounds() -> dict:
-    """(smallest, largest) value of each verify option: below the smallest a
-    suite compares nothing, above the largest it would exceed the oracle's
-    budget.  syt and total-bounces, the suites that take --n-max, walk
-    diagonal paths of 2n steps."""
-    from .enumeration import MAX_STEPS
-
-    return {
-        "count": (1, None), "order": (1, None), "alpha_max": (1, None),
-        "n_max": (1, MAX_STEPS // 2),
-        "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
-        "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),
-    }
-
-
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
@@ -244,23 +201,14 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         raise CliError("--alpha and --beta select one slope; give both or neither")
     if args.alpha is not None:
         Slope(args.alpha, args.beta)  # rejects a non-coprime pair
-    suites = verification.SUITES
-    if not args.suite or not suites.keys() >= set(args.suite):
-        from . import identities  # the other suites, and the order of all
-
-        suites = identities.all_suites()
+    suites = verification.registry(args.suite or ())
     names = args.suite or list(suites)
-    unknown = [n for n in names if n not in suites]
-    if unknown:
-        raise CliError(
-            f"unknown suite(s) {', '.join(unknown)}; available: {', '.join(suites)}"
-        )
     options = {
         key: value
         for key, value in vars(args).items()
         if key not in ("command", "suite") and value is not None
     }
-    for key, (minimum, maximum) in verify_bounds().items():
+    for key, (minimum, maximum) in verification.BOUNDS.items():
         if key not in options:
             continue
         if options[key] < minimum:

@@ -8,14 +8,13 @@ suites report through the check record and comparison helpers of
 :mod:`bouncepaths.verify`.
 
 ``SUITES`` holds these nine suites; ``verify.SUITES`` holds the four that
-compare against enumeration.  Only the ``verify`` command imports this
-module, and only when it runs an identity suite, runs every suite, or is
-given a suite name neither registry holds.
+compare against enumeration.  Only :func:`bouncepaths.verify.registry`
+imports this module, and only when a run names an identity suite, runs
+every suite, or names a suite neither registry holds.
 """
 
 import random
 
-from . import verify
 from .beta_one import nhc_nrb_series, nhc_prefix_series
 from .bounce import (
     _g_parts,
@@ -703,20 +702,3 @@ SUITES = {
     "beta1": suite_beta1,
     "catalan-slope": suite_catalan_slope,
 }
-
-# the suites of both registries in the order plain ``verify`` runs them
-ORDER = (
-    "reference-series", "ring", "base-counts", "fuss-catalan", "bounce-free",
-    "oracle-vs-table", "specializations", "table-dual", "beta1", "catalan-slope",
-    "total-bounces", "syt", "crosses",
-)
-
-
-def all_suites() -> dict:
-    """Both registries by name, in ``ORDER`` and then any other entry of
-    ``verify.SUITES``.  The oracle suites are read from ``verify.SUITES``
-    when this is called, so a wrapper bound there sees their calls."""
-    suites = dict.fromkeys(ORDER)
-    suites.update(SUITES)
-    suites.update(verify.SUITES)
-    return suites

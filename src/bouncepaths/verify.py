@@ -10,8 +10,9 @@ the four suites that compare the generating functions against exhaustive
 enumeration: ``oracle-vs-table``, ``total-bounces``, ``syt`` (with the
 hook-length count of two-row tableaux) and ``crosses``.  The nine identity
 suites, which hold each series against its alternative formulas, and those
-formulas live in :mod:`bouncepaths.identities`; the ``verify`` command
-imports that module only when it runs one of them.
+formulas live in :mod:`bouncepaths.identities`.  :func:`registry` finds the
+suites a run names, in plain ``verify``'s ``ORDER``, and imports identities
+only when the run needs one; ``BOUNDS`` limits each suite option.
 """
 
 import math
@@ -28,6 +29,7 @@ from .closed_forms import (
     g_prefix_series,
 )
 from .enumeration import (
+    MAX_STEPS,
     InvalidShape,
     TwoRowShape,
     count_matching,
@@ -39,12 +41,9 @@ from .series import Series, _Record
 
 
 class CheckResult(_Record):
-    """One check's outcome; unlike the other records it may be changed."""
+    """One check's outcome."""
 
     __slots__ = ("name", "passed", "detail")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # mutable, hence unhashable
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
         super().__init__(name, passed, detail)
@@ -294,3 +293,41 @@ SUITES = {
     "syt": suite_syt,
     "crosses": suite_crosses,
 }
+
+# the suites of both registries in the order plain ``verify`` runs them
+ORDER = (
+    "reference-series", "ring", "base-counts", "fuss-catalan", "bounce-free",
+    "oracle-vs-table", "specializations", "table-dual", "beta1", "catalan-slope",
+    "total-bounces", "syt", "crosses",
+)
+
+# (smallest, largest) value of each suite option: below the smallest a suite
+# compares nothing, above the largest it would exceed the oracle's budget.
+# syt and total-bounces, the suites that take n_max, walk diagonal paths of
+# 2n steps.
+BOUNDS = {
+    "count": (1, None), "order": (1, None), "alpha_max": (1, None),
+    "n_max": (1, MAX_STEPS // 2),
+    "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
+    "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),
+}
+
+
+def registry(names=()) -> dict:
+    """The suites a run of ``names`` (all when empty) reads: ``SUITES`` if
+    it holds every name, else every suite of both registries as they are
+    now, in ``ORDER`` and then any other entry of ``SUITES``.  An unknown
+    name is a ValueError that lists the suites."""
+    if names and SUITES.keys() >= set(names):
+        return SUITES
+    from . import identities
+
+    suites = dict.fromkeys(ORDER)
+    suites.update(identities.SUITES)
+    suites.update(SUITES)
+    unknown = [name for name in names if name not in suites]
+    if unknown:
+        raise ValueError(
+            f"unknown suite(s) {', '.join(unknown)}; available: {', '.join(suites)}"
+        )
+    return suites

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bouncepaths
-from bouncepaths import bounce, cli, identities, verify
+from bouncepaths import bounce, cli, closed_forms, verify
 from bouncepaths.bounce import bounce_table
 from bouncepaths.closed_forms import Restriction, Slope
 from bouncepaths.enumeration import BudgetExceeded
@@ -94,6 +94,32 @@ def test_every_series_is_reachable():
                          "--order", "4")
         assert code == 0, name
         assert len(text.split()) == 4, name
+
+
+def test_catalogue_names_exported_functions_by_their_first_argument():
+    # an entry's requirement picks its function's first argument, which the
+    # fixed arguments and the order follow
+    first = {cli.ANY_SLOPE: "slope", cli.BETA1: "alpha", cli.DIAGONAL: "total_bounces"}
+    for name, (requirement, function, *fixed) in cli.SERIES.items():
+        assert function in bouncepaths.__all__, name
+        code = getattr(bouncepaths, function).__code__
+        assert code.co_varnames[0] == first[requirement], name
+        assert code.co_argcount == 2 + len(fixed), name
+
+
+def test_coeffs_calls_a_wrapper_bound_on_the_layer_after_first_read(monkeypatch):
+    # a tracer or test double bound on the layer after the package first
+    # handed the function out is the one that runs
+    original = bouncepaths.g_series
+    calls = []
+
+    def wrapper(slope, order):
+        calls.append((slope, order))
+        return original(slope, order)
+
+    monkeypatch.setattr(closed_forms, "g_series", wrapper)
+    assert run("coeffs", "--series", "g", "--alpha", "1", "--order", "3") == (0, "2 6 20\n")
+    assert calls == [(Slope(1, 1), 3)]
 
 
 def test_golden_output():
@@ -316,7 +342,7 @@ def test_verify_reads_the_options_of_a_wrapped_suite(monkeypatch, capsys):
 
 
 def test_package_exports_every_public_name_it_binds():
-    # the package reads each export from its layer on first access
+    # the package reads each export from its layer on each access
     layers = [importlib.import_module(f"bouncepaths.{name}") for name in
               ("beta_one", "bounce", "closed_forms", "enumeration", "series")]
     for name in bouncepaths.__all__:
@@ -439,7 +465,7 @@ def test_running_out_of_memory_is_an_error(monkeypatch, capsys):
     def exhausted(slope, order):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "g_series", exhausted)
+    monkeypatch.setattr(closed_forms, "g_series", exhausted)
     code, text = run("coeffs", "--series", "g", "--alpha", "1", "--order", "5")
     assert (code, text) == (1, "")
     assert capsys.readouterr().err == "error: out of memory\n"
@@ -495,8 +521,8 @@ SUBPARSERS = next(
     action for action in cli.build_parser()._actions
     if isinstance(action, argparse._SubParsersAction)
 ).choices
-SUITES = identities.all_suites()
-VERIFY_BOUNDS = cli.verify_bounds()
+SUITES = verify.registry()
+VERIFY_BOUNDS = verify.BOUNDS
 
 
 def _option_values(action):
@@ -673,6 +699,21 @@ def test_verify_ring_suite_options():
     code, text = run("verify", "--suite", "ring", "--count", "50", "--seed", "7")
     assert code == 0
     assert "50 randomized inputs" in text
+
+
+def test_plain_verify_output_is_unchanged():
+    # every suite at its defaults, run as a CLI job: a fresh interpreter that
+    # compiles from source (``-m`` puts the working directory first on the
+    # path); the digest was recorded before the suite registry moved into verify
+    result = subprocess.run(
+        [sys.executable, "-m", "bouncepaths.cli", "verify"], capture_output=True,
+        cwd=ROOT / "src", env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 559
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "526d93f3908d8b155bc5b57f83beaff2d0170ebcb1ff882ca1f1856f3b2d515e"
+    )
 
 
 def test_verify_unknown_suite():

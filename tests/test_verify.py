@@ -155,7 +155,7 @@ def test_registry_is_complete():
     # the two registries together hold every suite, each once
     assert not SUITES.keys() & identities.SUITES.keys()
     assert set(SUITES) | set(identities.SUITES) == set(PLAIN_VERIFY_ORDER)
-    assert list(identities.all_suites()) == PLAIN_VERIFY_ORDER
+    assert list(verify.registry()) == PLAIN_VERIFY_ORDER
 
 
 def test_the_benchmark_reads_public_oracle_suites_of_verify():
@@ -186,6 +186,28 @@ def test_plain_verify_runs_every_suite_in_order(monkeypatch):
     headers = [line for line in out.getvalue().splitlines() if line.startswith("suite ")]
     assert headers == [f"suite {name}:" for name in PLAIN_VERIFY_ORDER]
     assert ran == PLAIN_VERIFY_ORDER
+
+
+def test_repeated_suites_each_run_in_the_order_given(monkeypatch):
+    # one oracle suite and one identity suite, each named twice
+    ran = []
+
+    def stub(name):
+        def suite():
+            ran.append(name)
+            return [CheckResult(name, True)]
+
+        return suite
+
+    monkeypatch.setitem(SUITES, "syt", stub("syt"))
+    monkeypatch.setitem(identities.SUITES, "ring", stub("ring"))
+    order = ["ring", "syt", "syt", "ring"]
+    out = io.StringIO()
+    argv = ["verify", *(arg for name in order for arg in ("--suite", name))]
+    assert cli.main(argv, out=out) == 0
+    headers = [line for line in out.getvalue().splitlines() if line.startswith("suite ")]
+    assert headers == [f"suite {name}:" for name in order]
+    assert ran == order
 
 
 def test_unknown_suite_error_lists_every_suite(capsys):
