@@ -5,10 +5,11 @@ point, so crossings can be enumerated the same way as bounces: a
 *horizontal cross* is an interior vertex on the line with incoming and
 outgoing E-steps.  ``nhc`` abbreviates "no horizontal crosses".  This
 module counts paths by their horizontal crosses, and the rational Dyck
-paths among them.
+paths among them, from the closed forms alone: ``nhc_series`` from the
+split of g by first and last step, the rest from c_alpha.
 """
 
-from .closed_forms import Restriction, Slope, _exact, binomial, fuss_catalan
+from .closed_forms import Restriction, Slope, _exact, _g_parts, binomial, fuss_catalan
 from .series import Series
 
 
@@ -17,8 +18,6 @@ def nhc_series(alpha: int, restriction: Restriction, order: int) -> Series:
     for EN and NE."""
     if restriction not in (Restriction.EE, Restriction.EN, Restriction.NE):
         raise ValueError("horizontal crosses are tracked for EE, EN and NE paths")
-    from .bounce import _g_parts  # the other series here need only c_alpha
-
     _, g_ee, g_en, _ = _g_parts(Slope(alpha, 1), order)
     numerator = g_ee if restriction is Restriction.EE else g_en
     return numerator.div(1 + g_ee)

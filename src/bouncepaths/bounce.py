@@ -15,19 +15,8 @@ not count.  Naming scheme used throughout the package:
 """
 
 # binomial is unused here, but the benchmark's self-tests call bounce.binomial
-from .closed_forms import Restriction, Slope, Step, _exact, _g_ab_from_g, binomial, g_series
+from .closed_forms import Restriction, Slope, Step, _exact, _g_parts, binomial
 from .series import Series, _mul_add, _Record
-
-
-def _g_parts(slope: Slope, order: int) -> tuple[Series, Series, Series, Series]:
-    """(g, g_ee, g_en, g_nn) at the requested truncation order."""
-    g = g_series(slope, order)
-    return (
-        g,
-        _g_ab_from_g(g, slope, Step.E, Step.E),
-        _g_ab_from_g(g, slope, Step.E, Step.N),
-        _g_ab_from_g(g, slope, Step.N, Step.N),
-    )
 
 
 def _delta(slope: Slope, g_en: Series) -> Series:

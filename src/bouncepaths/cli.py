@@ -1,8 +1,9 @@
 """Command line front end: coefficient listings, table export, verification.
 
 This module handles arguments and rendering only: ``SERIES`` names the
-package function behind each series, and :mod:`bouncepaths.verify` holds
-the suites, their order and their option bounds.
+package function behind each series, and ``verify`` hands its options to
+:func:`bouncepaths.verify.run`, which checks them and runs the suites.
+Every refusal is a ValueError, which ``main`` prints as one ``error:`` line.
 Output is deterministic for a fixed invocation; table rows are emitted with
 the left index ascending, then the right index.  Integer values in JSON are
 decimal strings so that consumers without big integers stay exact.
@@ -30,10 +31,6 @@ FORMATS = ("table", "csv", "json", "oeis-bfile")
 MAX_TABLE_COEFFICIENTS = 1_000_000
 
 
-class CliError(Exception):
-    pass
-
-
 # ------------------------------------------------------------------ registry
 
 # Slope requirements of the registry entries; each picks the series
@@ -45,9 +42,9 @@ NHC_RESTRICTIONS = (Restriction.EE, Restriction.EN, Restriction.NE)
 
 def _require(requirement, slope: Slope, what: str):
     if requirement == BETA1 and slope.beta != 1:
-        raise CliError(f"{what} requires a slope with beta = 1")
+        raise ValueError(f"{what} requires a slope with beta = 1")
     if requirement == DIAGONAL and (slope.alpha, slope.beta) != (1, 1):
-        raise CliError(f"{what} requires the diagonal slope alpha = beta = 1")
+        raise ValueError(f"{what} requires the diagonal slope alpha = beta = 1")
 
 
 # name -> (slope requirement, function exported by the package, *fixed
@@ -80,7 +77,7 @@ SERIES_NAMES = ", ".join(SERIES)
 def _slope_and_order(args: argparse.Namespace) -> Slope:
     """The validated slope of a coeffs or bounce-table call."""
     if args.order < 1:
-        raise CliError(f"--order must be at least 1, got {args.order}")
+        raise ValueError(f"--order must be at least 1, got {args.order}")
     return Slope(args.alpha, args.beta)
 
 
@@ -90,9 +87,9 @@ def _slope_and_order(args: argparse.Namespace) -> Slope:
 def cmd_coeffs(args: argparse.Namespace, out) -> int:
     slope = _slope_and_order(args)
     if args.series not in SERIES:
-        raise CliError(f"unknown series {args.series!r}; see --help for the catalogue")
+        raise ValueError(f"unknown series {args.series!r}; see --help for the catalogue")
     if args.bounces is not None and args.series != "g_b":
-        raise CliError(f"--bounces applies only to g_b, not to {args.series!r}")
+        raise ValueError(f"--bounces applies only to g_b, not to {args.series!r}")
     requirement, function, *fixed = SERIES[args.series]
     _require(requirement, slope, f"series {args.series!r}")
     first = {ANY_SLOPE: slope, BETA1: slope.alpha, DIAGONAL: args.bounces or 0}[requirement]
@@ -131,7 +128,7 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     full = max(reach, steps * args.order**3)
     limit = 2 * MAX_TABLE_COEFFICIENTS * reach**2 // (steps * full**2)
     if min(max_left, max_right) >= 0 and size > limit:
-        raise CliError(
+        raise ValueError(
             f"a table of {size} coefficients exceeds the limit of "
             f"{limit}; lower --order, --max-left or --max-right"
         )
@@ -179,72 +176,15 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
-def _parameters(suite) -> tuple[str, ...]:
-    """The parameter names of a suite, read from its code object after
-    following ``__wrapped__`` (set by ``functools.wraps``) to the original
-    function, as ``inspect.signature`` does."""
-    while hasattr(suite, "__wrapped__"):
-        suite = suite.__wrapped__
-    code = suite.__code__
-    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
-
-
 def cmd_verify(args: argparse.Namespace, out) -> int:
-    from . import verify as verification  # only verify needs the suites
-    from .enumeration import BudgetExceeded
+    from . import verify  # only verify needs the suites
 
-    if (args.alpha is None) != (args.beta is None):
-        raise CliError("--alpha and --beta select one slope; give both or neither")
-    if args.alpha is not None:
-        Slope(args.alpha, args.beta)  # rejects a non-coprime pair
-    suites = verification.registry(args.suite or ())
-    names = args.suite or list(suites)
     options = {
         key: value
         for key, value in vars(args).items()
         if key not in ("command", "suite") and value is not None
     }
-    for key, (minimum, maximum) in verification.BOUNDS.items():
-        if key not in options:
-            continue
-        if options[key] < minimum:
-            raise CliError(f"{_flag(key)} must be at least {minimum}, got {options[key]}")
-        if maximum is not None and options[key] > maximum:
-            raise CliError(f"{_flag(key)} must be at most {maximum}, got {options[key]}")
-    # each suite takes the options its signature names
-    accepted = {name: _parameters(suites[name]) for name in names}
-    unused = [key for key in options if not any(key in a for a in accepted.values())]
-    if unused:
-        raise CliError(
-            f"{', '.join(map(_flag, unused))} taken by none of the suites "
-            f"{', '.join(names)}"
-        )
-    failures = 0
-    for name in names:
-        kwargs = {key: value for key, value in options.items() if key in accepted[name]}
-        print(f"suite {name}:", file=out)
-        try:
-            results = suites[name](**kwargs)
-        except BudgetExceeded as exc:  # the request's size, one error line
-            raise CliError(str(exc)) from None
-        except MemoryError:  # reported by main
-            raise
-        except Exception as exc:  # a broken formula fails its suite, not the run
-            detail = f"{type(exc).__name__}: {exc}"
-            results = [verification.CheckResult(f"suite {name} raised", False, detail)]
-        for result in results:
-            print(f"  {result}", file=out)
-            if not result.passed:
-                failures += 1
-    print(
-        f"verify: {'all suites passed' if not failures else f'{failures} check(s) failed'}",
-        file=out,
-    )
-    return 0 if failures == 0 else 1
+    return verify.run(args.suite or (), options, out)
 
 
 # -------------------------------------------------------------------- parser
@@ -312,7 +252,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if args.command == "bounce-table":
             return cmd_bounce_table(args, out)
         return cmd_verify(args, out)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # its message is empty

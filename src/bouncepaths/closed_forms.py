@@ -131,6 +131,13 @@ def _g_ab_from_g(g: Series, slope: Slope, first: Step, last: Step) -> Series:
     return Series(tuple(coeffs))
 
 
+def _g_parts(slope: Slope, order: int) -> tuple[Series, Series, Series, Series]:
+    """(g, g_ee, g_en, g_nn) at the requested truncation order, from one g."""
+    g = g_series(slope, order)
+    pairs = ((Step.E, Step.E), (Step.E, Step.N), (Step.N, Step.N))
+    return (g, *(_g_ab_from_g(g, slope, first, last) for first, last in pairs))
+
+
 def g_prefix_series(slope: Slope, first: Step, order: int) -> Series:
     """Paths starting with the given step, regardless of the last one."""
     g = g_series(slope, order)

@@ -138,13 +138,14 @@ def _sweep(alpha, beta, k, width, track_h):
       and those extend to disjoint sets of paths, so no slot exceeds
       C((alpha+beta)k, alpha*k); with ``width`` past that count's bit
       length, no sum carries into the next slot.
-    Returns path counts keyed (first, last, left, right, crosses).
+    Returns the path counts as a Counter of :class:`BounceProfile`.
     """
+    E, N = Step.E, Step.N
     ex, ey = alpha * k, beta * k
     right, left = width, width * k
     # a line vertex needs alpha + beta | steps (the slope is coprime), so
     # none is one step from the origin
-    states = {(1, None, "E", 0): 1, (0, None, "N", 0): 1}
+    states = {(1, None, E, 0): 1, (0, None, N, 0): 1}
     line = -1
     for steps in range(1, ex + ey):
         rounds, rest = divmod(steps + 1, alpha + beta)
@@ -153,8 +154,8 @@ def _sweep(alpha, beta, k, width, track_h):
         for (x, last, first, h), packed in states.items():
             on_line = x == line
             if x < ex:
-                arrival = "E" if x + 1 == after else None
-                if on_line and last == "N":
+                arrival = E if x + 1 == after else None
+                if on_line and last is N:
                     key, value = (x + 1, arrival, first, h), packed << right
                 elif on_line and track_h:  # E in, E out: a horizontal cross
                     key, value = (x + 1, arrival, first, h + 1), packed
@@ -162,20 +163,21 @@ def _sweep(alpha, beta, k, width, track_h):
                     key, value = (x + 1, arrival, first, h), packed
                 advanced[key] = advanced.get(key, 0) + value
             if steps - x < ey:
-                key = (x, "N" if x == after else None, first, h)
-                value = packed << left if on_line and last == "E" else packed
+                key = (x, N if x == after else None, first, h)
+                value = packed << left if on_line and last is E else packed
                 advanced[key] = advanced.get(key, 0) + value
         states, line = advanced, after
     mask = (1 << width) - 1
-    counts = {}
+    profiles = Counter()
     for (_, last, first, h), packed in states.items():
+        h = h if track_h else None
         slot = 0
         while packed:
             if count := packed & mask:
-                counts[(first, last, *divmod(slot, k), h)] = count
+                profiles[BounceProfile(*divmod(slot, k), h, first, last)] = count
             packed >>= width
             slot += 1
-    return counts
+    return profiles
 
 
 def enumerate_profiles(slope: Slope, k: int, *, crosses: bool = False) -> Counter:
@@ -194,17 +196,11 @@ def enumerate_profiles(slope: Slope, k: int, *, crosses: bool = False) -> Counte
         raise BudgetExceeded(f"{steps} steps exceed the budget of {MAX_STEPS}")
 
     paths = binomial(steps, alpha * k)
-    track_h = crosses and beta == 1
-    raw = _sweep(alpha, beta, k, paths.bit_length() + 1, track_h)
+    profiles = _sweep(alpha, beta, k, paths.bit_length() + 1, crosses and beta == 1)
     # also fails if a slot carried into its neighbour
-    if sum(raw.values()) != paths:
+    if sum(profiles.values()) != paths:
         raise RuntimeError("the sweep lost or duplicated paths; this is a bug")
-
-    step = {"E": Step.E, "N": Step.N}
-    return Counter({
-        BounceProfile(left, right, h if track_h else None, step[first], step[last]): count
-        for (first, last, left, right, h), count in raw.items()
-    })
+    return profiles
 
 
 def count_table(

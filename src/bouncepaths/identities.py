@@ -17,7 +17,6 @@ import random
 
 from .beta_one import nhc_nrb_series, nhc_prefix_series
 from .bounce import (
-    _g_parts,
     _marker_grids,
     _marker_value,
     bounce_free_ab,
@@ -34,6 +33,7 @@ from .closed_forms import (
     Restriction,
     Slope,
     Step,
+    _g_parts,
     binomial,
     fuss_catalan,
     g_ab_series,

@@ -171,9 +171,7 @@ class Series(_Record):
         return Series(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return self + (-other)
-        if not isinstance(other, Series):
+        if not isinstance(other, (int, Series)):
             return NotImplemented
         return self + (-other)
 

@@ -10,9 +10,10 @@ the four suites that compare the generating functions against exhaustive
 enumeration: ``oracle-vs-table``, ``total-bounces``, ``syt`` (with the
 hook-length count of two-row tableaux) and ``crosses``.  The nine identity
 suites, which hold each series against its alternative formulas, and those
-formulas live in :mod:`bouncepaths.identities`.  :func:`registry` finds the
-suites a run names, in plain ``verify``'s ``ORDER``, and imports identities
-only when the run needs one; ``BOUNDS`` limits each suite option.
+formulas live in :mod:`bouncepaths.identities`.  :func:`run` is the
+``verify`` command: :func:`registry` finds the suites it names, in plain
+``verify``'s ``ORDER``, importing identities only when needed, and each
+option must lie in ``BOUNDS`` and be one that a named suite takes.
 """
 
 import math
@@ -30,6 +31,7 @@ from .closed_forms import (
 )
 from .enumeration import (
     MAX_STEPS,
+    BudgetExceeded,
     InvalidShape,
     TwoRowShape,
     count_matching,
@@ -223,9 +225,10 @@ def suite_syt(n_max: int = 16) -> list[CheckResult]:
 def suite_crosses(
     alpha_max: int = 3, max_steps: int = 40, order: int = 10
 ) -> list[CheckResult]:
-    """Horizontal-cross series against enumeration, plus the three
-    equivalent forms of the crossless no-right-bounce series: alpha*(c_alpha - 1)
-    as ``nhc_nrb_series`` computes it, h/(1 + nhc_en) and g_estar/(1 + g_estar)."""
+    """Horizontal-cross series against enumeration for alpha = 1..alpha_max,
+    and for alpha = 1..5 whatever ``alpha_max``, the three equivalent forms of
+    the crossless no-right-bounce series to ``order``: alpha*(c_alpha - 1) as
+    ``nhc_nrb_series`` computes it, h/(1 + nhc_en) and g_estar/(1 + g_estar)."""
     results = []
     for alpha in range(1, alpha_max + 1):
         slope = Slope(alpha, 1)
@@ -331,3 +334,68 @@ def registry(names=()) -> dict:
             f"unknown suite(s) {', '.join(unknown)}; available: {', '.join(suites)}"
         )
     return suites
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _parameters(suite) -> tuple[str, ...]:
+    """The parameter names of a suite, read from its code object after
+    following ``__wrapped__`` (set by ``functools.wraps``) to the original
+    function, as ``inspect.signature`` does."""
+    while hasattr(suite, "__wrapped__"):
+        suite = suite.__wrapped__
+    code = suite.__code__
+    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+
+
+def run(names, options: dict, out) -> int:
+    """The ``verify`` command: run the suites ``names`` (all when empty),
+    each with the ``options`` its signature names, printing ``suite NAME:``,
+    its checks and a summary to ``out``; returns 1 if a check failed, else 0.
+
+    Every refusal is a ValueError raised before any suite runs, in this
+    order: an unpaired or non-coprime alpha and beta, an unknown suite, an
+    option outside ``BOUNDS``, options no named suite takes.  A suite past
+    the oracle's budget is a ValueError and a MemoryError passes through;
+    any other exception fails that suite with one check."""
+    if ("alpha" in options) != ("beta" in options):
+        raise ValueError("--alpha and --beta select one slope; give both or neither")
+    if "alpha" in options:
+        Slope(options["alpha"], options["beta"])  # rejects a non-coprime pair
+    suites = registry(names)
+    names = list(names) or list(suites)
+    for key, (minimum, maximum) in BOUNDS.items():
+        value = options.get(key, minimum)  # an option not given passes
+        if value < minimum:
+            raise ValueError(f"{_flag(key)} must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ValueError(f"{_flag(key)} must be at most {maximum}, got {value}")
+    accepted = {name: _parameters(suites[name]) for name in names}
+    unused = [key for key in options if not any(key in a for a in accepted.values())]
+    if unused:
+        raise ValueError(
+            f"{', '.join(map(_flag, unused))} taken by none of the suites "
+            f"{', '.join(names)}"
+        )
+    failures = 0
+    for name in names:
+        kwargs = {key: value for key, value in options.items() if key in accepted[name]}
+        print(f"suite {name}:", file=out)
+        try:
+            results = suites[name](**kwargs)
+        except BudgetExceeded as exc:  # the request's size, one error line
+            raise ValueError(str(exc)) from None
+        except MemoryError:  # reported by the caller
+            raise
+        except Exception as exc:  # a broken formula fails its suite, not the run
+            detail = f"{type(exc).__name__}: {exc}"
+            results = [CheckResult(f"suite {name} raised", False, detail)]
+        for result in results:
+            print(f"  {result}", file=out)
+            if not result.passed:
+                failures += 1
+    summary = f"{failures} check(s) failed" if failures else "all suites passed"
+    print(f"verify: {summary}", file=out)
+    return 1 if failures else 0

@@ -293,12 +293,14 @@ ORACLE = LAYERS | {"beta_one", "bounce", "enumeration", "verify"}
     ("main(['coeffs', '--series', 'c_alpha', '--alpha', '2', '--order', '6'])", LAYERS),
     ("main(['coeffs', '--series', 'H', '--alpha', '2', '--order', '6'])",
      LAYERS | {"beta_one"}),
+    ("main(['coeffs', '--series', 'nhc_ee', '--alpha', '2', '--order', '6'])",
+     LAYERS | {"beta_one"}),
     ("main(['bounce-table', '--alpha', '2', '--order', '4', '--format', 'csv'])",
      LAYERS | {"bounce"}),
     ("main(['verify', '--suite', 'syt', '--n-max', '3'])", ORACLE),
     ("main(['verify', '--suite', 'ring', '--count', '3'])", ORACLE | {"identities"}),
-], ids=["package", "cli", "coeffs-g", "coeffs-c_alpha", "coeffs-H", "bounce-table",
-        "verify-syt", "verify-ring"])
+], ids=["package", "cli", "coeffs-g", "coeffs-c_alpha", "coeffs-H", "coeffs-nhc_ee",
+        "bounce-table", "verify-syt", "verify-ring"])
 def test_each_command_loads_only_the_modules_it_runs(statement, loaded):
     # a fresh interpreter that compiles from source, as each CLI job does
     if statement.startswith("main("):

@@ -239,3 +239,46 @@ def test_only_the_crosses_suite_asks_for_crosses(monkeypatch):
         asked.clear()
         assert all(check.passed for check in SUITES[suite](**options)), suite
         assert asked and set(asked) == {crosses}, suite
+
+
+def test_run_prints_each_suite_its_checks_and_a_summary(monkeypatch):
+    # the verify command's entry point, called without an argument parser
+    def passing(order: int = 3):
+        return [CheckResult(f"order {order}", True)]
+
+    def failing():
+        return [CheckResult("broken", False, "k=1")]
+
+    monkeypatch.setitem(SUITES, "passing", passing)
+    monkeypatch.setitem(SUITES, "failing", failing)
+    out = io.StringIO()
+    assert verify.run(["passing"], {"order": 5}, out) == 0
+    assert out.getvalue() == "suite passing:\n  PASS  order 5\nverify: all suites passed\n"
+    out = io.StringIO()
+    assert verify.run(["passing", "failing"], {}, out) == 1
+    assert out.getvalue() == (
+        "suite passing:\n  PASS  order 3\nsuite failing:\n  FAIL  broken  [k=1]\n"
+        "verify: 1 check(s) failed\n"
+    )
+
+
+def test_run_refuses_bad_options_before_any_suite_runs(monkeypatch):
+    ran = []
+
+    def passing(order: int = 3):
+        ran.append(order)
+        return [CheckResult("ok", True)]
+
+    monkeypatch.setitem(SUITES, "passing", passing)
+    out = io.StringIO()
+    for options, error in (
+        ({"n_max": 4}, "--n-max taken by none of the suites passing"),
+        ({"alpha": 2}, "--alpha and --beta select one slope; give both or neither"),
+        # bounds in BOUNDS order, then the options no suite takes
+        ({"n_max": 99, "order": 0}, "--order must be at least 1, got 0"),
+        ({"seed": 1, "n_max": 99}, "--n-max must be at most 20, got 99"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            verify.run(["passing"], options, out)
+        assert str(excinfo.value) == error
+    assert out.getvalue() == "" and ran == []
