@@ -13,6 +13,7 @@ when it prints JSON, so a job compiles only the modules its command uses.
 """
 
 import argparse
+import os
 import sys
 from operator import add
 
@@ -246,17 +247,22 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"coeffs": cmd_coeffs, "bounce-table": cmd_bounce_table, "verify": cmd_verify}
     try:
-        if args.command == "coeffs":
-            return cmd_coeffs(args, out)
-        if args.command == "bounce-table":
-            return cmd_bounce_table(args, out)
-        return cmd_verify(args, out)
+        code = commands[args.command](args, out)
+        out.flush()  # a reader that left early fails here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # its message is empty
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed the output; it hears nothing
+        if out is sys.stdout:  # the flush at exit would fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
         return 1
 
 

@@ -3,9 +3,10 @@
 The library computes each series by one production formula.  The
 alternative formulas the suites hold it against are defined here, beside
 the suites that call them: the closed-form cell sums of the bounce table,
-and the beta = 1 and Fuss-Catalan forms of the bounce-free series.  The
-suites report through the check record and comparison helpers of
-:mod:`bouncepaths.verify`.
+and the beta = 1 and Fuss-Catalan forms of the bounce-free series,
+:func:`bounce_free_ab_beta1` and :func:`f_ab_via_fuss_catalan`, each of
+which returns the three classes (f_ee, f_en, f_nn).  The suites report
+through the check record and comparison helpers of :mod:`bouncepaths.verify`.
 
 ``SUITES`` holds these nine suites; ``verify.SUITES`` holds the four that
 compare against enumeration.  Only :func:`bouncepaths.verify.registry`
@@ -40,7 +41,9 @@ from .closed_forms import (
     g_series,
 )
 from .series import Series
-from .verify import CheckResult, _coeff_grid, _grid_equal, _series_equal, coprime_slopes
+from .verify import (
+    CheckResult, _coeff_grid, _first_failure, _grid_equal, _series_equal, coprime_slopes,
+)
 
 
 def _slope_range(alpha, beta, max_slope_sum):
@@ -51,42 +54,34 @@ def _slope_range(alpha, beta, max_slope_sum):
 
 # ----------------------------------------------------------- fixed sequences
 
+# name -> (production formula, its arguments before the order, coefficients
+# of x^1..x^8)
 REFERENCE_SEQUENCES = {
-    # slope (2, 1), bounce-free EE- and EN-paths through x^8
-    # (the OEIS pair A000259/A000305)
-    "f_ee(2,1)": (1, 4, 18, 89, 466, 2537, 14209, 81316),
-    "f_en(2,1)": (1, 3, 13, 63, 326, 1761, 9808, 55895),
-    # alpha = 2: E-start, crossless, no right bounces through x^8 (OEIS A046646)
-    "H(2)": (2, 6, 24, 110, 546, 2856, 15504, 86526),
+    # slope (2, 1), bounce-free EE- and EN-paths (the OEIS pair A000259/A000305)
+    "f_ee(2,1)": (
+        "bounce_free_ab", (Slope(2, 1), Restriction.EE),
+        (1, 4, 18, 89, 466, 2537, 14209, 81316),
+    ),
+    "f_en(2,1)": (
+        "bounce_free_ab", (Slope(2, 1), Restriction.EN),
+        (1, 3, 13, 63, 326, 1761, 9808, 55895),
+    ),
+    # alpha = 2: E-start, crossless, no right bounces (OEIS A046646)
+    "H(2)": ("nhc_nrb_series", (2,), (2, 6, 24, 110, 546, 2856, 15504, 86526)),
 }
 
 
 def suite_reference_series() -> list[CheckResult]:
     """The published reference sequences reproduced exactly."""
-    results = []
-    slope = Slope(2, 1)
-    results.append(
+    # each formula is looked up by name as the suite runs, as a call would be
+    return [
         _series_equal(
-            "reference f_ee(2,1) through x^8",
-            bounce_free_ab(slope, Restriction.EE, 8),
-            Series((0,) + REFERENCE_SEQUENCES["f_ee(2,1)"]),
+            f"reference {name} through x^{len(values)}",
+            globals()[formula](*arguments, len(values)),
+            Series((0, *values)),
         )
-    )
-    results.append(
-        _series_equal(
-            "reference f_en(2,1) through x^8",
-            bounce_free_ab(slope, Restriction.EN, 8),
-            Series((0,) + REFERENCE_SEQUENCES["f_en(2,1)"]),
-        )
-    )
-    results.append(
-        _series_equal(
-            "reference H(2) through x^8",
-            nhc_nrb_series(2, 8),
-            Series((0,) + REFERENCE_SEQUENCES["H(2)"]),
-        )
-    )
-    return results
+        for name, (formula, arguments, values) in REFERENCE_SEQUENCES.items()
+    ]
 
 
 # -------------------------------------------------------------- series ring
@@ -167,30 +162,26 @@ def suite_base_counts(
             )
         )
         a, b = slope.alpha, slope.beta
-        for r in AB_RESTRICTIONS:
-            # each east boundary step leaves one east move fewer to place
-            shift = -(r.first is Step.E) - (r.last is Step.E)
-            direct = Series(
-                tuple(
-                    binomial((a + b) * k - 2, a * k + shift) if k else 0
-                    for k in range(order + 1)
-                )
-            )
-            check = _series_equal(
-                f"g_ab matches its binomial for {a}/{b}",
+        # (steps, east steps) of the paths of semilength k = 1..order
+        sizes = [((a + b) * k, a * k) for k in range(1, order + 1)]
+        name = f"g_ab matches its binomial for {a}/{b}"
+        checks = (
+            _series_equal(
+                name,
                 g_ab_series(slope, r.first, r.last, order),
-                direct,
+                Series((0, *(binomial(n - 2, e - east) for n, e in sizes))),
                 context=f"slope=({a},{b}) {r.value}",
             )
-            if not check.passed:
-                break
-        results.append(check)
-        binomials = (binomial((a + b) * k, a * k) if k else 0 for k in range(order + 1))
+            for r in AB_RESTRICTIONS
+            # each east boundary step leaves one east move fewer to place
+            for east in [(r.first is Step.E) + (r.last is Step.E)]
+        )
+        results.append(_first_failure(name, checks))
         results.append(
             _series_equal(
                 f"g matches its binomial for {a}/{b}",
                 g,
-                Series(tuple(binomials)),
+                Series((0, *(binomial(n, e) for n, e in sizes))),
                 context=f"slope=({a},{b})",
             )
         )
@@ -224,6 +215,15 @@ def _bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Seri
         _marker_value(grids, (r,), 0, 0)
         for r in (Restriction.EE, Restriction.EN, Restriction.NN)
     )
+
+
+def _matches_table(
+    name: str, slope: Slope, grid, order: int, context: str = ""
+) -> CheckResult:
+    """A grid of series checked against the general bounce table of ``slope``
+    at the grid's own bounds."""
+    table = bounce_table(slope, Restriction.ALL, len(grid) - 1, len(grid[0]) - 1, order)
+    return _grid_equal(name, _coeff_grid(table.entries), _coeff_grid(grid), context=context)
 
 
 def one_sided_bounce_series(slope: Slope, side: str, count: int, order: int) -> Series:
@@ -323,13 +323,8 @@ def suite_bounce_free(
     results = []
     for slope in _slope_range(alpha, beta, max_slope_sum):
         tag = f"({slope.alpha},{slope.beta})"
-        g_ee = g_ab_series(slope, Step.E, Step.E, order)
-        g_en = g_ab_series(slope, Step.E, Step.N, order)
-        g_nn = g_ab_series(slope, Step.N, Step.N, order)
-        f_ee = bounce_free_ab(slope, Restriction.EE, order)
-        f_en = bounce_free_ab(slope, Restriction.EN, order)
-        f_nn = bounce_free_ab(slope, Restriction.NN, order)
-
+        _, g_ee, g_en, g_nn = _g_parts(slope, order)
+        f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
         results.append(
             _series_equal(
                 f"bounce determinant matches g_en^2 - g_ee*g_nn {tag}",
@@ -384,13 +379,12 @@ def suite_bounce_free(
             (0, 1): -f_en,
             (1, 1): delta_f,
         }
-        grid = expand_marker_quotient(numerator, denominator, 3, 3)
-        table = bounce_table(slope, Restriction.ALL, 3, 3, order)
         results.append(
-            _grid_equal(
+            _matches_table(
                 f"bounce-free marker form matches count marker form {tag}",
-                _coeff_grid(table.entries),
-                _coeff_grid(grid),
+                slope,
+                expand_marker_quotient(numerator, denominator, 3, 3),
+                order,
                 context=tag,
             )
         )
@@ -481,61 +475,45 @@ def suite_table_dual(
     max_right: int = 4,
 ) -> list[CheckResult]:
     """Closed-form cell sums against the rational marker expansion."""
-    results = []
-    for slope in coprime_slopes(max_slope_sum):
-        tag = f"({slope.alpha},{slope.beta})"
-        expanded = bounce_table(slope, Restriction.ALL, max_left, max_right, order)
-        assembled = bounce_table_from_closed_forms(slope, max_left, max_right, order)
-        results.append(
-            _grid_equal(
-                f"closed forms match expansion {tag}",
-                _coeff_grid(expanded.entries),
-                _coeff_grid(assembled),
-                context=tag,
-            )
+    return [
+        _matches_table(
+            f"closed forms match expansion ({slope.alpha},{slope.beta})",
+            slope,
+            bounce_table_from_closed_forms(slope, max_left, max_right, order),
+            order,
+            context=f"({slope.alpha},{slope.beta})",
         )
-    return results
+        for slope in coprime_slopes(max_slope_sum)
+    ]
 
 
 # ------------------------------------------------------ beta = 1 specializations
 
 
-def f_ab_via_fuss_catalan(alpha: int, restriction: Restriction, order: int) -> Series:
-    """Bounce-free path classes written in the Fuss-Catalan series c = c_alpha:
+def f_ab_via_fuss_catalan(alpha: int, order: int) -> tuple[Series, Series, Series]:
+    """Bounce-free path classes (f_ee, f_en, f_nn) written in the
+    Fuss-Catalan series c = c_alpha (f_ne = f_en):
 
         f_ee = (alpha*c - 1)(c - 1) / q,   f_nn = (c - 1)^2 / q,
-        f_en = f_ne = c(c - 1) / q,        q = (1-alpha)c^2 + (alpha+1)c - 1.
+        f_en = c(c - 1) / q,               q = (1-alpha)c^2 + (alpha+1)c - 1.
     """
-    if restriction is Restriction.ALL:
-        raise ValueError("this series is defined per first/last step restriction")
     c = fuss_catalan(alpha, order)
     q = (1 - alpha) * c * c + (alpha + 1) * c - 1
-    if restriction is Restriction.EE:
-        numerator = (alpha * c - 1) * (c - 1)
-    elif restriction is Restriction.NN:
-        numerator = (c - 1) * (c - 1)
-    else:
-        numerator = c * (c - 1)
-    return numerator.div(q)
+    return tuple(
+        numerator.div(q)
+        for numerator in ((alpha * c - 1) * (c - 1), c * (c - 1), (c - 1) * (c - 1))
+    )
 
 
-def bounce_free_ab_beta1(alpha: int, restriction: Restriction, order: int) -> Series:
-    """Simplified bounce-free forms valid for beta = 1:
+def bounce_free_ab_beta1(alpha: int, order: int) -> tuple[Series, Series, Series]:
+    """Simplified bounce-free forms (f_ee, f_en, f_nn), valid for beta = 1:
 
         f_ee = g_ee / (1 + g - g_ee),   f_en = (g_nn + g_en) / (1 + g - g_ee),
         f_nn = g_nn / (1 + g - g_ee).
     """
-    if restriction is Restriction.ALL:
-        raise ValueError("this series is defined per first/last step restriction")
     g, g_ee, g_en, g_nn = _g_parts(Slope(alpha, 1), order)
     den = 1 + g - g_ee
-    numerators = {
-        Restriction.EE: g_ee,
-        Restriction.EN: g_nn + g_en,
-        Restriction.NE: g_nn + g_en,
-        Restriction.NN: g_nn,
-    }
-    return numerators[restriction].div(den)
+    return g_ee.div(den), (g_nn + g_en).div(den), g_nn.div(den)
 
 
 def bounce_table_beta1(
@@ -562,73 +540,40 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
     for alpha in range(1, alpha_max + 1):
         slope = Slope(alpha, 1)
         tag = f"alpha={alpha}"
-        g_ee = g_ab_series(slope, Step.E, Step.E, order)
-        g_en = g_ab_series(slope, Step.E, Step.N, order)
-        g_nn = g_ab_series(slope, Step.N, Step.N, order)
-        results.append(
-            _series_equal(
-                f"g_ee = alpha*g_nn + (alpha-1)*g_en ({tag})",
-                g_ee,
-                alpha * g_nn + (alpha - 1) * g_en,
-                context=tag,
-            )
-        )
-        results.append(
-            _series_equal(
-                f"g_en^2 - g_ee*g_nn = g_nn ({tag})",
-                g_en * g_en - g_ee * g_nn,
-                g_nn,
-                context=tag,
-            )
-        )
-        results.append(
-            _series_equal(
-                f"h closed form = (g_ee+g_en)/(1+g_ee) ({tag})",
+        _, g_ee, g_en, g_nn = _g_parts(slope, order)
+        general = _bounce_free_classes(slope, order)
+        f_ee, f_en, f_nn = general
+        # (name, computed, expected)
+        checks = [
+            ("g_ee = alpha*g_nn + (alpha-1)*g_en", g_ee, alpha * g_nn + (alpha - 1) * g_en),
+            ("g_en^2 - g_ee*g_nn = g_nn", g_en * g_en - g_ee * g_nn, g_nn),
+            (
+                "h closed form = (g_ee+g_en)/(1+g_ee)",
                 nhc_prefix_series(alpha, order),
                 (g_ee + g_en).div(1 + g_ee),
-                context=tag,
-            )
+            ),
+            ("f_ee = f_nn + (alpha-1)*f_en", f_ee, f_nn + (alpha - 1) * f_en),
+        ]
+        forms = zip(
+            ("ee", "en", "nn"),
+            general,
+            bounce_free_ab_beta1(alpha, order),
+            f_ab_via_fuss_catalan(alpha, order),
         )
-        f_ee = bounce_free_ab(slope, Restriction.EE, order)
-        f_en = bounce_free_ab(slope, Restriction.EN, order)
-        f_nn = bounce_free_ab(slope, Restriction.NN, order)
-        results.append(
-            _series_equal(
-                f"f_ee = f_nn + (alpha-1)*f_en ({tag})",
-                f_ee,
-                f_nn + (alpha - 1) * f_en,
-                context=tag,
-            )
-        )
-        for restriction, general in (
-            (Restriction.EE, f_ee),
-            (Restriction.EN, f_en),
-            (Restriction.NN, f_nn),
-        ):
-            results.append(
-                _series_equal(
-                    f"simplified f_{restriction.value} ({tag})",
-                    bounce_free_ab_beta1(alpha, restriction, order),
-                    general,
-                    context=tag,
-                )
-            )
-            results.append(
-                _series_equal(
-                    f"Fuss-Catalan f_{restriction.value} ({tag})",
-                    f_ab_via_fuss_catalan(alpha, restriction, order),
-                    general,
-                    context=tag,
-                )
-            )
+        for label, f, simplified, fuss in forms:
+            checks.append((f"simplified f_{label}", simplified, f))
+            checks.append((f"Fuss-Catalan f_{label}", fuss, f))
+        results += [
+            _series_equal(f"{name} ({tag})", computed, expected, context=tag)
+            for name, computed, expected in checks
+        ]
         bound = order - 1  # no path of semilength <= order has more bounces
-        simplified = bounce_table_beta1(alpha, bound, bound, order)
-        general_table = bounce_table(slope, Restriction.ALL, bound, bound, order)
         results.append(
-            _grid_equal(
+            _matches_table(
                 f"simplified marker form matches general table ({tag})",
-                _coeff_grid(general_table.entries),
-                _coeff_grid(simplified),
+                slope,
+                bounce_table_beta1(alpha, bound, bound, order),
+                order,
                 context=tag,
             )
         )
@@ -642,9 +587,7 @@ def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
     c = fuss_catalan(1, order)
     x = Series.x(order)
     xc = x * c
-    f_ee = bounce_free_ab(slope, Restriction.EE, order)
-    f_en = bounce_free_ab(slope, Restriction.EN, order)
-    f_nn = bounce_free_ab(slope, Restriction.NN, order)
+    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
     results.append(
         _series_equal("f_ee = f_nn on the diagonal", f_ee, f_nn)
     )
@@ -679,13 +622,12 @@ def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
         (0, 1): -xc,
         (1, 1): xc - x,
     }
-    grid = expand_marker_quotient(numerator, denominator, 4, 4)
-    table = bounce_table(slope, Restriction.ALL, 4, 4, order)
     results.append(
-        _grid_equal(
+        _matches_table(
             "Catalan marker form matches general table",
-            _coeff_grid(table.entries),
-            _coeff_grid(grid),
+            slope,
+            expand_marker_quotient(numerator, denominator, 4, 4),
+            order,
         )
     )
     return results

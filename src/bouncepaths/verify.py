@@ -99,19 +99,24 @@ def _grid_equal(name: str, expected, actual, context: str = "") -> CheckResult:
     return CheckResult(name, False, f"{where}grid shapes differ")
 
 
+def _first_failure(name: str, checks) -> CheckResult:
+    """The first failing check of ``checks``, else one pass named ``name``.
+    ``checks`` is built lazily, so nothing after a failure is computed."""
+    return next((check for check in checks if not check.passed), CheckResult(name, True))
+
+
 # --------------------------------------------------------- oracle comparison
 
 
 def suite_oracle_vs_table(
     max_slope_sum: int = 7, max_steps: int = 40
 ) -> list[CheckResult]:
-    """Every table entry, every restriction, against exhaustive enumeration."""
+    """Every table entry, every restriction, against exhaustive enumeration.
+    A slope of more than ``max_steps`` steps has no path to compare."""
     results = []
     restrictions = [Restriction.ALL, *AB_RESTRICTIONS]
-    for slope in coprime_slopes(max_slope_sum):
+    for slope in coprime_slopes(min(max_slope_sum, max_steps)):
         semilengths = max_steps // (slope.alpha + slope.beta)
-        if semilengths < 1:
-            continue
         tag = f"({slope.alpha},{slope.beta})"
         name = f"table vs enumeration {tag}, {semilengths * (slope.alpha + slope.beta)} steps"
         bound = semilengths - 1
@@ -121,19 +126,22 @@ def suite_oracle_vs_table(
             profiles = enumerate_profiles(slope, k)
             for restriction, tables in counts.items():
                 tables.append(count_table(profiles, restriction))
-        for restriction, tables in counts.items():
-            table = bounce_table(slope, restriction, bound, bound, semilengths)
-            # no path has semilength 0, so the oracle's k = 0 coefficient is 0
-            oracle = [
-                [(0, *(t.get((l, r), 0) for t in tables)) for r in range(bound + 1)]
-                for l in range(bound + 1)
-            ]
-            check = _grid_equal(
-                name, oracle, _coeff_grid(table.entries), context=f"{tag} {restriction.value}"
+        checks = (
+            _grid_equal(
+                name,
+                # no path has semilength 0, so the oracle's k = 0 coefficient is 0
+                [
+                    [(0, *(t.get((l, r), 0) for t in tables)) for r in range(bound + 1)]
+                    for l in range(bound + 1)
+                ],
+                _coeff_grid(
+                    bounce_table(slope, restriction, bound, bound, semilengths).entries
+                ),
+                context=f"{tag} {restriction.value}",
             )
-            if not check.passed:
-                break
-        results.append(check)
+            for restriction, tables in counts.items()
+        )
+        results.append(_first_failure(name, checks))
     return results
 
 
@@ -230,12 +238,11 @@ def suite_crosses(
     the crossless no-right-bounce series to ``order``: alpha*(c_alpha - 1) as
     ``nhc_nrb_series`` computes it, h/(1 + nhc_en) and g_estar/(1 + g_estar)."""
     results = []
-    for alpha in range(1, alpha_max + 1):
+    # alpha + 1 steps is the shortest path of slope alpha/1
+    for alpha in range(1, min(alpha_max, max_steps - 1) + 1):
         slope = Slope(alpha, 1)
         tag = f"alpha={alpha}"
         semilengths = max_steps // (alpha + 1)
-        if semilengths < 1:
-            continue
         series = {
             "crossless EE": (
                 nhc_series(alpha, Restriction.EE, semilengths),
@@ -269,24 +276,24 @@ def suite_crosses(
             for label, (_, filters) in series.items():
                 counts[label].append(count_matching(profiles, **filters))
         name = f"cross statistics match enumeration ({tag})"
-        for label, (s, _) in series.items():
-            check = _series_equal(name, s, Series(counts[label]), context=f"{tag} {label}")
-            if not check.passed:
-                break
-        results.append(check)
+        checks = (
+            _series_equal(name, s, Series(counts[label]), context=f"{tag} {label}")
+            for label, (s, _) in series.items()
+        )
+        results.append(_first_failure(name, checks))
     for alpha in range(1, 6):
         name = f"three crossless no-right-bounce forms agree (alpha={alpha})"
         production = nhc_nrb_series(alpha, order)
         h = nhc_prefix_series(alpha, order)
         g_estar = g_prefix_series(Slope(alpha, 1), Step.E, order)
-        for label, form in (
-            ("h/(1+nhc_en)", h.div(1 + nhc_series(alpha, Restriction.EN, order))),
-            ("g_estar/(1+g_estar)", g_estar.div(1 + g_estar)),
-        ):
-            check = _series_equal(name, form, production, context=f"alpha={alpha} {label}")
-            if not check.passed:
-                break
-        results.append(check)
+        checks = (
+            _series_equal(name, form, production, context=f"alpha={alpha} {label}")
+            for label, form in (
+                ("h/(1+nhc_en)", h.div(1 + nhc_series(alpha, Restriction.EN, order))),
+                ("g_estar/(1+g_estar)", g_estar.div(1 + g_estar)),
+            )
+        )
+        results.append(_first_failure(name, checks))
     return results
 
 

@@ -718,6 +718,31 @@ def test_plain_verify_output_is_unchanged():
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounce-table", "--alpha", "1", "--beta", "1", "--order", "30"],
+        ["verify", "--suite", "ring", "--count", "10"],
+        ["coeffs", "--series", "g", "--alpha", "1", "--order", "5"],
+    ],
+    ids=["bounce-table", "verify", "coeffs"],
+)
+def test_a_closed_output_pipe_exits_without_a_traceback(argv):
+    # the reader is gone before the first write, as after ``| head -n 0``;
+    # a short output fails only at the flush
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bouncepaths.cli", *argv], cwd=ROOT / "src",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    err = err.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert len(err.splitlines()) <= 1
+
+
 def test_verify_unknown_suite():
     code, _ = run("verify", "--suite", "bogus")
     assert code == 1

@@ -9,6 +9,7 @@ from bouncepaths.closed_forms import Slope, Step
 from bouncepaths.enumeration import enumerate_profiles
 from bouncepaths.identities import (
     suite_base_counts,
+    suite_beta1,
     suite_bounce_free,
     suite_catalan_slope,
     suite_fuss_catalan,
@@ -16,7 +17,9 @@ from bouncepaths.identities import (
     suite_ring,
 )
 from bouncepaths.series import Series
-from bouncepaths.verify import SUITES, CheckResult, _grid_equal, _series_equal, coprime_slopes
+from bouncepaths.verify import (
+    SUITES, CheckResult, _first_failure, _grid_equal, _series_equal, coprime_slopes,
+)
 
 # the suites of plain ``verify``, in the order it has always run them
 PLAIN_VERIFY_ORDER = [
@@ -82,6 +85,76 @@ def test_cross_checks_catch_a_wrong_production_formula(
     monkeypatch.setattr(module, production, lambda *args: original(*args) + Series.x(6))
     failed = [r.name for r in suite(**kwargs) if not r.passed]
     assert failing in failed
+
+
+def test_first_failure_stops_at_the_first_failing_check():
+    built = []
+
+    def group(*checks):
+        for check in checks:
+            built.append(check)
+            yield check
+
+    passing = CheckResult("g", True)
+    failing = CheckResult("g", False, "k=2 expected=1 actual=0")
+    assert _first_failure("g", group(passing, failing, passing)) is failing
+    assert len(built) == 2  # nothing after the failure was built
+    assert str(_first_failure("g", group(passing, passing))) == "PASS  g"
+
+
+def test_marker_form_checks_catch_a_wrong_expansion(monkeypatch):
+    # the alternative marker forms expand through identities' binding of
+    # expand_marker_quotient, the general table through bounce's
+    original = identities.expand_marker_quotient
+
+    def skewed(*args):
+        grid = original(*args)
+        grid[1][0] = grid[1][0] + Series.x(grid[1][0].order) ** 3
+        return grid
+
+    monkeypatch.setattr(identities, "expand_marker_quotient", skewed)
+    results = (
+        suite_bounce_free(alpha=2, beta=1, order=6)
+        + suite_beta1(alpha_max=1, order=6)
+        + suite_catalan_slope(order=6)
+    )
+    failed = {r.name: r.detail.split(" expected=")[0] for r in results if not r.passed}
+    assert failed == {
+        "bounce-free marker form matches count marker form (2,1)": "(2,1) l=1 r=0 k=3",
+        "simplified marker form matches general table (alpha=1)": "alpha=1 l=1 r=0 k=3",
+        "Catalan marker form matches general table": "l=1 r=0 k=3",
+    }
+
+
+def test_oracle_vs_table_walks_only_slopes_within_the_step_budget(monkeypatch):
+    # a slope of more than max_steps steps has no path to compare
+    asked = []
+
+    def recording(max_sum):
+        asked.append(max_sum)
+        return coprime_slopes(max_sum)
+
+    monkeypatch.setattr(verify, "coprime_slopes", recording)
+    far = verify.suite_oracle_vs_table(max_slope_sum=1000, max_steps=4)
+    assert asked == [4]
+    assert far == verify.suite_oracle_vs_table(max_slope_sum=4, max_steps=4)
+    assert len(far) == 5 and all(check.passed for check in far)
+
+
+def test_crosses_walks_only_alphas_within_the_step_budget(monkeypatch):
+    # a path of slope alpha/1 takes at least alpha + 1 steps
+    alphas = []
+
+    def recording(alpha, beta):
+        alphas.append(alpha)
+        return Slope(alpha, beta)
+
+    monkeypatch.setattr(verify, "Slope", recording)
+    far = verify.suite_crosses(alpha_max=10**4, max_steps=4, order=2)
+    # the enumeration half walks alpha = 1..3, the three-forms half 1..5
+    assert max(alphas) == 5
+    assert far == verify.suite_crosses(alpha_max=3, max_steps=4, order=2)
+    assert len(far) == 3 + 5 and all(check.passed for check in far)
 
 
 def test_check_result_str():
