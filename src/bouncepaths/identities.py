@@ -2,11 +2,12 @@
 
 The library computes each series by one production formula.  The
 alternative formulas the suites hold it against are defined here, beside
-the suites that call them: the closed-form cell sums of the bounce table,
-and the beta = 1 and Fuss-Catalan forms of the bounce-free series,
-:func:`bounce_free_ab_beta1` and :func:`f_ab_via_fuss_catalan`, each of
-which returns the three classes (f_ee, f_en, f_nn).  The suites report
-through the check record and comparison helpers of :mod:`bouncepaths.verify`.
+the suites that call them: the cell sums of the bounce table over the
+bounce-free classes (f_ee, f_en, f_nn), which :func:`bounce_free_classes`
+builds once per slope, and the beta = 1 and Fuss-Catalan forms of those
+classes, :func:`bounce_free_ab_beta1` and :func:`f_ab_via_fuss_catalan`.
+The suites report through the check record and comparison helpers of
+:mod:`bouncepaths.verify`.
 
 ``SUITES`` holds these nine suites; ``verify.SUITES`` holds the four that
 compare against enumeration.  Only :func:`bouncepaths.verify.registry`
@@ -18,8 +19,6 @@ import random
 
 from .beta_one import nhc_nrb_series, nhc_prefix_series
 from .bounce import (
-    _marker_grids,
-    _marker_value,
     bounce_free_ab,
     bounce_free_prefix,
     bounce_free_total,
@@ -208,11 +207,10 @@ def suite_fuss_catalan(alpha_max: int = 5, order: int = 12) -> list[CheckResult]
 # ---------------------------------------------------- closed-form cell sums
 
 
-def _bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Series]:
-    """(f_ee, f_en, f_nn) from one pair of grids."""
-    grids = _marker_grids(slope, order)
+def bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Series]:
+    """The bounce-free classes (f_ee, f_en, f_nn) that every cell sum is built of."""
     return tuple(
-        _marker_value(grids, (r,), 0, 0)
+        bounce_free_ab(slope, r, order)
         for r in (Restriction.EE, Restriction.EN, Restriction.NN)
     )
 
@@ -226,26 +224,23 @@ def _matches_table(
     return _grid_equal(name, _coeff_grid(table.entries), _coeff_grid(grid), context=context)
 
 
-def one_sided_bounce_series(slope: Slope, side: str, count: int, order: int) -> Series:
-    """Paths with exactly ``count`` bounces on one side and none on the other.
+def one_sided_bounce_series(classes: tuple[Series, Series, Series], count: int) -> Series:
+    """Paths with exactly ``count`` bounces on one side and none on the other,
+    from the bounce-free ``classes`` (f_ee, f_en, f_nn).
 
     For ``count = m >= 1`` this is the product of a bounce-free prefix, m - 1
-    bounce-free EN/NE bridges, and a bounce-free suffix; the two sides give
-    the same series because the bridge factor is shared.
+    bounce-free EN/NE bridges, and a bounce-free suffix; either side gives
+    this series because the bridge factor is shared.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if count < 1:
         raise ValueError("count must be at least 1; use bounce_free_total for 0")
-    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
-    start_e, start_n = f_ee + f_en, f_nn + f_en
-    if side == "left":
-        return start_e * f_en ** (count - 1) * start_n
-    return start_n * f_en ** (count - 1) * start_e
+    f_ee, f_en, f_nn = classes
+    return (f_ee + f_en) * f_en ** (count - 1) * (f_nn + f_en)
 
 
-def b_lr_closed_form(slope: Slope, left: int, right: int, order: int) -> Series:
-    """Paths with exactly ``left`` and ``right`` bounces, both at least 1.
+def b_lr_closed_form(classes: tuple[Series, Series, Series], left: int, right: int) -> Series:
+    """Paths with exactly ``left`` and ``right`` bounces, both at least 1, from
+    the bounce-free ``classes`` (f_ee, f_en, f_nn).
 
     Finite sum over the number i of maximal right-bounce runs, in four parts
     according to whether the first and last bounces are left or right ones.
@@ -254,12 +249,12 @@ def b_lr_closed_form(slope: Slope, left: int, right: int, order: int) -> Series:
     """
     if left < 1 or right < 1:
         raise ValueError("both bounce counts must be at least 1")
-    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
+    f_ee, f_en, f_nn = classes
     start_e = f_ee + f_en
     start_n = f_nn + f_en
     ee_nn = f_ee * f_nn
 
-    total = Series.zero(order)
+    total = Series.zero(f_en.order)
     for i in range(1, left):
         w = binomial(left - 1, i) * binomial(right - 1, i - 1)
         if w:
@@ -294,18 +289,17 @@ def bounce_table_from_closed_forms(
     products, and the interior from :func:`b_lr_closed_form`.  Used to
     cross-check :func:`bounce_table`.
     """
+    classes = bounce_free_classes(slope, order)
     grid: list[list[Series]] = []
     for l in range(max_left + 1):
         row = []
         for r in range(max_right + 1):
             if l == 0 and r == 0:
                 row.append(bounce_free_total(slope, order))
-            elif r == 0:
-                row.append(one_sided_bounce_series(slope, "left", l, order))
-            elif l == 0:
-                row.append(one_sided_bounce_series(slope, "right", r, order))
+            elif l == 0 or r == 0:
+                row.append(one_sided_bounce_series(classes, l + r))
             else:
-                row.append(b_lr_closed_form(slope, l, r, order))
+                row.append(b_lr_closed_form(classes, l, r))
         grid.append(row)
     return grid
 
@@ -324,7 +318,8 @@ def suite_bounce_free(
     for slope in _slope_range(alpha, beta, max_slope_sum):
         tag = f"({slope.alpha},{slope.beta})"
         _, g_ee, g_en, g_nn = _g_parts(slope, order)
-        f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
+        f_ee, f_en, f_nn = classes = bounce_free_classes(slope, order)
+        f = bounce_free_total(slope, order)
         results.append(
             _series_equal(
                 f"bounce determinant matches g_en^2 - g_ee*g_nn {tag}",
@@ -352,7 +347,7 @@ def suite_bounce_free(
         results.append(
             _series_equal(
                 f"one-sided sum equals no-left-bounce total {tag}",
-                _one_sided_total(slope, order),
+                sum((one_sided_bounce_series(classes, m) for m in range(1, order + 1)), f),
                 no_left_bounce_total(slope, order),
                 context=tag,
             )
@@ -361,7 +356,7 @@ def suite_bounce_free(
             _series_equal(
                 f"bounce-free splits by first/last step {tag}",
                 f_ee + 2 * f_en + f_nn,
-                bounce_free_total(slope, order),
+                f,
                 context=tag,
             )
         )
@@ -369,7 +364,7 @@ def suite_bounce_free(
         # marker form over bounce-free series vs the one over raw counts
         delta_f = f_en * f_en - f_ee * f_nn
         numerator = {
-            (0, 0): bounce_free_total(slope, order),
+            (0, 0): f,
             (1, 0): -delta_f,
             (0, 1): -delta_f,
         }
@@ -390,24 +385,17 @@ def suite_bounce_free(
         )
 
         # swapping the slope components swaps the bounce sides
-        mirrored = slope.transpose()
+        mirrored = bounce_free_classes(slope.transpose(), order)
         for m in (1, 2, 3):
             results.append(
                 _series_equal(
                     f"left series of {tag} mirrors right series, {m} bounces",
-                    one_sided_bounce_series(slope, "left", m, order),
-                    one_sided_bounce_series(mirrored, "right", m, order),
+                    one_sided_bounce_series(classes, m),
+                    one_sided_bounce_series(mirrored, m),
                     context=tag,
                 )
             )
     return results
-
-
-def _one_sided_total(slope: Slope, order: int) -> Series:
-    total = bounce_free_total(slope, order)
-    for m in range(1, order + 1):
-        total = total + one_sided_bounce_series(slope, "left", m, order)
-    return total
 
 
 def suite_specializations(
@@ -541,8 +529,7 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
         slope = Slope(alpha, 1)
         tag = f"alpha={alpha}"
         _, g_ee, g_en, g_nn = _g_parts(slope, order)
-        general = _bounce_free_classes(slope, order)
-        f_ee, f_en, f_nn = general
+        f_ee, f_en, f_nn = general = bounce_free_classes(slope, order)
         # (name, computed, expected)
         checks = [
             ("g_ee = alpha*g_nn + (alpha-1)*g_en", g_ee, alpha * g_nn + (alpha - 1) * g_en),
@@ -587,7 +574,7 @@ def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
     c = fuss_catalan(1, order)
     x = Series.x(order)
     xc = x * c
-    f_ee, f_en, f_nn = _bounce_free_classes(slope, order)
+    f_ee, f_en, f_nn = bounce_free_classes(slope, order)
     results.append(
         _series_equal("f_ee = f_nn on the diagonal", f_ee, f_nn)
     )

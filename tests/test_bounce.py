@@ -21,6 +21,7 @@ from bouncepaths.enumeration import count_matching, count_table, enumerate_profi
 from bouncepaths.series import Series
 from bouncepaths.identities import (
     b_lr_closed_form,
+    bounce_free_classes,
     bounce_table_from_closed_forms,
     one_sided_bounce_series,
 )
@@ -153,24 +154,22 @@ def test_bounce_free_and_no_left_bounce_match_the_closed_forms(slope):
 
 
 def test_one_sided_frozen_values():
-    # NENE is the single path to (2,2) with one left and no right bounce
-    assert one_sided_bounce_series(Slope(1, 1), "left", 1, 2).coefficient(2) == 1
-    # ENEN is its right-bounce mirror
-    assert one_sided_bounce_series(Slope(1, 1), "right", 1, 2).coefficient(2) == 1
+    # NENE is the single path to (2,2) with one left and no right bounce, and
+    # ENEN, its right-bounce mirror, the single one with one right bounce
+    assert one_sided_bounce_series(bounce_free_classes(Slope(1, 1), 2), 1).coefficient(2) == 1
 
 
 def test_one_sided_mirror_symmetry():
+    # swapping the slope components swaps the bounce sides
+    classes = bounce_free_classes(Slope(2, 3), 8)
+    mirrored = bounce_free_classes(Slope(3, 2), 8)
     for m in (1, 2, 3):
-        assert one_sided_bounce_series(Slope(2, 3), "left", m, 8) == (
-            one_sided_bounce_series(Slope(3, 2), "right", m, 8)
-        )
+        assert one_sided_bounce_series(classes, m) == one_sided_bounce_series(mirrored, m)
 
 
 def test_one_sided_validation():
     with pytest.raises(ValueError):
-        one_sided_bounce_series(Slope(1, 1), "up", 1, 3)
-    with pytest.raises(ValueError):
-        one_sided_bounce_series(Slope(1, 1), "left", 0, 3)
+        one_sided_bounce_series(bounce_free_classes(Slope(1, 1), 3), 0)
 
 
 def test_no_left_bounce_total_frozen_values():
@@ -181,9 +180,10 @@ def test_no_left_bounce_total_frozen_values():
 @pytest.mark.parametrize("slope", [Slope(1, 1), Slope(2, 1), Slope(2, 3)], ids=str)
 def test_no_left_bounce_total_sums_one_sided(slope):
     order = 8
+    classes = bounce_free_classes(slope, order)
     total = bounce_free_total(slope, order)
     for m in range(1, order + 1):
-        total = total + one_sided_bounce_series(slope, "left", m, order)
+        total = total + one_sided_bounce_series(classes, m)
     assert total == no_left_bounce_total(slope, order)
 
 
@@ -191,11 +191,15 @@ def test_no_left_bounce_total_sums_one_sided(slope):
 
 
 def test_b_lr_frozen_values():
-    series = b_lr_closed_form(Slope(1, 1), 1, 1, 4)
+    classes = bounce_free_classes(Slope(1, 1), 4)
+    series = b_lr_closed_form(classes, 1, 1)
     # no path to (2,2) or (3,3) carries a bounce on both sides; two at (4,4)
     assert [series.coefficient(k) for k in (2, 3, 4)] == [0, 0, 2]
     with pytest.raises(ValueError):
-        b_lr_closed_form(Slope(1, 1), 0, 1, 4)
+        b_lr_closed_form(classes, 0, 1)
+
+
+DIAGONAL_CLASSES = bounce_free_classes(Slope(1, 1), 5)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5))
@@ -203,7 +207,7 @@ def test_b_lr_frozen_values():
 def test_b_lr_vanishes_when_bounces_exceed_semilength(left, right, k):
     if left + right < k:
         return
-    assert b_lr_closed_form(Slope(1, 1), left, right, 5).coefficient(k) == 0
+    assert b_lr_closed_form(DIAGONAL_CLASSES, left, right).coefficient(k) == 0
 
 
 # -------------------------------------------------------------------- table

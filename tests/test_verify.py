@@ -102,6 +102,26 @@ def test_first_failure_stops_at_the_first_failing_check():
     assert str(_first_failure("g", group(passing, passing))) == "PASS  g"
 
 
+@pytest.mark.parametrize(
+    "suite, builds_per_slope",
+    [(identities.suite_bounce_free, 2), (identities.suite_table_dual, 1)],
+    ids=["bounce-free", "table-dual"],
+)
+def test_identity_suites_build_each_slopes_classes_once(monkeypatch, suite, builds_per_slope):
+    # bounce-free builds a slope's classes once as itself and once as the
+    # mirror of its transpose; table-dual builds them once for its whole grid
+    original = identities.bounce_free_classes
+    builds = {}
+
+    def counted(slope, order):
+        builds[slope] = builds.get(slope, 0) + 1
+        return original(slope, order)
+
+    monkeypatch.setattr(identities, "bounce_free_classes", counted)
+    assert all(result.passed for result in suite())
+    assert builds and max(builds.values()) <= builds_per_slope, builds
+
+
 def test_marker_form_checks_catch_a_wrong_expansion(monkeypatch):
     # the alternative marker forms expand through identities' binding of
     # expand_marker_quotient, the general table through bounce's
