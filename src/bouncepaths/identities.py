@@ -96,33 +96,29 @@ def suite_ring(count: int = 1000, seed: int = 20260809) -> list[CheckResult]:
     """Ring axioms, inverse round trips and truncation consistency on
     randomized small-coefficient inputs."""
     rng = random.Random(seed)
-    for i in range(count):
-        order = rng.randint(0, 8)
-        a = _random_series(rng, order)
-        b = _random_series(rng, order)
-        c = _random_series(rng, order)
-        if (a + b) + c != a + (b + c):
-            return [CheckResult("ring axioms", False, f"add assoc, input {i}")]
-        if a * b != b * a:
-            return [CheckResult("ring axioms", False, f"mul comm, input {i}")]
-        if (a * b) * c != a * (b * c):
-            return [CheckResult("ring axioms", False, f"mul assoc, input {i}")]
-        if a * (b + c) != a * b + a * c:
-            return [CheckResult("ring axioms", False, f"distributivity, input {i}")]
-        if a * a != a * Series(a.coeffs):
-            # a square takes its own path; an equal copy takes the general one
-            return [CheckResult("ring axioms", False, f"square, input {i}")]
+    name = f"ring axioms on {count} randomized inputs"
 
-        unit = Series((rng.choice((1, -1)),) + a.coeffs[1:])
-        if unit * unit.reciprocal() != Series.one(order):
-            return [CheckResult("ring axioms", False, f"reciprocal, input {i}")]
-        if (a * unit).div(unit) != a:
-            return [CheckResult("ring axioms", False, f"div round trip, input {i}")]
+    def checks():
+        for i in range(count):
+            order = rng.randint(0, 8)
+            a, b, c = (_random_series(rng, order) for _ in range(3))
+            unit = Series((rng.choice((1, -1)),) + a.coeffs[1:])
+            m = rng.randint(0, order)
+            laws = (
+                ("add assoc", (a + b) + c, a + (b + c)),
+                ("mul comm", a * b, b * a),
+                ("mul assoc", (a * b) * c, a * (b * c)),
+                ("distributivity", a * (b + c), a * b + a * c),
+                # a square takes its own path; an equal copy takes the general one
+                ("square", a * a, a * Series(a.coeffs)),
+                ("reciprocal", unit * unit.reciprocal(), Series.one(order)),
+                ("div round trip", (a * unit).div(unit), a),
+                ("truncation", (a * b).truncate(m), a.truncate(m) * b.truncate(m)),
+            )
+            for law, actual, expected in laws:
+                yield _series_equal(name, actual, expected, context=f"{law}, input {i}")
 
-        m = rng.randint(0, order)
-        if (a * b).truncate(m) != a.truncate(m) * b.truncate(m):
-            return [CheckResult("ring axioms", False, f"truncation, input {i}")]
-    return [CheckResult(f"ring axioms on {count} randomized inputs", True)]
+    return [_first_failure(name, checks())]
 
 
 # -------------------------------------------------------------- closed forms
@@ -140,27 +136,21 @@ def suite_base_counts(
     identities hold by construction, and steps g by an exact ratio."""
     results = []
     for slope in _slope_range(alpha, beta, max_slope_sum):
+        a, b = slope.alpha, slope.beta
+        tag = f"slope=({a},{b})"
         g = g_series(slope, order)
         g_ee = g_ab_series(slope, Step.E, Step.E, order)
         g_en = g_ab_series(slope, Step.E, Step.N, order)
         g_nn = g_ab_series(slope, Step.N, Step.N, order)
-        results.append(
-            _series_equal(
-                f"beta*(E-start) = alpha*(N-start) for {slope.alpha}/{slope.beta}",
-                slope.beta * (g_ee + g_en),
-                slope.alpha * (g_nn + g_en),
-                context=f"slope=({slope.alpha},{slope.beta})",
-            )
-        )
-        results.append(
-            _series_equal(
-                f"g splits by first/last step for {slope.alpha}/{slope.beta}",
-                g_ee + 2 * g_en + g_nn,
-                g,
-                context=f"slope=({slope.alpha},{slope.beta})",
-            )
-        )
-        a, b = slope.alpha, slope.beta
+        # (name, actual, expected)
+        checks = [
+            (f"beta*(E-start) = alpha*(N-start) for {a}/{b}", b * (g_ee + g_en), a * (g_nn + g_en)),
+            (f"g splits by first/last step for {a}/{b}", g_ee + 2 * g_en + g_nn, g),
+        ]
+        results += [
+            _series_equal(name, actual, expected, context=tag)
+            for name, actual, expected in checks
+        ]
         # (steps, east steps) of the paths of semilength k = 1..order
         sizes = [((a + b) * k, a * k) for k in range(1, order + 1)]
         name = f"g_ab matches its binomial for {a}/{b}"
@@ -169,7 +159,7 @@ def suite_base_counts(
                 name,
                 g_ab_series(slope, r.first, r.last, order),
                 Series((0, *(binomial(n - 2, e - east) for n, e in sizes))),
-                context=f"slope=({a},{b}) {r.value}",
+                context=f"{tag} {r.value}",
             )
             for r in AB_RESTRICTIONS
             # each east boundary step leaves one east move fewer to place
@@ -181,7 +171,7 @@ def suite_base_counts(
                 f"g matches its binomial for {a}/{b}",
                 g,
                 Series((0, *(binomial(n, e) for n, e in sizes))),
-                context=f"slope=({a},{b})",
+                context=tag,
             )
         )
     return results
@@ -196,8 +186,8 @@ def suite_fuss_catalan(alpha_max: int = 5, order: int = 12) -> list[CheckResult]
         results.append(
             _series_equal(
                 f"functional equation for c_{alpha}",
-                1 + x * c ** (alpha + 1),
                 c,
+                1 + x * c ** (alpha + 1),
                 context=f"alpha={alpha}",
             )
         )
@@ -218,8 +208,8 @@ def bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Serie
 def _matches_table(
     name: str, slope: Slope, grid, order: int, context: str = ""
 ) -> CheckResult:
-    """A grid of series checked against the general bounce table of ``slope``
-    at the grid's own bounds."""
+    """The general bounce table of ``slope``, the library's value, checked
+    against ``grid``, a grid of series, at the grid's own bounds."""
     table = bounce_table(slope, Restriction.ALL, len(grid) - 1, len(grid[0]) - 1, order)
     return _grid_equal(name, _coeff_grid(table.entries), _coeff_grid(grid), context=context)
 
@@ -315,51 +305,43 @@ def suite_bounce_free(
 ) -> list[CheckResult]:
     """Internal consistency of the bounce-free machinery."""
     results = []
-    for slope in _slope_range(alpha, beta, max_slope_sum):
+    slopes = _slope_range(alpha, beta, max_slope_sum)
+    # each slope's classes, built once whether checked as itself or as a mirror
+    needed = dict.fromkeys(s for slope in slopes for s in (slope, slope.transpose()))
+    classes = {s: bounce_free_classes(s, order) for s in needed}
+    for slope in slopes:
         tag = f"({slope.alpha},{slope.beta})"
         _, g_ee, g_en, g_nn = _g_parts(slope, order)
-        f_ee, f_en, f_nn = classes = bounce_free_classes(slope, order)
+        f_ee, f_en, f_nn = own = classes[slope]
         f = bounce_free_total(slope, order)
-        results.append(
-            _series_equal(
+        # (name, actual, expected)
+        checks = [
+            (
                 f"bounce determinant matches g_en^2 - g_ee*g_nn {tag}",
                 marker_cells(slope, Restriction.ALL, order)[1][(1, 1)],
                 g_en * g_en - g_ee * g_nn,
-                context=tag,
-            )
-        )
-        results.append(
-            _series_equal(
+            ),
+            (
                 f"no-right-bounce EN dual form {tag}",
-                f_en + (f_ee * f_nn).div(1 - f_en),
                 nrb_series(slope, Restriction.EN, order),
-                context=tag,
-            )
-        )
-        results.append(
-            _series_equal(
+                f_en + (f_ee * f_nn).div(1 - f_en),
+            ),
+            (
                 f"reciprocal of 1 - f_en {tag}",
                 (1 - f_en).reciprocal(),
                 ((1 + g_en) ** 2 - g_ee * g_nn).div(1 + g_en),
-                context=tag,
-            )
-        )
-        results.append(
-            _series_equal(
+            ),
+            (
                 f"one-sided sum equals no-left-bounce total {tag}",
-                sum((one_sided_bounce_series(classes, m) for m in range(1, order + 1)), f),
                 no_left_bounce_total(slope, order),
-                context=tag,
-            )
-        )
-        results.append(
-            _series_equal(
-                f"bounce-free splits by first/last step {tag}",
-                f_ee + 2 * f_en + f_nn,
-                f,
-                context=tag,
-            )
-        )
+                sum((one_sided_bounce_series(own, m) for m in range(1, order + 1)), f),
+            ),
+            (f"bounce-free splits by first/last step {tag}", f, f_ee + 2 * f_en + f_nn),
+        ]
+        results += [
+            _series_equal(name, actual, expected, context=tag)
+            for name, actual, expected in checks
+        ]
 
         # marker form over bounce-free series vs the one over raw counts
         delta_f = f_en * f_en - f_ee * f_nn
@@ -385,16 +367,15 @@ def suite_bounce_free(
         )
 
         # swapping the slope components swaps the bounce sides
-        mirrored = bounce_free_classes(slope.transpose(), order)
-        for m in (1, 2, 3):
-            results.append(
-                _series_equal(
-                    f"left series of {tag} mirrors right series, {m} bounces",
-                    one_sided_bounce_series(classes, m),
-                    one_sided_bounce_series(mirrored, m),
-                    context=tag,
-                )
+        results += [
+            _series_equal(
+                f"left series of {tag} mirrors right series, {m} bounces",
+                one_sided_bounce_series(own, m),
+                one_sided_bounce_series(classes[slope.transpose()], m),
+                context=tag,
             )
+            for m in (1, 2, 3)
+        ]
     return results
 
 
@@ -408,51 +389,43 @@ def suite_specializations(
         tag = f"({slope.alpha},{slope.beta})"
         bound = order - 1
         table = bounce_table(slope, Restriction.ALL, bound, bound, order)
-        results.append(
-            _series_equal(
-                f"markers (1,1) give all paths {tag}",
-                table.sum_all(),
-                g_series(slope, order),
-                context=tag,
-            )
-        )
-        results.append(
-            _series_equal(
+        # (name, actual, expected)
+        checks = [
+            (f"markers (1,1) give all paths {tag}", table.sum_all(), g_series(slope, order)),
+            (
                 f"markers (0,0) give the bounce-free paths {tag}",
                 table.entry(0, 0),
                 bounce_free_total(slope, order),
-                context=tag,
-            )
-        )
-        axis_sum = Series.zero(order)
-        for r in range(bound + 1):
-            axis_sum = axis_sum + table.entry(0, r)
-        results.append(
-            _series_equal(
+            ),
+            (
                 f"markers (0,1) give the no-left-bounce paths {tag}",
-                axis_sum,
+                sum(table.entries[0], Series.zero(order)),
                 no_left_bounce_total(slope, order),
-                context=tag,
-            )
-        )
+            ),
+        ]
+        results += [
+            _series_equal(name, actual, expected, context=tag)
+            for name, actual, expected in checks
+        ]
         for restriction in AB_RESTRICTIONS:
             restricted = bounce_table(slope, restriction, bound, bound, order)
-            results.append(
-                _series_equal(
-                    f"markers (1,1) give all {restriction.value} paths {tag}",
+            label = restriction.value
+            checks = [
+                (
+                    f"markers (1,1) give all {label} paths {tag}",
                     restricted.sum_all(),
                     g_ab_series(slope, restriction.first, restriction.last, order),
-                    context=f"{tag} {restriction.value}",
-                )
-            )
-            results.append(
-                _series_equal(
-                    f"markers (0,0) give bounce-free {restriction.value} paths {tag}",
+                ),
+                (
+                    f"markers (0,0) give bounce-free {label} paths {tag}",
                     restricted.entry(0, 0),
                     bounce_free_ab(slope, restriction, order),
-                    context=f"{tag} {restriction.value}",
-                )
-            )
+                ),
+            ]
+            results += [
+                _series_equal(name, actual, expected, context=f"{tag} {label}")
+                for name, actual, expected in checks
+            ]
     return results
 
 
@@ -530,7 +503,7 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
         tag = f"alpha={alpha}"
         _, g_ee, g_en, g_nn = _g_parts(slope, order)
         f_ee, f_en, f_nn = general = bounce_free_classes(slope, order)
-        # (name, computed, expected)
+        # (name, actual, expected)
         checks = [
             ("g_ee = alpha*g_nn + (alpha-1)*g_en", g_ee, alpha * g_nn + (alpha - 1) * g_en),
             ("g_en^2 - g_ee*g_nn = g_nn", g_en * g_en - g_ee * g_nn, g_nn),
@@ -548,11 +521,11 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
             f_ab_via_fuss_catalan(alpha, order),
         )
         for label, f, simplified, fuss in forms:
-            checks.append((f"simplified f_{label}", simplified, f))
-            checks.append((f"Fuss-Catalan f_{label}", fuss, f))
+            checks.append((f"simplified f_{label}", f, simplified))
+            checks.append((f"Fuss-Catalan f_{label}", f, fuss))
         results += [
-            _series_equal(f"{name} ({tag})", computed, expected, context=tag)
-            for name, computed, expected in checks
+            _series_equal(f"{name} ({tag})", actual, expected, context=tag)
+            for name, actual, expected in checks
         ]
         bound = order - 1  # no path of semilength <= order has more bounces
         results.append(
@@ -569,38 +542,24 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
 
 def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
     """Diagonal-slope reductions through the Catalan series."""
-    results = []
     slope = Slope(1, 1)
     c = fuss_catalan(1, order)
     x = Series.x(order)
     xc = x * c
     f_ee, f_en, f_nn = bounce_free_classes(slope, order)
-    results.append(
-        _series_equal("f_ee = f_nn on the diagonal", f_ee, f_nn)
-    )
-    results.append(
-        _series_equal(
-            "f_ee = (x*c^2 - x*c)/(1 + x*c)",
-            f_ee,
-            (xc * c - xc).div(1 + xc),
-        )
-    )
-    results.append(
-        _series_equal("f_en = x*c^2/(1 + x*c)", f_en, (xc * c).div(1 + xc))
-    )
-    results.append(
-        _series_equal(
-            "f = 2(c - 1)", bounce_free_total(slope, order), 2 * (c - 1)
-        )
-    )
-    results.append(
-        _series_equal(
+    # (name, actual, expected)
+    checks = [
+        ("f_ee = f_nn on the diagonal", f_ee, f_nn),
+        ("f_ee = (x*c^2 - x*c)/(1 + x*c)", f_ee, (xc * c - xc).div(1 + xc)),
+        ("f_en = x*c^2/(1 + x*c)", f_en, (xc * c).div(1 + xc)),
+        ("f = 2(c - 1)", bounce_free_total(slope, order), 2 * (c - 1)),
+        (
             "E-start times N-start bounce-free product is (c - 1)^2",
-            bounce_free_prefix(slope, Step.E, order)
-            * bounce_free_prefix(slope, Step.N, order),
+            bounce_free_prefix(slope, Step.E, order) * bounce_free_prefix(slope, Step.N, order),
             (c - 1) * (c - 1),
-        )
-    )
+        ),
+    ]
+    results = [_series_equal(name, actual, expected) for name, actual, expected in checks]
     # two-marker form written directly in x*c(x)
     numerator = {(0, 0): 4 * xc - 2 * x, (1, 0): x - xc, (0, 1): x - xc}
     denominator = {

@@ -1,9 +1,10 @@
 """The ``verify`` framework, and the suites that check against the oracle.
 
 Each suite returns a list of :class:`CheckResult`; a failing check carries
-the first mismatching coefficient (slope, k, and grid cell where relevant)
-in its detail string.  The suites back both the command line ``verify``
-command and the acceptance tests.
+the first mismatching coefficient (slope, grid cell where relevant, and k)
+in its detail string, worded by :func:`_series_equal` as ``k=... expected=...
+actual=...``, where ``actual`` is the library's value.  The suites back both
+the command line ``verify`` command and the acceptance tests.
 
 This module holds the check record, the comparison helpers and ``SUITES``,
 the four suites that compare the generating functions against exhaustive
@@ -65,17 +66,20 @@ def coprime_slopes(max_sum: int) -> list[Slope]:
                 found.append(Slope(alpha, beta))
     return found
 
-def _series_equal(name: str, got: Series, expected: Series, context: str = "") -> CheckResult:
-    n = min(got.order, expected.order)
-    for k in range(n + 1):
-        if got.coeffs[k] != expected.coeffs[k]:
-            where = f"{context} " if context else ""
-            return CheckResult(
-                name,
-                False,
-                f"{where}k={k} expected={expected.coeffs[k]} actual={got.coeffs[k]}",
-            )
-    return CheckResult(name, True)
+
+def _series_equal(name: str, actual: Series, expected: Series, context: str = "") -> CheckResult:
+    """``actual``, the library's value, against ``expected``: the first
+    differing coefficient, else differing orders.  Every mismatch a suite
+    reports is worded here."""
+    if actual.coeffs == expected.coeffs:
+        return CheckResult(name, True)
+    where = f"{context} " if context else ""
+    for k, (a, e) in enumerate(zip(actual.coeffs, expected.coeffs)):
+        if a != e:
+            return CheckResult(name, False, f"{where}k={k} expected={e} actual={a}")
+    return CheckResult(
+        name, False, f"{where}order expected={expected.order} actual={actual.order}"
+    )
 
 
 def _coeff_grid(rows) -> list[list[tuple[int, ...]]]:
@@ -83,20 +87,21 @@ def _coeff_grid(rows) -> list[list[tuple[int, ...]]]:
     return [[series.coeffs for series in row] for row in rows]
 
 
-def _grid_equal(name: str, expected, actual, context: str = "") -> CheckResult:
+def _grid_equal(name: str, actual, expected, context: str = "") -> CheckResult:
     """Compare two grids of coefficient sequences indexed [l][r][k]; a failure
     names the first mismatching cell in l, then r, then k order."""
-    if expected == actual:
+    if actual == expected:
         return CheckResult(name, True)
     where = f"{context} " if context else ""
-    for l, (expected_row, actual_row) in enumerate(zip(expected, actual)):
-        for r, (expected_cell, actual_cell) in enumerate(zip(expected_row, actual_row)):
-            for k, (e, a) in enumerate(zip(expected_cell, actual_cell)):
-                if e != a:
-                    return CheckResult(
-                        name, False, f"{where}l={l} r={r} k={k} expected={e} actual={a}"
-                    )
-    return CheckResult(name, False, f"{where}grid shapes differ")
+    cells = (
+        _series_equal(name, Series(a), Series(e), f"{where}l={l} r={r}")
+        for l, (actual_row, expected_row) in enumerate(zip(actual, expected))
+        for r, (a, e) in enumerate(zip(actual_row, expected_row))
+    )
+    return next(
+        (cell for cell in cells if not cell.passed),
+        CheckResult(name, False, f"{where}grid shapes differ"),
+    )
 
 
 def _first_failure(name: str, checks) -> CheckResult:
@@ -129,14 +134,14 @@ def suite_oracle_vs_table(
         checks = (
             _grid_equal(
                 name,
+                _coeff_grid(
+                    bounce_table(slope, restriction, bound, bound, semilengths).entries
+                ),
                 # no path has semilength 0, so the oracle's k = 0 coefficient is 0
                 [
                     [(0, *(t.get((l, r), 0) for t in tables)) for r in range(bound + 1)]
                     for l in range(bound + 1)
                 ],
-                _coeff_grid(
-                    bounce_table(slope, restriction, bound, bound, semilengths).entries
-                ),
                 context=f"{tag} {restriction.value}",
             )
             for restriction, tables in counts.items()
@@ -201,33 +206,27 @@ def _hook_length_count(partition: tuple[int, ...]) -> int:
 
 
 def suite_syt(n_max: int = 16) -> list[CheckResult]:
-    """Hook-length counts, ballot counts and E-start path counts agree."""
-    results = []
-    slope = Slope(1, 1)
-    mismatch = None
-    for n in range(1, n_max + 1):
-        profiles = enumerate_profiles(slope, n)
-        for b in range(n):
-            hook = syt_two_row_count(n, b)
-            filled = enumerate_syt(TwoRowShape(n + b, n - b - 1))
-            paths = count_matching(profiles, first=Step.E, total_bounces=b)
-            both_starts = g_b_series(b, n).coefficient(n)
-            if not (hook == filled == paths) or both_starts != 2 * hook:
-                mismatch = (
-                    f"n={n} b={b} hook={hook} ballot={filled} "
-                    f"paths={paths} series={both_starts}"
-                )
-                break
-        if mismatch:
-            break
-    results.append(
-        CheckResult(
-            f"two-row tableau counts match paths up to n={n_max}",
-            mismatch is None,
-            mismatch or "",
-        )
-    )
-    return results
+    """Hook-length counts, ballot counts and E-start path counts agree, as
+    series in the semilength n, one group per bounce count b."""
+    name = f"two-row tableau counts match paths up to n={n_max}"
+    profiles = [enumerate_profiles(Slope(1, 1), n) for n in range(1, n_max + 1)]
+
+    def by_semilength(b, count) -> Series:
+        # no tableau or path of semilength n <= b has b bounces
+        return Series((0,) * (b + 1) + tuple(map(count, range(b + 1, n_max + 1))))
+
+    def checks():
+        for b in range(n_max):
+            hook = by_semilength(b, lambda n: syt_two_row_count(n, b))
+            ballot = by_semilength(b, lambda n: enumerate_syt(TwoRowShape(n + b, n - b - 1)))
+            yield _series_equal(name, ballot, hook, context=f"b={b} ballot")
+            paths = by_semilength(
+                b, lambda n: count_matching(profiles[n - 1], first=Step.E, total_bounces=b)
+            )
+            yield _series_equal(name, paths, hook, context=f"b={b} paths")
+            yield _series_equal(name, g_b_series(b, n_max), 2 * hook, context=f"b={b} series")
+
+    return [_first_failure(name, checks())]
 
 
 def suite_crosses(
@@ -287,7 +286,7 @@ def suite_crosses(
         h = nhc_prefix_series(alpha, order)
         g_estar = g_prefix_series(Slope(alpha, 1), Step.E, order)
         checks = (
-            _series_equal(name, form, production, context=f"alpha={alpha} {label}")
+            _series_equal(name, production, form, context=f"alpha={alpha} {label}")
             for label, form in (
                 ("h/(1+nhc_en)", h.div(1 + nhc_series(alpha, Restriction.EN, order))),
                 ("g_estar/(1+g_estar)", g_estar.div(1 + g_estar)),

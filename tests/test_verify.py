@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 import types
 
@@ -6,7 +7,7 @@ import pytest
 
 from bouncepaths import bounce, cli, identities, verify
 from bouncepaths.closed_forms import Slope, Step
-from bouncepaths.enumeration import enumerate_profiles
+from bouncepaths.enumeration import TwoRowShape, enumerate_profiles
 from bouncepaths.identities import (
     suite_base_counts,
     suite_beta1,
@@ -45,15 +46,19 @@ def test_series_equal_reports_first_mismatch():
     assert "k=2" in result.detail
     assert "expected=7" in result.detail and "actual=5" in result.detail
     assert "FAIL" in str(result)
+    # equal as far as both go, but one series claims a coefficient more
+    result = _series_equal("demo", Series((0, 1)), Series((0, 1, 7)), context="s")
+    assert (result.passed, result.detail) == (False, "s order expected=2 actual=1")
 
 
 def test_grid_equal_reports_first_mismatching_cell():
     expected = [[(0, 1), (0, 2)], [(0, 3), (0, 4)]]
-    assert _grid_equal("demo", expected, [row[:] for row in expected]).passed
-    result = _grid_equal("demo", expected, [[(0, 1), (0, 2)], [(0, 3), (0, 5)]], "s")
+    assert _grid_equal("demo", [row[:] for row in expected], expected).passed
+    result = _grid_equal("demo", [[(0, 1), (0, 2)], [(0, 3), (0, 5)]], expected, "s")
     assert not result.passed
     assert result.detail == "s l=1 r=1 k=1 expected=4 actual=5"
-    assert not _grid_equal("demo", expected, expected[:1]).passed
+    result = _grid_equal("demo", expected[:1], expected)
+    assert (result.passed, result.detail) == (False, "grid shapes differ")
 
 
 @pytest.mark.parametrize(
@@ -66,14 +71,17 @@ def test_grid_equal_reports_first_mismatching_cell():
          "h closed form = (g_ee+g_en)/(1+g_ee) (alpha=1)"),
         (verify.suite_total_bounces, "g_b_series", dict(b_max=1, n_max=6),
          "coefficient formula for 0 total bounces"),
+        # 12 steps of slope 1/1 reach semilength 6
         (verify.suite_crosses, "nhc_series",
-         dict(alpha_max=1, max_steps=4, order=6),
+         dict(alpha_max=1, max_steps=12, order=6),
          "cross statistics match enumeration (alpha=1)"),
         (verify.suite_total_bounces, "g_b_series", dict(b_max=1, n_max=6),
          "enumeration matches for 0 total bounces"),
         # x^6 of g for 3/2 lies past the switch from binomial to stepping
         (identities.suite_base_counts, "g_series", dict(alpha=3, beta=2, order=8),
          "g matches its binomial for 3/2"),
+        (identities.suite_catalan_slope, "bounce_table", dict(order=8),
+         "Catalan marker form matches general table"),
     ],
 )
 def test_cross_checks_catch_a_wrong_production_formula(
@@ -82,9 +90,24 @@ def test_cross_checks_catch_a_wrong_production_formula(
     # the suite looks the production formula up in the module that defines it
     module = sys.modules[suite.__module__]
     original = getattr(module, production)
-    monkeypatch.setattr(module, production, lambda *args: original(*args) + Series.x(6))
-    failed = [r.name for r in suite(**kwargs) if not r.passed]
-    assert failing in failed
+
+    def skewed(*args):
+        # x^6 added to the series; of a bounce table, to its cell (1, 1)
+        value = original(*args)
+        if not isinstance(value, bounce.BounceTable):
+            return value + Series.x(value.order) ** 6
+        entries = [list(row) for row in value.entries]
+        entries[1][1] = entries[1][1] + Series.x(value.trunc_order) ** 6
+        return bounce.BounceTable(
+            value.slope, value.trunc_order, value.max_left, value.max_right,
+            value.restriction, tuple(map(tuple, entries)),
+        )
+
+    monkeypatch.setattr(module, production, skewed)
+    failed = {r.name: r.detail for r in suite(**kwargs) if not r.passed}
+    # the production value, one too large, is printed as the actual one
+    expected, actual = re.search(r"k=6 expected=(\d+) actual=(\d+)$", failed[failing]).groups()
+    assert int(actual) == int(expected) + 1
 
 
 def test_first_failure_stops_at_the_first_failing_check():
@@ -104,12 +127,12 @@ def test_first_failure_stops_at_the_first_failing_check():
 
 @pytest.mark.parametrize(
     "suite, builds_per_slope",
-    [(identities.suite_bounce_free, 2), (identities.suite_table_dual, 1)],
+    [(identities.suite_bounce_free, 1), (identities.suite_table_dual, 1)],
     ids=["bounce-free", "table-dual"],
 )
 def test_identity_suites_build_each_slopes_classes_once(monkeypatch, suite, builds_per_slope):
-    # bounce-free builds a slope's classes once as itself and once as the
-    # mirror of its transpose; table-dual builds them once for its whole grid
+    # bounce-free builds a slope's classes once, whether checked as itself or
+    # as the mirror of its transpose; table-dual once for its whole grid
     original = identities.bounce_free_classes
     builds = {}
 
@@ -242,6 +265,25 @@ def test_ring_suite_detects_count():
     results = suite_ring(count=10, seed=1)
     assert results[0].passed
     assert "10" in results[0].name
+
+
+def test_ring_suite_reports_a_failing_law_with_its_coefficients(monkeypatch):
+    original = Series.reciprocal
+    monkeypatch.setattr(Series, "reciprocal", lambda self: original(self) + 1)
+    [result] = suite_ring(count=5)
+    # the unit's constant term is 1 or -1, so the product's is 2 or 0
+    assert re.fullmatch(r"reciprocal, input 0 k=0 expected=1 actual=[02]", result.detail)
+
+
+def test_syt_suite_reports_a_wrong_ballot_count_with_its_semilength(monkeypatch):
+    original = verify.enumerate_syt
+    wrong = TwoRowShape(5, 2)  # semilength n = 4 with b = 1 bounce
+    monkeypatch.setattr(
+        verify, "enumerate_syt", lambda shape: original(shape) + (1 if shape == wrong else 0)
+    )
+    [result] = verify.suite_syt(n_max=6)
+    hook = verify.syt_two_row_count(4, 1)
+    assert result.detail == f"b=1 ballot k=4 expected={hook} actual={hook + 1}"
 
 
 def test_registry_is_complete():
