@@ -14,6 +14,8 @@ not count.  Naming scheme used throughout the package:
   cross-check it live in :mod:`bouncepaths.identities`.
 """
 
+from operator import add
+
 # binomial is unused here, but the benchmark's self-tests call bounce.binomial
 from .closed_forms import Restriction, Slope, Step, _exact, _g_parts, binomial
 from .series import Series, _mul_add, _Record
@@ -166,12 +168,14 @@ def expand_marker_quotient(
 
         q[l][r] = inv*n[l][r] - sum over (i, j) != (0, 0) of inv*d[i][j] * q[l-i][r-j].
 
-    Every input cell is scaled by inv once, and equal denominator cells
-    share one product over the sum of their neighbours.  The same recurrence
-    over valuations bounds each q[l][r] from below; a cell whose bound
-    exceeds N is zero and is not computed.  A computed cell accumulates in
-    place in one coefficient list, from a copy of inv*n[l][r], each group's
-    product by the series ring's multiply-accumulate kernel, and becomes
+    Every input cell is scaled by inv once, and equal denominator cells form
+    one group, whose factor -inv*d and valuation are found once.  The same
+    recurrence over valuations bounds each q[l][r] from below; a cell whose
+    bound exceeds N is zero and is not computed.  Per cell, one pass over a
+    group's offsets finds its live neighbours and their lowest bound.  The
+    cell accumulates in place in one coefficient list, from inv*n[l][r] or
+    zeros, one product per group by the series ring's multiply-accumulate
+    kernel, the factor times the sum of the live neighbours, and becomes
     one Series when finished: mirrored cells share it, all zero cells one.
 
     When both grids are closed under the mirror (i, j) -> (j, i), so is the
@@ -205,36 +209,47 @@ def expand_marker_quotient(
     out = [[zero] * (max_right + 1) for _ in range(max_left + 1)]
     bound = [[vanished] * (max_right + 1) for _ in range(max_left + 1)]
     for l in range(max_left + 1):
+        out_l, bound_l = out[l], bound[l]
         for r in range(max_right + 1):
             if mirrored and r < l <= max_right:
-                out[l][r], bound[l][r] = out[r][l], bound[r][l]
+                out_l[r], bound_l[r] = out[r][l], bound[r][l]
                 continue
-            acc = scaled.get((l, r), zero)
-            low_lr = low(acc)
+            acc = scaled.get((l, r))
+            low_lr = vanished if acc is None else low(acc)
             terms = []
             for factor, v, keys in groups:
-                near = [
-                    (bound[l - i][r - j], out[l - i][r - j].coeffs)
-                    for i, j in keys
-                    if i <= l and j <= r and bound[l - i][r - j] < vanished
-                ]
+                near, start = [], vanished
+                for i, j in keys:
+                    if i <= l and j <= r:
+                        b = bound[l - i][r - j]
+                        if b < vanished:
+                            near.append(out[l - i][r - j].coeffs)
+                            if b < start:
+                                start = b
                 if near:
-                    start = min(b for b, _ in near)
-                    low_lr = min(low_lr, v + start)
-                    terms.append((factor, v, start, [cell for _, cell in near]))
+                    if v + start < low_lr:
+                        low_lr = v + start
+                    terms.append((factor, v, start, near))
             if low_lr >= vanished:
                 continue
-            coeffs = list(acc.coeffs)
+            coeffs = [0] * vanished if acc is None else list(acc.coeffs)
             for factor, v, start, cells in terms:
-                total = cells[0] if len(cells) == 1 else list(map(sum, zip(*cells)))
+                if len(cells) == 1:
+                    total = cells[0]
+                elif len(cells) == 2:
+                    total = list(map(add, *cells))
+                else:
+                    total = list(map(sum, zip(*cells)))
                 _mul_add(coeffs, total, factor, start, v)
-            out[l][r] = Series(tuple(coeffs))
-            bound[l][r] = low_lr
+            out_l[r] = Series(tuple(coeffs))
+            bound_l[r] = low_lr
     return out
 
 
 class BounceTable(_Record):
-    """Grid of series: entry (l, r) counts paths with l left, r right bounces."""
+    """Grid of series: entry (l, r) counts paths with l left, r right bounces.
+
+    Each distinct cell object is validated once, at its first position."""
 
     __slots__ = ("slope", "trunc_order", "max_left", "max_right", "restriction", "entries")
 
@@ -249,8 +264,12 @@ class BounceTable(_Record):
     ):
         if len(entries) != max_left + 1 or any(len(row) != max_right + 1 for row in entries):
             raise ValueError("entry grid does not match the declared bounds")
+        checked = set()
         for l, row in enumerate(entries):
             for r, series in enumerate(row):
+                if id(series) in checked:
+                    continue
+                checked.add(id(series))
                 if series.order != trunc_order:
                     raise ValueError(f"entry ({l}, {r}) has the wrong order")
                 if min(series.coeffs) < 0:

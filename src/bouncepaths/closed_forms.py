@@ -148,13 +148,13 @@ def fuss_catalan(alpha: int, order: int) -> Series:
     """The series with coefficient C((alpha+1)k, k) / (alpha*k + 1).
 
     Counts paths to (alpha*k, k) staying weakly above y = x/alpha; alpha = 1
-    gives the Catalan numbers.  Constant term 1.
+    gives the Catalan numbers.  Constant term 1.  The binomial is the
+    coefficient of :func:`g_series` of slope (alpha, 1), so past its first
+    steps each one costs an exact ratio, not a ``math.comb``.
     """
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
+    g = g_series(Slope(alpha, 1), order).coeffs
     return Series(
-        tuple(
-            _exact(binomial((alpha + 1) * k, k), alpha * k + 1, f"c_{alpha}", k)
-            for k in range(order + 1)
-        )
+        (1,) + tuple(_exact(g[k], alpha * k + 1, f"c_{alpha}", k) for k in range(1, order + 1))
     )

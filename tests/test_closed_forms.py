@@ -138,6 +138,17 @@ def test_g_series_matches_math_comb(slope, order):
     assert coeffs(g_series(slope, order)) == expected
 
 
+# fuss_catalan divides g of slope (alpha, 1), so its cases also sit on both
+# sides of g's switch from math.comb to the exact ratio
+FUSS_CASES = [(alpha, 60) for alpha in range(1, 13)] + [(2, 520), (10000, 5)]
+
+
+@pytest.mark.parametrize("alpha, order", FUSS_CASES)
+def test_fuss_catalan_matches_math_comb(alpha, order):
+    expected = [math.comb((alpha + 1) * k, k) // (alpha * k + 1) for k in range(order + 1)]
+    assert coeffs(fuss_catalan(alpha, order), start=0) == expected
+
+
 @pytest.mark.parametrize("alpha", range(1, 6))
 def test_fuss_catalan_functional_equation(alpha):
     order = 12

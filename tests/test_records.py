@@ -148,6 +148,22 @@ def test_bounce_table_checks():
     assert built == bounce_table(Slope(1, 1), Restriction.ALL, 1, 1, 3)
 
 
+def test_bounce_table_checks_shared_cells_at_their_first_position():
+    # a built table shares one object between mirrored cells; the record
+    # names the first failing position in row-major order all the same
+    def grid(entries):
+        return BounceTable(Slope(1, 1), 2, 1, 1, Restriction.ALL, entries)
+
+    good, negative = Series((0, 2, 4)), Series((0, -1, 1))
+    with pytest.raises(ValueError, match=r"^entry \(0, 1\) has a negative coefficient$"):
+        grid(((good, negative), (negative, good)))
+    with pytest.raises(ValueError, match=r"^entry \(1, 1\) has a negative coefficient$"):
+        grid(((good, good), (good, Series((0, -1, 1)))))
+    short = Series((0, 1))
+    with pytest.raises(ValueError, match=r"^entry \(0, 1\) has the wrong order$"):
+        grid(((good, short), (short, good)))
+
+
 def test_check_result_is_a_frozen_record():
     # value semantics as FROZEN checks them; here the default and the text
     result = CheckResult("demo", False)
