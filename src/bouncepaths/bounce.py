@@ -234,12 +234,9 @@ def expand_marker_quotient(
                 continue
             coeffs = [0] * vanished if acc is None else list(acc.coeffs)
             for factor, v, start, cells in terms:
-                if len(cells) == 1:
-                    total = cells[0]
-                elif len(cells) == 2:
-                    total = list(map(add, *cells))
-                else:
-                    total = list(map(sum, zip(*cells)))
+                total = cells[0]
+                for cell in cells[1:]:
+                    total = list(map(add, total, cell))
                 _mul_add(coeffs, total, factor, start, v)
             out_l[r] = Series(tuple(coeffs))
             bound_l[r] = low_lr
@@ -247,9 +244,7 @@ def expand_marker_quotient(
 
 
 class BounceTable(_Record):
-    """Grid of series: entry (l, r) counts paths with l left, r right bounces.
-
-    Each distinct cell object is validated once, at its first position."""
+    """Grid of series: entry (l, r) counts paths with l left, r right bounces."""
 
     __slots__ = ("slope", "trunc_order", "max_left", "max_right", "restriction", "entries")
 
@@ -264,12 +259,8 @@ class BounceTable(_Record):
     ):
         if len(entries) != max_left + 1 or any(len(row) != max_right + 1 for row in entries):
             raise ValueError("entry grid does not match the declared bounds")
-        checked = set()
         for l, row in enumerate(entries):
             for r, series in enumerate(row):
-                if id(series) in checked:
-                    continue
-                checked.add(id(series))
                 if series.order != trunc_order:
                     raise ValueError(f"entry ({l}, {r}) has the wrong order")
                 if min(series.coeffs) < 0:

@@ -156,5 +156,5 @@ def fuss_catalan(alpha: int, order: int) -> Series:
         raise ValueError("alpha must be a positive integer")
     g = g_series(Slope(alpha, 1), order).coeffs
     return Series(
-        (1,) + tuple(_exact(g[k], alpha * k + 1, f"c_{alpha}", k) for k in range(1, order + 1))
+        tuple(_exact(g[k], alpha * k + 1, f"c_{alpha}", k) if k else 1 for k in range(order + 1))
     )

@@ -87,6 +87,8 @@ def test_fuss_catalan_values():
     assert fuss_catalan(7, 0).constant_term == 1
     with pytest.raises(ValueError):
         fuss_catalan(0, 3)
+    with pytest.raises(ValueError, match="at least its constant coefficient"):
+        fuss_catalan(1, -1)
 
 
 # --------------------------------------------------------------- identities
