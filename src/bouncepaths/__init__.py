@@ -36,7 +36,6 @@ _EXPORTS = {
         "BudgetExceeded",
         "InvalidShape",
         "MalformedPath",
-        "StepWord",
         "TwoRowShape",
         "classify",
         "count_matching",

@@ -9,7 +9,7 @@ else in the package is built on top of these series.
 import math
 from enum import Enum
 
-from .series import Series, _Record
+from .series import Series, _Record, _require_order
 
 
 class NonIntegerCoefficient(ArithmeticError):
@@ -90,6 +90,7 @@ def g_series(slope: Slope, order: int) -> Series:
     is the cheaper way: its cost grows with min(alpha, beta)*k, a step's
     with s.
     """
+    _require_order(order)
     a, b = slope.alpha, slope.beta
     s = a + b
     coeffs = [0]

@@ -7,9 +7,9 @@ a transfer count over the grid (Stanley, EC1 4.7), classifying each line
 vertex as ``classify`` does; each state carries its whole (left, right)
 distribution packed into one int.  It also counts two-row standard Young tableaux, given as
 a :class:`TwoRowShape`, as ballot sequences.  Nothing here shares code with
-the generating functions: from the package it imports only the slope and
-step types, ``binomial`` for the sweep's path-count self-check, and the
-record base of :mod:`bouncepaths.series`.
+the generating functions: from the package it imports only the slope,
+step and restriction types, ``binomial`` for the sweep's path-count
+self-check, and the record base of :mod:`bouncepaths.series`.
 """
 
 from collections import Counter
@@ -30,25 +30,6 @@ class BudgetExceeded(RuntimeError):
     """The requested enumeration is larger than the oracle's budget."""
 
 
-class StepWord(_Record):
-    """A concrete lattice path as a sequence of E/N steps."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[Step, ...]):
-        super().__init__(steps)
-
-    @staticmethod
-    def from_string(word: str) -> "StepWord":
-        try:
-            return StepWord(tuple(Step(ch) for ch in word.upper()))
-        except ValueError:
-            raise MalformedPath(f"step word {word!r} contains non-E/N characters")
-
-    def __str__(self):
-        return "".join(step.value for step in self.steps)
-
-
 class BounceProfile(_Record):
     """Per-path statistics; ``horizontal_crosses`` is None unless beta = 1."""
 
@@ -60,23 +41,22 @@ class BounceProfile(_Record):
         super().__init__(left, right, horizontal_crosses, first, last)
 
     @property
-    def bounce_free(self) -> bool:
-        return self.left == 0 and self.right == 0
-
-    @property
     def total_bounces(self) -> int:
         return self.left + self.right
 
 
-def classify(path: "StepWord | str", slope: Slope) -> BounceProfile:
-    """Walk a single path and record its bounce/cross statistics.
+def classify(word: str, slope: Slope) -> BounceProfile:
+    """Walk a single path, given as its step word of E and N in either case,
+    and record its bounce/cross statistics.
 
-    Raises MalformedPath when the E/N counts are inconsistent with the
-    slope, i.e. the endpoint is not (alpha*k, beta*k) for some k >= 1.
+    Raises MalformedPath when the word holds another character, or when its
+    E/N counts are inconsistent with the slope, i.e. the endpoint is not
+    (alpha*k, beta*k) for some k >= 1.
     """
-    if isinstance(path, str):
-        path = StepWord.from_string(path)
-    steps = path.steps
+    try:
+        steps = [Step(ch) for ch in word.upper()]
+    except ValueError:
+        raise MalformedPath(f"step word {word!r} contains non-E/N characters")
     east = sum(1 for s in steps if s is Step.E)
     north = len(steps) - east
     alpha, beta = slope.alpha, slope.beta
@@ -271,10 +251,6 @@ class TwoRowShape(_Record):
         if not first_row >= second_row >= 0:
             raise InvalidShape(f"rows ({first_row}, {second_row}) must be weakly decreasing")
         super().__init__(first_row, second_row)
-
-    @property
-    def cells(self) -> int:
-        return self.first_row + self.second_row
 
     def as_partition(self) -> tuple[int, ...]:
         if self.second_row == 0:

@@ -86,9 +86,7 @@ def suite_reference_series() -> list[CheckResult]:
 # -------------------------------------------------------------- series ring
 
 
-def _random_series(rng: random.Random, order: int | None = None) -> Series:
-    if order is None:
-        order = rng.randint(0, 8)
+def _random_series(rng: random.Random, order: int) -> Series:
     return Series(tuple(rng.randint(-9, 9) for _ in range(order + 1)))
 
 

@@ -82,6 +82,12 @@ def _mul_add(out: list, a, b, va: int, vb: int) -> None:
                 out[i + j] += ai * b[j]
 
 
+def _require_order(order: int) -> None:
+    """A series of order n holds c_0 .. c_n, so n must not be negative."""
+    if order < 0:
+        raise ValueError("a series needs at least its constant coefficient")
+
+
 def _require_unit(c0: int) -> None:
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(
@@ -109,6 +115,7 @@ class Series(_Record):
 
     @staticmethod
     def one(order: int) -> "Series":
+        _require_order(order)
         return Series((1,) + (0,) * order)
 
     @staticmethod
@@ -117,17 +124,9 @@ class Series(_Record):
             raise ValueError("x does not fit in a series of order 0")
         return Series((0, 1) + (0,) * (order - 1))
 
-    @staticmethod
-    def constant(value: int, order: int) -> "Series":
-        return Series((value,) + (0,) * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs[0]
 
     def coefficient(self, k: int) -> int:
         """Coefficient of x^k; undefined beyond the truncation order."""
@@ -143,18 +142,10 @@ class Series(_Record):
         return next(compress(count(), self.coeffs), None)
 
     def truncate(self, order: int) -> "Series":
+        _require_order(order)
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return Series(self.coeffs[: order + 1])
-
-    def agrees(self, other: "Series", through: int | None = None) -> bool:
-        """Exact coefficient equality up to ``through`` (default: min order)."""
-        n = min(self.order, other.order)
-        if through is not None:
-            if through > n:
-                raise ValueError(f"coefficients beyond order {n} are undetermined")
-            n = through
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
     # ------------------------------------------------------------ arithmetic
 
@@ -258,11 +249,6 @@ class Series(_Record):
                     s -= dj * q[k - j]
             q[k] = s if d0 == 1 else -s
         return Series(tuple(q))
-
-    def __truediv__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.div(other)
 
     def geometric_sum(self) -> "Series":
         """1 + a + a^2 + ... = 1/(1-a); requires zero constant term."""

@@ -96,7 +96,7 @@ def test_rational_dyck_series():
 
 def test_two_row_shape():
     shape = TwoRowShape(4, 1)
-    assert shape.cells == 5
+    assert shape.first_row + shape.second_row == 5
     assert shape.as_partition() == (4, 1)
     assert TwoRowShape(3, 0).as_partition() == (3,)
     with pytest.raises(InvalidShape):

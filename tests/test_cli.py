@@ -361,6 +361,18 @@ def test_package_exports_every_public_name_it_binds():
         bouncepaths.nope
 
 
+def test_package_exports_every_public_class_and_function_of_its_layers():
+    for name in ("beta_one", "bounce", "closed_forms", "enumeration", "series"):
+        layer = importlib.import_module(f"bouncepaths.{name}")
+        for attr, value in vars(layer).items():
+            if (
+                not attr.startswith("_")
+                and (inspect.isclass(value) or inspect.isfunction(value))
+                and value.__module__ == layer.__name__
+            ):
+                assert attr in bouncepaths.__all__, f"{name}.{attr}"
+
+
 def test_verify_rejects_options_no_selected_suite_takes(capsys):
     code, text = run("verify", "--suite", "ring", "--suite", "syt", "--count", "5",
                      "--max-steps", "30", "--n-max", "9")

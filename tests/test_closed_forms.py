@@ -62,7 +62,7 @@ def test_restriction_steps():
 def test_g_series_values():
     assert coeffs(g_series(Slope(1, 1), 3)) == [2, 6, 20]
     assert coeffs(g_series(Slope(2, 3), 2)) == [10, 210]
-    assert g_series(Slope(3, 4), 5).constant_term == 0
+    assert g_series(Slope(3, 4), 5).coeffs[0] == 0
 
 
 def test_g_ab_series_values():
@@ -84,7 +84,7 @@ def test_g_prefix_series_values():
 def test_fuss_catalan_values():
     assert list(fuss_catalan(1, 4).coeffs) == [1, 1, 2, 5, 14]
     assert list(fuss_catalan(2, 4).coeffs) == [1, 1, 3, 12, 55]
-    assert fuss_catalan(7, 0).constant_term == 1
+    assert fuss_catalan(7, 0).coeffs[0] == 1
     with pytest.raises(ValueError):
         fuss_catalan(0, 3)
     with pytest.raises(ValueError, match="at least its constant coefficient"):

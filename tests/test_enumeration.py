@@ -14,7 +14,6 @@ from bouncepaths.enumeration import (
     BounceProfile,
     BudgetExceeded,
     MalformedPath,
-    StepWord,
     TwoRowShape,
     classify,
     count_matching,
@@ -32,21 +31,21 @@ def test_classify_hand_traced_paths():
     p = classify("NENE", Slope(1, 1))
     assert (p.left, p.right) == (1, 0)
     assert p.first is Step.N and p.last is Step.E
-    assert not p.bounce_free
+    assert p.total_bounces != 0
 
     p = classify("ENEN", Slope(1, 1))
     assert (p.left, p.right) == (0, 1)
 
     p = classify("ENE", Slope(2, 1))
     assert (p.left, p.right, p.horizontal_crosses) == (0, 0, 0)
-    assert p.bounce_free
+    assert p.total_bounces == 0
 
 
 def test_classify_counts_horizontal_crosses():
     # NEEN passes through (1, 1) with an E on both sides
     p = classify("NEEN", Slope(1, 1))
     assert p.horizontal_crosses == 1
-    assert p.bounce_free
+    assert p.total_bounces == 0
     # crosses are not tracked away from unit rise
     p = classify("EENNN", Slope(2, 3))
     assert p.horizontal_crosses is None
@@ -58,18 +57,21 @@ def test_classify_total_bounces():
 
 
 def test_classify_rejects_malformed_paths():
-    with pytest.raises(MalformedPath):
-        classify("EEN", Slope(1, 1))  # endpoint off the line
-    with pytest.raises(MalformedPath):
-        classify("", Slope(1, 1))
-    with pytest.raises(MalformedPath):
-        classify("EXN", Slope(1, 1))
+    # each text word for word; the word is quoted as given, before any change of case
+    for word, slope, text in (
+        ("EEN", Slope(1, 1), "endpoint (2, 1) does not lie on the slope (1, 1)"),
+        ("", Slope(2, 3), "endpoint (0, 0) does not lie on the slope (2, 3)"),
+        ("eXn", Slope(1, 1), "step word 'eXn' contains non-E/N characters"),
+    ):
+        with pytest.raises(MalformedPath) as refused:
+            classify(word, slope)
+        assert str(refused.value) == text
 
 
 def test_step_word_round_trip():
-    word = StepWord.from_string("enne")
-    assert str(word) == "ENNE"
-    assert word.steps[0] is Step.E
+    # a step word is read in either case
+    assert classify("enne", Slope(1, 1)) == classify("ENNE", Slope(1, 1))
+    assert classify("enne", Slope(1, 1)).first is Step.E
 
 
 # ------------------------------------------------------------- enumeration
@@ -82,11 +84,11 @@ def test_enumerate_profiles_small_cases():
 
     profiles = enumerate_profiles(Slope(2, 3), 1)
     assert sum(profiles.values()) == 10
-    assert all(p.bounce_free for p in profiles)
+    assert all(p.total_bounces == 0 for p in profiles)
 
     profiles = enumerate_profiles(Slope(1, 1), 1)
     assert sum(profiles.values()) == 2
-    assert all(p.bounce_free for p in profiles)
+    assert all(p.total_bounces == 0 for p in profiles)
 
     with pytest.raises(ValueError):
         enumerate_profiles(Slope(1, 1), 0)

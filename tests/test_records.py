@@ -12,7 +12,7 @@ import pytest
 
 from bouncepaths.bounce import BounceTable, bounce_table
 from bouncepaths.closed_forms import Restriction, Slope, Step
-from bouncepaths.enumeration import BounceProfile, InvalidShape, StepWord, TwoRowShape
+from bouncepaths.enumeration import BounceProfile, InvalidShape, TwoRowShape
 from bouncepaths.series import Series
 from bouncepaths.verify import CheckResult
 
@@ -33,7 +33,6 @@ FROZEN = {
     "Series": (lambda v: Series((1, v, 2)), ("coeffs",)),
     "Slope": (lambda v: Slope(2 + v, 1), ("alpha", "beta")),
     "TwoRowShape": (lambda v: TwoRowShape(3, v), ("first_row", "second_row")),
-    "StepWord": (lambda v: StepWord.from_string("EN" if v else "NE"), ("steps",)),
     "BounceProfile": (
         lambda v: BounceProfile(v, 1, None, Step.E, Step.N),
         ("left", "right", "horizontal_crosses", "first", "last"),
@@ -97,9 +96,6 @@ def test_record_reprs():
     # test ids and failure messages print these
     assert repr(Slope(1, 2)) == "Slope(alpha=1, beta=2)"
     assert repr(TwoRowShape(3, 1)) == "TwoRowShape(first_row=3, second_row=1)"
-    assert repr(StepWord.from_string("en")) == (
-        "StepWord(steps=(<Step.E: 'E'>, <Step.N: 'N'>))"
-    )
     assert repr(BounceProfile(1, 0, None, Step.E, Step.N)) == (
         "BounceProfile(left=1, right=0, horizontal_crosses=None, "
         "first=<Step.E: 'E'>, last=<Step.N: 'N'>)"
@@ -131,7 +127,8 @@ def test_two_row_shape_checks():
         TwoRowShape(1, 2)
     with pytest.raises(InvalidShape, match=r"^rows \(1, -1\) must be weakly decreasing$"):
         TwoRowShape(1, -1)
-    assert TwoRowShape(2, 2).cells == 4
+    shape = TwoRowShape(2, 2)
+    assert shape.first_row + shape.second_row == 4
 
 
 def test_bounce_table_checks():
