@@ -96,22 +96,22 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
     first = {ANY_SLOPE: slope, BETA1: slope.alpha, DIAGONAL: args.bounces or 0}[requirement]
     series = getattr(sys.modules[__package__], function)(first, *fixed, args.order)
     start = 0 if args.include_k0 else 1
-    pairs = [(k, series.coefficient(k)) for k in range(start, args.order + 1)]
-    # every line is rendered before the first write, so a value that cannot
-    # be rendered leaves the output empty rather than truncated
+    # each value becomes text once before any write, the last and largest first,
+    # so one past the int-to-str digit limit raises before the rest is converted
+    values = list(map(str, reversed(series.coeffs[start:])))[::-1]
     if args.format == "table":
-        print(" ".join(str(v) for _, v in pairs), file=out)
+        print(" ".join(values), file=out)
     elif args.format == "csv":
-        out.write("".join(["k,value\n"] + [f"{k},{v}\n" for k, v in pairs]))
+        out.write("".join(["k,value\n"] + [f"{k},{v}\n" for k, v in enumerate(values, start)]))
     elif args.format == "oeis-bfile":
-        out.write("".join([f"{k} {v}\n" for k, v in pairs]))
+        out.write("".join([f"{k} {v}\n" for k, v in enumerate(values, start)]))
     else:
         import json
 
         payload = {
             "slope": [args.alpha, args.beta],
             "order": args.order,
-            "series": {args.series: [str(v) for _, v in pairs]},
+            "series": {args.series: values},
         }
         print(json.dumps(payload, indent=2), file=out)
     return 0

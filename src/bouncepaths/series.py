@@ -120,7 +120,8 @@ class Series(_Record):
 
     @staticmethod
     def x(order: int) -> "Series":
-        if order < 1:
+        _require_order(order)
+        if order == 0:
             raise ValueError("x does not fit in a series of order 0")
         return Series((0, 1) + (0,) * (order - 1))
 
@@ -131,7 +132,8 @@ class Series(_Record):
     def coefficient(self, k: int) -> int:
         """Coefficient of x^k; undefined beyond the truncation order."""
         if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
+            where = "is below x^0" if k < 0 else f"beyond truncation order {self.order}"
+            raise IndexError(f"coefficient {k} {where}")
         return self.coeffs[k]
 
     def is_zero(self) -> bool:
@@ -261,16 +263,10 @@ class Series(_Record):
     # --------------------------------------------------------------- display
 
     def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{k}")
-        body = " + ".join(terms) if terms else "0"
-        return f"Series[{self.order}]({body})"
+        terms = [
+            f"{c}*x^{k}" if k > 1 else f"{c}*x" if k else str(c)
+            for k, c in enumerate(self.coeffs)
+            if c
+        ]
+        return f"Series[{self.order}]({' + '.join(terms) or '0'})"
 

@@ -20,6 +20,7 @@ from bouncepaths import bounce, cli, closed_forms, verify
 from bouncepaths.bounce import bounce_table
 from bouncepaths.closed_forms import Restriction, Slope
 from bouncepaths.enumeration import BudgetExceeded
+from bouncepaths.series import Series
 from bouncepaths.verify import CheckResult, coprime_slopes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -231,7 +232,7 @@ def digit_limit_640():
     sys.set_int_max_str_digits(previous)
 
 
-@pytest.mark.parametrize("fmt", ["oeis-bfile", "csv"])
+@pytest.mark.parametrize("fmt", cli.FORMATS)
 def test_unrenderable_listing_leaves_stdout_empty(digit_limit_640, fmt, capsys):
     # the first coefficients fit in 640 digits, the last ones do not; none
     # of the lines may be written
@@ -240,6 +241,35 @@ def test_unrenderable_listing_leaves_stdout_empty(digit_limit_640, fmt, capsys):
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _Recorded(int):
+    """An int that records each conversion of itself to text."""
+
+    converted = []
+
+    def __str__(self):
+        _Recorded.converted.append(int(self))
+        return int.__repr__(self)
+
+    def __format__(self, spec):
+        _Recorded.converted.append(int(self))
+        return format(int(self), spec)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_listing_converts_each_value_once_from_the_highest_power_down(monkeypatch, fmt):
+    # the largest value comes last, so converting it first makes a value past
+    # the int-to-str digit limit fail before any other is converted
+    def listing(kind):
+        double = lambda alpha, order: Series(tuple(kind(10**k) for k in range(order + 1)))
+        monkeypatch.setattr(closed_forms, "fuss_catalan", double)
+        return run("coeffs", "--series", "c_alpha", "--alpha", "2", "--order", "4",
+                   "--include-k0", "--format", fmt)
+
+    monkeypatch.setattr(_Recorded, "converted", [])
+    assert listing(_Recorded) == listing(int)
+    assert _Recorded.converted == [10**k for k in range(4, -1, -1)]
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

@@ -42,8 +42,10 @@ def test_construction_and_accessors():
     assert a.coeffs[0] == 1
     assert a.coefficient(2) == 3
     assert Series([0, 1]).coeffs == (0, 1)  # lists are accepted and frozen
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="^coefficient 3 beyond truncation order 2$"):
         a.coefficient(3)
+    with pytest.raises(IndexError, match=r"^coefficient -1 is below x\^0$"):
+        a.coefficient(-1)
     with pytest.raises(ValueError):
         Series(())
 
@@ -73,6 +75,7 @@ def negative_order_calls():
             yield pytest.param(functools.partial(fn, **args), id=name)
     yield pytest.param(functools.partial(Series.one, -1), id="Series.one")
     yield pytest.param(functools.partial(Series.zero, -1), id="Series.zero")
+    yield pytest.param(functools.partial(Series.x, -1), id="Series.x")
     yield pytest.param(functools.partial(S(1, 2, 3).truncate, -3), id="Series.truncate")
 
 
