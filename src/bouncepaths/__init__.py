@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "series": (
         "NonUnitConstantTerm",
-        "NonzeroConstantTerm",
         "Series",
         "SeriesError",
         "ValuationMismatch",

@@ -29,6 +29,8 @@ def nhc_prefix_series(alpha: int, order: int) -> Series:
 
     The ``beta1`` suite checks it against (g_ee + g_en)/(1 + g_ee).
     """
+    if alpha < 1:  # as fuss_catalan refuses for the other beta = 1 series
+        raise ValueError("alpha must be a positive integer")
     coeffs = [0] * (order + 1)
     for k in range(1, order + 1):
         num = alpha * (alpha + 2) * binomial((alpha + 1) * k + 1, k - 1)

@@ -228,18 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite name, repeatable; default runs everything, and an unknown "
         "name lists the available suites",
     )
-    ver.add_argument("--alpha", type=int, default=None)
-    ver.add_argument("--beta", type=int, default=None)
-    ver.add_argument("--order", type=int, default=None)
-    ver.add_argument("--max-slope-sum", type=int, default=None)
-    ver.add_argument("--max-steps", type=int, default=None)
-    ver.add_argument("--max-left", type=int, default=None)
-    ver.add_argument("--max-right", type=int, default=None)
-    ver.add_argument("--alpha-max", type=int, default=None)
-    ver.add_argument("--b-max", type=int, default=None)
-    ver.add_argument("--n-max", type=int, default=None)
-    ver.add_argument("--count", type=int, default=None, help="randomized inputs")
-    ver.add_argument("--seed", type=int, default=None)
+    for flag in (
+        "--alpha", "--beta", "--order", "--max-slope-sum", "--max-steps", "--max-left",
+        "--max-right", "--alpha-max", "--b-max", "--n-max", "--count", "--seed",
+    ):
+        text = "randomized inputs" if flag == "--count" else None
+        ver.add_argument(flag, type=int, default=None, help=text)
     return parser
 
 

@@ -41,7 +41,8 @@ from .closed_forms import (
 )
 from .series import Series
 from .verify import (
-    CheckResult, _coeff_grid, _first_failure, _grid_equal, _series_equal, coprime_slopes,
+    CheckResult, _checks_equal, _coeff_grid, _first_failure, _grid_equal, _series_equal,
+    coprime_slopes,
 )
 
 
@@ -145,10 +146,7 @@ def suite_base_counts(
             (f"beta*(E-start) = alpha*(N-start) for {a}/{b}", b * (g_ee + g_en), a * (g_nn + g_en)),
             (f"g splits by first/last step for {a}/{b}", g_ee + 2 * g_en + g_nn, g),
         ]
-        results += [
-            _series_equal(name, actual, expected, context=tag)
-            for name, actual, expected in checks
-        ]
+        results += _checks_equal(checks, context=tag)
         # (steps, east steps) of the paths of semilength k = 1..order
         sizes = [((a + b) * k, a * k) for k in range(1, order + 1)]
         name = f"g_ab matches its binomial for {a}/{b}"
@@ -336,10 +334,7 @@ def suite_bounce_free(
             ),
             (f"bounce-free splits by first/last step {tag}", f, f_ee + 2 * f_en + f_nn),
         ]
-        results += [
-            _series_equal(name, actual, expected, context=tag)
-            for name, actual, expected in checks
-        ]
+        results += _checks_equal(checks, context=tag)
 
         # marker form over bounce-free series vs the one over raw counts
         delta_f = f_en * f_en - f_ee * f_nn
@@ -401,10 +396,7 @@ def suite_specializations(
                 no_left_bounce_total(slope, order),
             ),
         ]
-        results += [
-            _series_equal(name, actual, expected, context=tag)
-            for name, actual, expected in checks
-        ]
+        results += _checks_equal(checks, context=tag)
         for restriction in AB_RESTRICTIONS:
             restricted = bounce_table(slope, restriction, bound, bound, order)
             label = restriction.value
@@ -420,10 +412,7 @@ def suite_specializations(
                     bounce_free_ab(slope, restriction, order),
                 ),
             ]
-            results += [
-                _series_equal(name, actual, expected, context=f"{tag} {label}")
-                for name, actual, expected in checks
-            ]
+            results += _checks_equal(checks, context=f"{tag} {label}")
     return results
 
 
@@ -521,10 +510,7 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
         for label, f, simplified, fuss in forms:
             checks.append((f"simplified f_{label}", f, simplified))
             checks.append((f"Fuss-Catalan f_{label}", f, fuss))
-        results += [
-            _series_equal(f"{name} ({tag})", actual, expected, context=tag)
-            for name, actual, expected in checks
-        ]
+        results += _checks_equal([(f"{name} ({tag})", a, e) for name, a, e in checks], tag)
         bound = order - 1  # no path of semilength <= order has more bounces
         results.append(
             _matches_table(
@@ -557,7 +543,7 @@ def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
             (c - 1) * (c - 1),
         ),
     ]
-    results = [_series_equal(name, actual, expected) for name, actual, expected in checks]
+    results = _checks_equal(checks)
     # two-marker form written directly in x*c(x)
     numerator = {(0, 0): 4 * xc - 2 * x, (1, 0): x - xc, (0, 1): x - xc}
     denominator = {

@@ -61,10 +61,6 @@ class NonUnitConstantTerm(SeriesError):
     """Raised when inverting a series whose constant term is not +1 or -1."""
 
 
-class NonzeroConstantTerm(SeriesError):
-    """Raised by :meth:`Series.geometric_sum` on a nonzero constant term."""
-
-
 class ValuationMismatch(SeriesError):
     """Raised when division would need to cancel more powers of x than the
     numerator provides."""
@@ -251,14 +247,6 @@ class Series(_Record):
                     s -= dj * q[k - j]
             q[k] = s if d0 == 1 else -s
         return Series(tuple(q))
-
-    def geometric_sum(self) -> "Series":
-        """1 + a + a^2 + ... = 1/(1-a); requires zero constant term."""
-        if self.coeffs[0] != 0:
-            raise NonzeroConstantTerm(
-                f"geometric sum needs constant term 0, got {self.coeffs[0]}"
-            )
-        return (Series.one(self.order) - self).reciprocal()
 
     # --------------------------------------------------------------- display
 

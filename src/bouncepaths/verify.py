@@ -82,6 +82,18 @@ def _series_equal(name: str, actual: Series, expected: Series, context: str = ""
     )
 
 
+def _checks_equal(checks, context: str = "") -> list[CheckResult]:
+    """One :func:`_series_equal` result per ``(name, actual, expected)`` of
+    ``checks``, each with ``context``."""
+    return [_series_equal(name, actual, expected, context) for name, actual, expected in checks]
+
+
+def _by_semilength(profiles, count) -> Series:
+    """``count`` of each profile multiset, by semilength 1, 2, ...: no path
+    has semilength 0, so the k = 0 coefficient is 0."""
+    return Series((0, *map(count, profiles)))
+
+
 def _coeff_grid(rows) -> list[list[tuple[int, ...]]]:
     """Coefficient tuples of a grid of series, e.g. ``BounceTable.entries``."""
     return [[series.coeffs for series in row] for row in rows]
@@ -125,26 +137,22 @@ def suite_oracle_vs_table(
         tag = f"({slope.alpha},{slope.beta})"
         name = f"table vs enumeration {tag}, {semilengths * (slope.alpha + slope.beta)} steps"
         bound = semilengths - 1
-        # each restriction's count tables, one per k
-        counts = {restriction: [] for restriction in restrictions}
-        for k in range(1, semilengths + 1):
-            profiles = enumerate_profiles(slope, k)
-            for restriction, tables in counts.items():
-                tables.append(count_table(profiles, restriction))
+        profiles = [enumerate_profiles(slope, k) for k in range(1, semilengths + 1)]
         checks = (
             _grid_equal(
                 name,
                 _coeff_grid(
                     bounce_table(slope, restriction, bound, bound, semilengths).entries
                 ),
-                # no path has semilength 0, so the oracle's k = 0 coefficient is 0
+                # each cell's counts by semilength, k = 0 included as in _by_semilength
                 [
                     [(0, *(t.get((l, r), 0) for t in tables)) for r in range(bound + 1)]
                     for l in range(bound + 1)
                 ],
                 context=f"{tag} {restriction.value}",
             )
-            for restriction, tables in counts.items()
+            for restriction in restrictions
+            for tables in [[count_table(p, restriction) for p in profiles]]
         )
         results.append(_first_failure(name, checks))
     return results
@@ -159,23 +167,13 @@ def suite_total_bounces(b_max: int = 6, n_max: int = 11) -> list[CheckResult]:
     profiles = [enumerate_profiles(slope, n) for n in range(1, n_max + 1)]
     for b in range(b_max + 1):
         series = g_b_series(b, n_max)
-        results.append(
-            _series_equal(
-                f"coefficient formula for {b} total bounces",
-                series,
-                2 * (c - 1) ** (b + 1),
-                context=f"b={b}",
-            )
-        )
-        # no path has semilength 0, so the enumerated k = 0 coefficient is 0
-        enumerated = Series((0, *(count_matching(p, total_bounces=b) for p in profiles)))
-        results.append(
-            _series_equal(
-                f"enumeration matches for {b} total bounces",
-                series,
-                enumerated,
-                context=f"b={b}",
-            )
+        enumerated = _by_semilength(profiles, lambda p: count_matching(p, total_bounces=b))
+        results += _checks_equal(
+            [
+                (f"coefficient formula for {b} total bounces", series, 2 * (c - 1) ** (b + 1)),
+                (f"enumeration matches for {b} total bounces", series, enumerated),
+            ],
+            context=f"b={b}",
         )
     return results
 
@@ -232,9 +230,12 @@ def suite_syt(n_max: int = 16) -> list[CheckResult]:
 def suite_crosses(
     alpha_max: int = 3, max_steps: int = 40, order: int = 10
 ) -> list[CheckResult]:
-    """Horizontal-cross series against enumeration for alpha = 1..alpha_max,
-    and for alpha = 1..5 whatever ``alpha_max``, the three equivalent forms of
-    the crossless no-right-bounce series to ``order``: alpha*(c_alpha - 1) as
+    """Horizontal-cross series against enumeration for alpha = 1..alpha_max:
+    the crossless classes of each ``Restriction`` EE, EN and NE, and the
+    E-start, E-start no-right-bounce and N-start classes, all counted from
+    one enumeration per (alpha, k).  And for alpha = 1..5 whatever
+    ``alpha_max``, the three equivalent forms of the crossless
+    no-right-bounce series to ``order``: alpha*(c_alpha - 1) as
     ``nhc_nrb_series`` computes it, h/(1 + nhc_en) and g_estar/(1 + g_estar)."""
     results = []
     # alpha + 1 steps is the shortest path of slope alpha/1
@@ -242,42 +243,29 @@ def suite_crosses(
         slope = Slope(alpha, 1)
         tag = f"alpha={alpha}"
         semilengths = max_steps // (alpha + 1)
-        series = {
-            "crossless EE": (
-                nhc_series(alpha, Restriction.EE, semilengths),
-                dict(first=Step.E, last=Step.E, crosses=0),
-            ),
-            "crossless EN": (
-                nhc_series(alpha, Restriction.EN, semilengths),
-                dict(first=Step.E, last=Step.N, crosses=0),
-            ),
-            "crossless NE": (
-                nhc_series(alpha, Restriction.NE, semilengths),
-                dict(first=Step.N, last=Step.E, crosses=0),
-            ),
-            "crossless E-start": (
-                nhc_prefix_series(alpha, semilengths),
-                dict(first=Step.E, crosses=0),
-            ),
-            "crossless E-start no right bounces": (
-                nhc_nrb_series(alpha, semilengths),
-                dict(first=Step.E, crosses=0, right=0),
-            ),
-            "crossless N-start": (
-                rational_dyck_series(alpha, semilengths),
-                dict(first=Step.N, crosses=0),
-            ),
-        }
-        # no path has semilength 0, so every enumerated k = 0 coefficient is 0
-        counts = {label: [0] for label in series}
-        for k in range(1, semilengths + 1):
-            profiles = enumerate_profiles(slope, k, crosses=True)
-            for label, (_, filters) in series.items():
-                counts[label].append(count_matching(profiles, **filters))
+        # (label, series, the filters of the paths it counts)
+        classes = [
+            (f"crossless {r.name}", nhc_series(alpha, r, semilengths),
+             dict(first=r.first, last=r.last, crosses=0))
+            for r in (Restriction.EE, Restriction.EN, Restriction.NE)
+        ] + [
+            ("crossless E-start", nhc_prefix_series(alpha, semilengths),
+             dict(first=Step.E, crosses=0)),
+            ("crossless E-start no right bounces", nhc_nrb_series(alpha, semilengths),
+             dict(first=Step.E, crosses=0, right=0)),
+            ("crossless N-start", rational_dyck_series(alpha, semilengths),
+             dict(first=Step.N, crosses=0)),
+        ]
+        profiles = [enumerate_profiles(slope, k, crosses=True) for k in range(1, semilengths + 1)]
         name = f"cross statistics match enumeration ({tag})"
         checks = (
-            _series_equal(name, s, Series(counts[label]), context=f"{tag} {label}")
-            for label, (s, _) in series.items()
+            _series_equal(
+                name,
+                series,
+                _by_semilength(profiles, lambda p: count_matching(p, **filters)),
+                context=f"{tag} {label}",
+            )
+            for label, series, filters in classes
         )
         results.append(_first_failure(name, checks))
     for alpha in range(1, 6):

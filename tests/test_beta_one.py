@@ -77,6 +77,12 @@ def test_nhc_prefix_series_frozen_values():
     assert nhc_prefix_series(1, 1).coefficient(1) == 1
 
 
+@pytest.mark.parametrize("alpha", [0, -1, -3])
+def test_nhc_prefix_series_refuses_alpha_below_one(alpha):
+    with pytest.raises(ValueError, match="^alpha must be a positive integer$"):
+        nhc_prefix_series(alpha, 4)
+
+
 def test_nhc_nrb_series_frozen_values():
     assert coeffs(nhc_nrb_series(2, 8)) == [2, 6, 24, 110, 546, 2856, 15504, 86526]
     assert coeffs(nhc_nrb_series(1, 4)) == [1, 2, 5, 14]

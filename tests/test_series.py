@@ -8,7 +8,6 @@ import bouncepaths
 from bouncepaths.closed_forms import Restriction, Slope, Step
 from bouncepaths.series import (
     NonUnitConstantTerm,
-    NonzeroConstantTerm,
     Series,
     ValuationMismatch,
 )
@@ -167,14 +166,6 @@ def test_div_valuation_mismatch():
         S(0, 0, 1).div(S(0, 2, 1))  # cofactor after cancelling x is not a unit
 
 
-def test_geometric_sum():
-    assert Series.x(3).geometric_sum() == S(1, 1, 1, 1)
-    assert Series.zero(2).geometric_sum() == Series.one(2)
-    assert S(0, 1, 1, 0).geometric_sum() == S(1, 1, 2, 3)
-    with pytest.raises(NonzeroConstantTerm):
-        S(1, 1).geometric_sum()
-
-
 def test_repr_is_readable():
     assert "x^2" in repr(S(0, 0, 3))
     assert repr(Series.zero(1)) == "Series[1](0)"
@@ -252,12 +243,6 @@ def test_mul_matches_schoolbook(a, b):
     product = a * b
     assert product == schoolbook_product(a, b)
     assert product.order == min(a.order, b.order)
-
-
-@given(series_strategy())
-def test_geometric_sum_matches_reciprocal(a):
-    nil = Series((0,) + a.coeffs[1:])
-    assert nil.geometric_sum() == (1 - nil).reciprocal()
 
 
 # ------------------------------------------------ squares and long division

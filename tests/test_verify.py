@@ -75,6 +75,12 @@ def test_grid_equal_reports_first_mismatching_cell():
         (verify.suite_crosses, "nhc_series",
          dict(alpha_max=1, max_steps=12, order=6),
          "cross statistics match enumeration (alpha=1)"),
+        (verify.suite_crosses, "nhc_prefix_series",
+         dict(alpha_max=1, max_steps=12, order=6),
+         "cross statistics match enumeration (alpha=1)"),
+        (verify.suite_crosses, "rational_dyck_series",
+         dict(alpha_max=1, max_steps=12, order=6),
+         "cross statistics match enumeration (alpha=1)"),
         (verify.suite_total_bounces, "g_b_series", dict(b_max=1, n_max=6),
          "enumeration matches for 0 total bounces"),
         # x^6 of g for 3/2 lies past the switch from binomial to stepping
