@@ -17,7 +17,7 @@ import os
 import sys
 from operator import add
 
-from .closed_forms import AB_RESTRICTIONS, Restriction, Slope, Step
+from .closed_forms import AB_RESTRICTIONS, Restriction, Slope, Step, _binomial_digits_at_least
 
 FORMATS = ("table", "csv", "json", "oeis-bfile")
 # coefficients a bounce-table may list, (max_left+1)(max_right+1) * order, at
@@ -75,6 +75,26 @@ SERIES = {
 SERIES_NAMES = ", ".join(SERIES)
 
 
+# name -> (m, n, q) of a lower bound C(m, n) / q on the coefficient of x^N,
+# from (alpha, beta, N, bounces), for the series with a binomial closed form.
+# A g_ab class fixes two steps, leaving sN - 2 of which aN - e are east, with
+# e its east ends; g_estar and g_nstar are at least their EN or NE part.
+TOP_BINOMIALS = {
+    "g": lambda a, b, n, _: ((a + b) * n, a * n, 1),
+    **{
+        name: lambda a, b, n, _, e=e: ((a + b) * n - 2, a * n - e, 1)
+        for name, e in zip(("g_ee", "g_en", "g_ne", "g_nn", "g_estar", "g_nstar"),
+                           (2, 1, 1, 0, 1, 1))
+    },
+    # c_alpha, then alpha*(c_alpha - 1) and c_alpha - 1 past x^0
+    **dict.fromkeys(("c_alpha", "H", "H_ne"), lambda a, b, n, _: ((a + 1) * n, n, a * n + 1)),
+    # alpha*(alpha+2) C((alpha+1)N+1, N-1) / ((alpha+1)N+1)
+    "h": lambda a, b, n, _: ((a + 1) * n + 1, n - 1, (a + 1) * n + 1),
+    # 2(b+1) C(2N, N-b-1) / N; g_b_series refuses a negative b itself
+    "g_b": lambda a, b, n, bounces: (2 * n, n - bounces - 1 if bounces >= 0 else -1, n),
+}
+
+
 def _slope_and_order(args: argparse.Namespace) -> Slope:
     """The validated slope of a coeffs or bounce-table call."""
     if args.order < 1:
@@ -94,6 +114,13 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
     requirement, function, *fixed = SERIES[args.series]
     _require(requirement, slope, f"series {args.series!r}")
     first = {ANY_SLOPE: slope, BETA1: slope.alpha, DIAGONAL: args.bounces or 0}[requirement]
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+    if limit and args.series in TOP_BINOMIALS:
+        m, n, q = TOP_BINOMIALS[args.series](slope.alpha, slope.beta, args.order, args.bounces or 0)
+        if _binomial_digits_at_least(m, n, q) > limit:
+            # the top value cannot be text: the interpreter's own error, raised
+            # by an int of 1.2 * limit digits before its conversion starts
+            str(1 << 4 * limit)
     series = getattr(sys.modules[__package__], function)(first, *fixed, args.order)
     start = 0 if args.include_k0 else 1
     # each value becomes text once before any write, the last and largest first,

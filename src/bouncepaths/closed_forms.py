@@ -81,6 +81,18 @@ def binomial(m: int, n: int) -> int:
     return math.comb(m, n) if 0 <= n <= m else 0
 
 
+def _binomial_digits_at_least(m: int, n: int, q: int = 1) -> int:
+    """A proven lower bound on the decimal digits of C(m, n) / q, 0 if C(m, n)
+    is 0: with n the smaller side, at most 10^15 (C grows with n up to m/2),
+    C(m, n) >= (m-n+1)^n / n!, less one digit and a relative float slack."""
+    n = min(n, m - n, 10**15)
+    if n < 0:
+        return 0
+    terms = n * math.log10(m - n + 1)
+    log = terms - math.lgamma(n + 1) / math.log(10) - math.log10(q)
+    return max(0, math.floor(log - 1 - 1e-12 * terms) + 1)
+
+
 def g_series(slope: Slope, order: int) -> Series:
     """All paths to (alpha*k, beta*k): coefficient C(sk, alpha*k), s = alpha+beta.
 

@@ -27,6 +27,7 @@ from .closed_forms import (
     Restriction,
     Slope,
     Step,
+    _binomial_digits_at_least,
     fuss_catalan,
     g_prefix_series,
 )
@@ -308,6 +309,11 @@ BOUNDS = {
     "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
     "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),
 }
+# digits the path count C((alpha+beta)N, alpha*N) of a chosen slope may have
+# at the order N its suites run at.  base-counts and bounce-free, the suites
+# that take a slope, each took 0.2-0.8 s at the limit, in-process on a shared
+# 2-core host with CPython 3.11.7, and grow about as the square of the digits
+MAX_SLOPE_DIGITS = 10_000
 
 
 def registry(names=()) -> dict:
@@ -334,14 +340,17 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _parameters(suite) -> tuple[str, ...]:
-    """The parameter names of a suite, read from its code object after
-    following ``__wrapped__`` (set by ``functools.wraps``) to the original
-    function, as ``inspect.signature`` does."""
+def _parameters(suite) -> dict:
+    """Each parameter name of a suite with its default, or None, read from
+    its code object after following ``__wrapped__`` (set by
+    ``functools.wraps``) to the original function, as ``inspect.signature``
+    does."""
     while hasattr(suite, "__wrapped__"):
         suite = suite.__wrapped__
-    code = suite.__code__
-    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    code, defaults = suite.__code__, suite.__defaults__ or ()
+    names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    defaulted = zip(names[code.co_argcount - len(defaults) :], defaults)
+    return {**dict.fromkeys(names), **dict(defaulted), **(suite.__kwdefaults__ or {})}
 
 
 def run(names, options: dict, out) -> int:
@@ -351,7 +360,8 @@ def run(names, options: dict, out) -> int:
 
     Every refusal is a ValueError raised before any suite runs, in this
     order: an unpaired or non-coprime alpha and beta, an unknown suite, an
-    option outside ``BOUNDS``, options no named suite takes.  A suite past
+    option outside ``BOUNDS``, options no named suite takes, a slope whose
+    path count has more than ``MAX_SLOPE_DIGITS`` digits.  A suite past
     the oracle's budget is a ValueError and a MemoryError passes through;
     any other exception fails that suite with one check."""
     if ("alpha" in options) != ("beta" in options):
@@ -373,6 +383,15 @@ def run(names, options: dict, out) -> int:
             f"{', '.join(map(_flag, unused))} taken by none of the suites "
             f"{', '.join(names)}"
         )
+    if "alpha" in options:  # the path count at the deepest order a slope suite runs
+        a, b = options["alpha"], options["beta"]
+        orders = [p.get("order") or 1 for p in accepted.values() if "alpha" in p]
+        n = options.get("order") or max(orders)
+        if _binomial_digits_at_least((a + b) * n, a * n) > MAX_SLOPE_DIGITS:
+            raise ValueError(
+                f"slope ({a}, {b}) at order {n}: its path count C({(a + b) * n}, {a * n}) has "
+                f"more than {MAX_SLOPE_DIGITS} digits, the limit; lower --alpha, --beta or --order"
+            )
     failures = 0
     for name in names:
         kwargs = {key: value for key, value in options.items() if key in accepted[name]}

@@ -195,6 +195,8 @@ def test_g_b_requires_diagonal():
         ("verify", "--suite", "base-counts", "--alpha", "2"),
         ("verify", "--suite", "base-counts", "--beta", "3"),
         ("verify", "--suite", "base-counts", "--alpha", "2", "--beta", "4"),
+        ("verify", "--suite", "base-counts", "--alpha", "100001", "--beta", "100000",
+         "--order", "2"),
         ("verify", "--suite", "ring", "--count", "-1"),
         ("verify", "--suite", "fuss-catalan", "--alpha-max", "0"),
         ("verify", "--suite", "total-bounces", "--b-max", "-1"),
@@ -232,15 +234,137 @@ def digit_limit_640():
     sys.set_int_max_str_digits(previous)
 
 
+@pytest.fixture
+def no_digit_limit():
+    previous = getattr(sys, "get_int_max_str_digits", int)()
+    if previous:
+        sys.set_int_max_str_digits(0)
+    yield
+    if previous:
+        sys.set_int_max_str_digits(previous)
+
+
 @pytest.mark.parametrize("fmt", cli.FORMATS)
-def test_unrenderable_listing_leaves_stdout_empty(digit_limit_640, fmt, capsys):
+@pytest.mark.parametrize(
+    "listing",
+    [
+        # refused by its bound before it is computed
+        ("c_alpha", "--alpha", "10000", "--order", "200"),
+        # no bound: computed, then refused at its first conversion
+        ("nlb", "--alpha", "7", "--beta", "6", "--order", "170"),
+    ],
+    ids=lambda listing: listing[0],
+)
+def test_unrenderable_listing_leaves_stdout_empty(digit_limit_640, listing, fmt, capsys):
     # the first coefficients fit in 640 digits, the last ones do not; none
     # of the lines may be written
-    code, text = run("coeffs", "--series", "c_alpha", "--alpha", "10000",
-                     "--order", "200", "--format", fmt)
+    code, text = run("coeffs", "--series", *listing, "--format", fmt)
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # both paths stay covered: c_alpha has a bound, nlb has none
+    assert (listing[0] in cli.TOP_BINOMIALS) == (listing[0] == "c_alpha")
+
+
+def _raise_if_computed(*args):
+    raise AssertionError("a listing refused by its bound was computed")
+
+
+def test_listing_past_the_limit_is_refused_before_it_is_computed(
+    digit_limit_640, monkeypatch, capsys
+):
+    for function in ("g_series", "fuss_catalan"):
+        monkeypatch.setattr(closed_forms, function, _raise_if_computed)
+    for listing in (
+        ("c_alpha", "--alpha", "10000", "--order", "200"),
+        ("g", "--alpha", "1000001", "--beta", "1000000", "--order", "1"),
+        ("g", "--alpha", "100000001", "--beta", "100000000", "--order", "1"),
+        ("g", "--alpha", "1", "--order", "100000000"),
+        # a bound whose n is capped to keep its floats finite
+        ("g_nn", "--alpha", str(10**400 + 1), "--beta", str(10**400), "--order", "1"),
+    ):
+        code, text = run("coeffs", "--series", *listing)
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == f"error: {int_str_limit_error()}\n"
+    # the benchmark's c_alpha jobs, under the default limit
+    sys.set_int_max_str_digits(4300)
+    for alpha in ("9500", "10000", "10500"):
+        code, text = run("coeffs", "--series", "c_alpha", "--alpha", alpha, "--order", "1000")
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == f"error: {int_str_limit_error()}\n"
+
+
+def test_listings_refused_up_front_are_past_the_limit(digit_limit_640, monkeypatch, capsys):
+    # orders across the 640-digit crossing of c_10000's top coefficient: a
+    # listing fails exactly when its top value is past the limit, and one
+    # refused before it is computed is past it
+    computed = []
+    fuss_catalan = closed_forms.fuss_catalan
+
+    def recording(alpha, order):
+        computed.append(order)
+        return fuss_catalan(alpha, order)
+
+    monkeypatch.setattr(closed_forms, "fuss_catalan", recording)
+    tops = fuss_catalan(10000, 160).coeffs
+    refused = []
+    for order in range(135, 161):
+        code, _ = run("coeffs", "--series", "c_alpha", "--alpha", "10000", "--order", str(order))
+        past = tops[order] >= 10**640
+        assert code == past, order
+        if order not in computed:
+            assert past, order
+            refused.append(order)
+    capsys.readouterr()
+    assert refused and refused[-1] == 160 and 135 in computed
+
+
+def test_the_library_refuses_a_negative_bounce_count_before_any_bound(digit_limit_640, capsys):
+    # at b = -1 the g_b bound would read C(4000, 2000) / 2000, past 640 digits
+    code, text = run("coeffs", "--series", "g_b", "--alpha", "1", "--bounces", "-1",
+                     "--order", "2000")
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: the bounce count must be non-negative\n"
+
+
+def test_a_bound_at_the_limit_leaves_the_conversion_to_decide(digit_limit_640, monkeypatch):
+    # a bound of exactly 640 digits does not pass the limit; 641 does
+    for bound, code, text in ((640, 0, "2 6 20 70 252\n"), (641, 1, "")):
+        monkeypatch.setattr(cli, "_binomial_digits_at_least", lambda m, n, q: bound)
+        assert run("coeffs", "--series", "g", "--alpha", "1", "--order", "5") == (code, text)
+
+
+def test_lifted_limit_refuses_nothing(no_digit_limit):
+    code, text = run("coeffs", "--series", "c_alpha", "--alpha", "10000", "--order", "200")
+    assert code == 0
+    assert text.split()[-1] == str(closed_forms.fuss_catalan(10000, 200).coeffs[200])
+
+
+@pytest.mark.parametrize("name", sorted(cli.TOP_BINOMIALS))
+def test_top_bound_never_overshoots(no_digit_limit, name):
+    # the bound at order k against the digits of the k-th value of one long
+    # listing: every slope with alpha + beta <= 12, beta = 1 up to alpha =
+    # 10^4, and for c_alpha the benchmark's jobs
+    requirement = cli.SERIES[name][0]
+    if requirement == cli.DIAGONAL:
+        cases = [(1, 1, 300, bounces) for bounces in range(8)]
+    elif requirement == cli.BETA1:
+        alphas = (*range(1, 12), 99, 100, 101, 999, 1000, 1001, 9999, 10000)
+        cases = [(alpha, 1, 300 if alpha < 12 else 60, 0) for alpha in alphas]
+        if name == "c_alpha":
+            cases += [(alpha, 1, 1000, 0) for alpha in (9500, 10000, 10500)]
+    else:
+        cases = [(s.alpha, s.beta, 300, 0) for s in coprime_slopes(12)]
+    for alpha, beta, order, bounces in cases:
+        bounce = ("--bounces", str(bounces)) if requirement == cli.DIAGONAL else ()
+        code, text = run("coeffs", "--series", name, "--alpha", str(alpha),
+                         "--beta", str(beta), "--order", str(order), *bounce)
+        assert code == 0
+        for k, value in enumerate(text.split(), 1):
+            m, n, q = cli.TOP_BINOMIALS[name](alpha, beta, k, bounces)
+            assert closed_forms._binomial_digits_at_least(m, n, q) <= len(value), (
+                alpha, beta, bounces, k
+            )
 
 
 class _Recorded(int):

@@ -423,3 +423,26 @@ def test_run_refuses_bad_options_before_any_suite_runs(monkeypatch):
             verify.run(["passing"], options, out)
         assert str(excinfo.value) == error
     assert out.getvalue() == "" and ran == []
+
+
+def test_run_refuses_a_slope_past_its_digits_at_the_order_suites_run(monkeypatch):
+    # C(48012, 24012) at the default order 12 has about 14,400 digits, and
+    # C(4001, 2001) at order 1 about 1,200
+    ran = []
+
+    def sloped(alpha=None, beta=None, order: int = 12):
+        ran.append(order)
+        return [CheckResult("ok", True)]
+
+    monkeypatch.setitem(SUITES, "sloped", sloped)
+    out = io.StringIO()
+    for options, n, m in (({}, 12, 24012), ({"order": 13}, 13, 26013)):
+        with pytest.raises(ValueError) as excinfo:
+            verify.run(["sloped"], {"alpha": 2001, "beta": 2000, **options}, out)
+        assert str(excinfo.value) == (
+            f"slope (2001, 2000) at order {n}: its path count C({4001 * n}, {m}) has more "
+            f"than {verify.MAX_SLOPE_DIGITS} digits, the limit; lower --alpha, --beta or --order"
+        )
+    assert out.getvalue() == "" and ran == []
+    assert verify.run(["sloped"], {"alpha": 2001, "beta": 2000, "order": 1}, out) == 0
+    assert ran == [1]
