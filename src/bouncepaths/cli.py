@@ -10,9 +10,12 @@ decimal strings so that consumers without big integers stay exact.
 Start-up imports only argparse and the closed forms with the series ring
 they build on.  Each command imports the other layers it runs, and json
 when it prints JSON, so a job compiles only the modules its command uses.
+``run``, the process entry of ``python -m bouncepaths.cli`` and of the
+``bouncepaths`` script, runs ``main`` and then freezes the heap.
 """
 
 import argparse
+import gc
 import os
 import sys
 from operator import add
@@ -287,5 +290,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 1
 
 
+def run() -> int:
+    """``main`` as a whole process: once it returns or raises, the heap is
+    frozen, so the full collections the interpreter runs while it finalizes
+    skip the objects the job leaves.  atexit handlers still run."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

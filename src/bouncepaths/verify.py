@@ -300,11 +300,13 @@ ORDER = (
 )
 
 # (smallest, largest) value of each suite option: below the smallest a suite
-# compares nothing, above the largest it would exceed the oracle's budget.
-# syt and total-bounces, the suites that take n_max, walk diagonal paths of
-# 2n steps.
+# compares nothing, above the largest it would exceed the oracle's budget or,
+# for alpha_max, run past about 2 s.  syt and total-bounces, the suites that
+# take n_max, walk diagonal paths of 2n steps.  At alpha_max 1000 and their
+# default orders beta1 took 1.4-2.4 s, fuss-catalan 0.3 s and crosses 0.2 s,
+# in-process on a shared 2-core host with CPython 3.11.7.
 BOUNDS = {
-    "count": (1, None), "order": (1, None), "alpha_max": (1, None),
+    "count": (1, None), "order": (1, None), "alpha_max": (1, 1000),
     "n_max": (1, MAX_STEPS // 2),
     "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
     "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),

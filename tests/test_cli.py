@@ -203,6 +203,7 @@ def test_g_b_requires_diagonal():
         ("verify", "--suite", "crosses", "--max-steps", "1"),
         ("verify", "--suite", "syt", "--n-max", "0"),
         ("verify", "--suite", "beta1", "--alpha-max", "0"),
+        ("verify", "--suite", "fuss-catalan", "--alpha-max", "1000000"),
         ("verify", "--suite", "base-counts", "--order", "0"),
         ("verify", "--suite", "specializations", "--order", "-2"),
         ("verify", "--suite", "table-dual", "--max-left", "-1"),
@@ -929,6 +930,53 @@ def test_a_closed_output_pipe_exits_without_a_traceback(argv):
     assert proc.returncode == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert len(err.splitlines()) <= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--series", "f_ee", "--alpha", "2", "--order", "5"],
+        ["bounce-table", "--alpha", "2", "--order", "4", "--format", "csv"],
+        ["verify", "--suite", "syt", "--n-max", "3"],
+        ["coeffs", "--series", "g", "--alpha", "2", "--order", "0"],
+        ["coeffs", "--series", "g", "--alpha", "2", "--order", "x"],
+    ],
+    ids=["coeffs", "bounce-table", "verify", "refusal", "usage-error"],
+)
+def test_a_cli_process_exits_normally_with_its_heap_frozen(argv, capsys):
+    # the module runs as __main__, as under ``python -m``, after an atexit hook
+    # that reports on stderr whether the heap was frozen before finalization
+    probe = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "runpy.run_module('bouncepaths.cli', run_name='__main__', alter_sys=True)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+        cwd=ROOT / "src", env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    out = io.StringIO()
+    try:
+        code = cli.main(argv, out=out)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    *err, hook = result.stderr.splitlines()
+    assert (result.returncode, result.stdout) == (code, out.getvalue())
+    assert err[:1] == capsys.readouterr().err.splitlines()[:1]
+    assert hook == "frozen True"
+
+
+def test_the_installed_script_runs_the_entry_of_the_main_block():
+    # plain text, as Python 3.10 has no tomllib
+    script = re.search(
+        r'^bouncepaths = "bouncepaths\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M
+    )
+    block = re.search(
+        r'^if __name__ == "__main__":\n    sys\.exit\((\w+)\(\)\)\n\Z',
+        Path(cli.__file__).read_text(), re.M,
+    )
+    assert script and block and script[1] == block[1]
+    assert callable(getattr(cli, script[1]))
 
 
 def test_verify_unknown_suite():
