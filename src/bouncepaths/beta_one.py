@@ -9,7 +9,7 @@ paths among them, from the closed forms alone: ``nhc_series`` from the
 split of g by first and last step, the rest from c_alpha.
 """
 
-from .closed_forms import Restriction, Slope, _exact, _g_parts, binomial, fuss_catalan
+from .closed_forms import Restriction, Slope, _exact, _g_parts, fuss_catalan, g_series
 from .series import Series
 
 
@@ -27,15 +27,20 @@ def nhc_prefix_series(alpha: int, order: int) -> Series:
     """E-start paths that never cross the line horizontally, from the closed
     form with coefficient alpha*(alpha+2)/((alpha+1)k+1) * C((alpha+1)k+1, k-1).
 
-    The ``beta1`` suite checks it against (g_ee + g_en)/(1 + g_ee).
+    That is C((alpha+1)k, k), the coefficient of :func:`g_series` of slope
+    (alpha, 1), times the exact ratio alpha(alpha+2)k / ((alpha*k+1)(alpha*k+2)),
+    as :func:`fuss_catalan` steps from it.  The ``beta1`` suite checks it
+    against (g_ee + g_en)/(1 + g_ee).
     """
     if alpha < 1:  # as fuss_catalan refuses for the other beta = 1 series
         raise ValueError("alpha must be a positive integer")
-    coeffs = [0] * (order + 1)
-    for k in range(1, order + 1):
-        num = alpha * (alpha + 2) * binomial((alpha + 1) * k + 1, k - 1)
-        coeffs[k] = _exact(num, (alpha + 1) * k + 1, "h", k)
-    return Series(tuple(coeffs))
+    g = g_series(Slope(alpha, 1), order).coeffs
+    return Series(
+        tuple(
+            _exact(alpha * (alpha + 2) * k * g[k], (alpha * k + 1) * (alpha * k + 2), "h", k)
+            for k in range(order + 1)
+        )
+    )
 
 
 def nhc_nrb_series(alpha: int, order: int) -> Series:

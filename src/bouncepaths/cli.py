@@ -126,9 +126,9 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
             str(1 << 4 * limit)
     series = getattr(sys.modules[__package__], function)(first, *fixed, args.order)
     start = 0 if args.include_k0 else 1
-    # each value becomes text once before any write, the last and largest first,
-    # so one past the int-to-str digit limit raises before the rest is converted
-    values = list(map(str, reversed(series.coeffs[start:])))[::-1]
+    # each value becomes text once before any write, so one past the int-to-str
+    # digit limit raises before any output
+    values = list(map(str, series.coeffs[start:]))
     if args.format == "table":
         print(" ".join(values), file=out)
     elif args.format == "csv":

@@ -6,8 +6,11 @@ the suites that call them: the cell sums of the bounce table over the
 bounce-free classes (f_ee, f_en, f_nn), which :func:`bounce_free_classes`
 builds once per slope, and the beta = 1 and Fuss-Catalan forms of those
 classes, :func:`bounce_free_ab_beta1` and :func:`f_ab_via_fuss_catalan`.
-The suites report through the check record and comparison helpers of
-:mod:`bouncepaths.verify`.
+The bounce-free, beta = 1 and Catalan two-marker forms are each laid out by
+:func:`_mirrored_marker_form`, apart from the production grids.  The suites
+report through the check record and comparison helpers of
+:mod:`bouncepaths.verify`, every table check through its
+:func:`~bouncepaths.verify._matches_table`.
 
 ``SUITES`` holds these nine suites; ``verify.SUITES`` holds the four that
 compare against enumeration.  Only :func:`bouncepaths.verify.registry`
@@ -41,8 +44,7 @@ from .closed_forms import (
 )
 from .series import Series
 from .verify import (
-    CheckResult, _checks_equal, _coeff_grid, _first_failure, _grid_equal, _series_equal,
-    coprime_slopes,
+    CheckResult, _checks_equal, _first_failure, _matches_table, _series_equal, coprime_slopes,
 )
 
 
@@ -201,13 +203,14 @@ def bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Serie
     )
 
 
-def _matches_table(
-    name: str, slope: Slope, grid, order: int, context: str = ""
-) -> CheckResult:
-    """The general bounce table of ``slope``, the library's value, checked
-    against ``grid``, a grid of series, at the grid's own bounds."""
-    table = bounce_table(slope, Restriction.ALL, len(grid) - 1, len(grid[0]) - 1, order)
-    return _grid_equal(name, _coeff_grid(table.entries), _coeff_grid(grid), context=context)
+def _mirrored_marker_form(numerator, denominator, max_left: int, max_right: int):
+    """The grid of (n + (s+t) n_1) / (d + (s+t) d_1 + st d_11), a two-marker
+    form closed under s <-> t, from ``numerator`` (n, n_1) and ``denominator``
+    (d, d_1, d_11): laid out apart from ``bounce._marker_grids``, so a slip
+    in either layout shows."""
+    (n, n_1), (d, d_1, d_11) = numerator, denominator
+    cells = {(0, 0): d, (1, 0): d_1, (0, 1): d_1, (1, 1): d_11}
+    return expand_marker_quotient({(0, 0): n, (1, 0): n_1, (0, 1): n_1}, cells, max_left, max_right)
 
 
 def one_sided_bounce_series(classes: tuple[Series, Series, Series], count: int) -> Series:
@@ -338,26 +341,9 @@ def suite_bounce_free(
 
         # marker form over bounce-free series vs the one over raw counts
         delta_f = f_en * f_en - f_ee * f_nn
-        numerator = {
-            (0, 0): f,
-            (1, 0): -delta_f,
-            (0, 1): -delta_f,
-        }
-        denominator = {
-            (0, 0): Series.one(order),
-            (1, 0): -f_en,
-            (0, 1): -f_en,
-            (1, 1): delta_f,
-        }
-        results.append(
-            _matches_table(
-                f"bounce-free marker form matches count marker form {tag}",
-                slope,
-                expand_marker_quotient(numerator, denominator, 3, 3),
-                order,
-                context=tag,
-            )
-        )
+        form = _mirrored_marker_form((f, -delta_f), (Series.one(order), -f_en, delta_f), 3, 3)
+        name = f"bounce-free marker form matches count marker form {tag}"
+        results.append(_matches_table(name, slope, Restriction.ALL, form, order, context=tag))
 
         # swapping the slope components swaps the bounce sides
         results += [
@@ -425,13 +411,15 @@ def suite_table_dual(
     """Closed-form cell sums against the rational marker expansion."""
     return [
         _matches_table(
-            f"closed forms match expansion ({slope.alpha},{slope.beta})",
+            f"closed forms match expansion {tag}",
             slope,
+            Restriction.ALL,
             bounce_table_from_closed_forms(slope, max_left, max_right, order),
             order,
-            context=f"({slope.alpha},{slope.beta})",
+            context=tag,
         )
         for slope in coprime_slopes(max_slope_sum)
+        for tag in [f"({slope.alpha},{slope.beta})"]
     ]
 
 
@@ -472,14 +460,9 @@ def bounce_table_beta1(
         (g + (2-s-t) g_nn) / (1 + (2-s-t) g_en + (1-s)(1-t) g_nn).
     """
     g, _, g_en, g_nn = _g_parts(Slope(alpha, 1), order)
-    numerator = {(0, 0): g + 2 * g_nn, (1, 0): -g_nn, (0, 1): -g_nn}
-    denominator = {
-        (0, 0): 1 + 2 * g_en + g_nn,
-        (1, 0): -(g_en + g_nn),
-        (0, 1): -(g_en + g_nn),
-        (1, 1): g_nn,
-    }
-    return expand_marker_quotient(numerator, denominator, max_left, max_right)
+    return _mirrored_marker_form(
+        (g + 2 * g_nn, -g_nn), (1 + 2 * g_en + g_nn, -(g_en + g_nn), g_nn), max_left, max_right
+    )
 
 
 def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
@@ -512,15 +495,9 @@ def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
             checks.append((f"Fuss-Catalan f_{label}", f, fuss))
         results += _checks_equal([(f"{name} ({tag})", a, e) for name, a, e in checks], tag)
         bound = order - 1  # no path of semilength <= order has more bounces
-        results.append(
-            _matches_table(
-                f"simplified marker form matches general table ({tag})",
-                slope,
-                bounce_table_beta1(alpha, bound, bound, order),
-                order,
-                context=tag,
-            )
-        )
+        form = bounce_table_beta1(alpha, bound, bound, order)
+        name = f"simplified marker form matches general table ({tag})"
+        results.append(_matches_table(name, slope, Restriction.ALL, form, order, context=tag))
     return results
 
 
@@ -545,21 +522,9 @@ def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
     ]
     results = _checks_equal(checks)
     # two-marker form written directly in x*c(x)
-    numerator = {(0, 0): 4 * xc - 2 * x, (1, 0): x - xc, (0, 1): x - xc}
-    denominator = {
-        (0, 0): 1 + x - xc,
-        (1, 0): -xc,
-        (0, 1): -xc,
-        (1, 1): xc - x,
-    }
-    results.append(
-        _matches_table(
-            "Catalan marker form matches general table",
-            slope,
-            expand_marker_quotient(numerator, denominator, 4, 4),
-            order,
-        )
-    )
+    form = _mirrored_marker_form((4 * xc - 2 * x, x - xc), (1 + x - xc, -xc, xc - x), 4, 4)
+    name = "Catalan marker form matches general table"
+    results.append(_matches_table(name, slope, Restriction.ALL, form, order))
     return results
 
 

@@ -3,8 +3,10 @@
 Each suite returns a list of :class:`CheckResult`; a failing check carries
 the first mismatching coefficient (slope, grid cell where relevant, and k)
 in its detail string, worded by :func:`_series_equal` as ``k=... expected=...
-actual=...``, where ``actual`` is the library's value.  The suites back both
-the command line ``verify`` command and the acceptance tests.
+actual=...``, where ``actual`` is the library's value.  Every check of a
+bounce table, against enumeration or against an alternative form, goes
+through :func:`_matches_table`.  The suites back both the command line
+``verify`` command and the acceptance tests.
 
 This module holds the check record, the comparison helpers and ``SUITES``,
 the four suites that compare the generating functions against exhaustive
@@ -18,6 +20,7 @@ option must lie in ``BOUNDS`` and be one that a named suite takes.
 """
 
 import math
+import sys
 
 from .beta_one import nhc_nrb_series, nhc_prefix_series, nhc_series, rational_dyck_series
 from .bounce import bounce_table, g_b_series
@@ -95,21 +98,21 @@ def _by_semilength(profiles, count) -> Series:
     return Series((0, *map(count, profiles)))
 
 
-def _coeff_grid(rows) -> list[list[tuple[int, ...]]]:
-    """Coefficient tuples of a grid of series, e.g. ``BounceTable.entries``."""
-    return [[series.coeffs for series in row] for row in rows]
-
-
-def _grid_equal(name: str, actual, expected, context: str = "") -> CheckResult:
-    """Compare two grids of coefficient sequences indexed [l][r][k]; a failure
-    names the first mismatching cell in l, then r, then k order."""
-    if actual == expected:
+def _matches_table(
+    name: str, slope: Slope, restriction: Restriction, grid, order: int, context: str = ""
+) -> CheckResult:
+    """The library's bounce table of ``slope`` and ``restriction`` at the
+    bounds of ``grid``, a grid of series, checked against it on coefficient
+    tuples; a failure names the first mismatching cell in l, then r, then k
+    order, and a grid whose rows differ in length has its shape reported."""
+    table = bounce_table(slope, restriction, len(grid) - 1, len(grid[0]) - 1, order).entries
+    if [[s.coeffs for s in row] for row in table] == [[s.coeffs for s in row] for row in grid]:
         return CheckResult(name, True)
     where = f"{context} " if context else ""
     cells = (
-        _series_equal(name, Series(a), Series(e), f"{where}l={l} r={r}")
-        for l, (actual_row, expected_row) in enumerate(zip(actual, expected))
-        for r, (a, e) in enumerate(zip(actual_row, expected_row))
+        _series_equal(name, actual, expected, f"{where}l={l} r={r}")
+        for l, (actual_row, expected_row) in enumerate(zip(table, grid))
+        for r, (actual, expected) in enumerate(zip(actual_row, expected_row))
     )
     return next(
         (cell for cell in cells if not cell.passed),
@@ -137,23 +140,21 @@ def suite_oracle_vs_table(
         semilengths = max_steps // (slope.alpha + slope.beta)
         tag = f"({slope.alpha},{slope.beta})"
         name = f"table vs enumeration {tag}, {semilengths * (slope.alpha + slope.beta)} steps"
-        bound = semilengths - 1
+        cells = range(semilengths)  # a path of semilength k has at most k - 1 bounces
         profiles = [enumerate_profiles(slope, k) for k in range(1, semilengths + 1)]
+        zero = Series.zero(semilengths)
+
+        def grid(restriction):
+            # each cell's counts by semilength, one zero series for every cell no path reaches
+            tables = [count_table(p, restriction) for p in profiles]
+            reached = {
+                key: _by_semilength(tables, lambda t: t.get(key, 0)) for key in set().union(*tables)
+            }
+            return [[reached.get((l, r), zero) for r in cells] for l in cells]
+
         checks = (
-            _grid_equal(
-                name,
-                _coeff_grid(
-                    bounce_table(slope, restriction, bound, bound, semilengths).entries
-                ),
-                # each cell's counts by semilength, k = 0 included as in _by_semilength
-                [
-                    [(0, *(t.get((l, r), 0) for t in tables)) for r in range(bound + 1)]
-                    for l in range(bound + 1)
-                ],
-                context=f"{tag} {restriction.value}",
-            )
-            for restriction in restrictions
-            for tables in [[count_table(p, restriction) for p in profiles]]
+            _matches_table(name, slope, r, grid(r), semilengths, context=f"{tag} {r.value}")
+            for r in restrictions
         )
         results.append(_first_failure(name, checks))
     return results
@@ -300,16 +301,20 @@ ORDER = (
 )
 
 # (smallest, largest) value of each suite option: below the smallest a suite
-# compares nothing, above the largest it would exceed the oracle's budget or,
-# for alpha_max, run past about 2 s.  syt and total-bounces, the suites that
-# take n_max, walk diagonal paths of 2n steps.  At alpha_max 1000 and their
-# default orders beta1 took 1.4-2.4 s, fuss-catalan 0.3 s and crosses 0.2 s,
-# in-process on a shared 2-core host with CPython 3.11.7.
+# compares nothing, above the largest it would exceed the oracle's budget or
+# run past about 2 s with its other options at their defaults; order has no
+# one largest value.  syt and total-bounces, the suites that take n_max, walk
+# diagonal paths of 2n steps, and no path of semilength n <= b has b bounces,
+# so a larger b_max compares only zero series.  In-process on a shared 2-core
+# host with CPython 3.11.7: at alpha_max 1000 beta1 took 1.4-2.4 s,
+# fuss-catalan 0.3 s and crosses 0.2 s; at count 10,000 ring took 1.0-1.2 s;
+# at max_left and max_right both 12 table-dual took 1.4 s; at max_slope_sum
+# 20 table-dual took 1.0 s and specializations 0.6-0.7 s.
 BOUNDS = {
-    "count": (1, None), "order": (1, None), "alpha_max": (1, 1000),
-    "n_max": (1, MAX_STEPS // 2),
-    "b_max": (0, None), "max_left": (0, None), "max_right": (0, None),
-    "max_slope_sum": (2, None), "max_steps": (2, MAX_STEPS),
+    "count": (1, 10_000), "order": (1, None), "alpha_max": (1, 1000),
+    "n_max": (1, MAX_STEPS // 2), "b_max": (0, MAX_STEPS // 2),
+    "max_left": (0, 12), "max_right": (0, 12),
+    "max_slope_sum": (2, 20), "max_steps": (2, MAX_STEPS),
 }
 # digits the path count C((alpha+beta)N, alpha*N) of a chosen slope may have
 # at the order N its suites run at.  base-counts and bounce-free, the suites
@@ -365,7 +370,9 @@ def run(names, options: dict, out) -> int:
     option outside ``BOUNDS``, options no named suite takes, a slope whose
     path count has more than ``MAX_SLOPE_DIGITS`` digits.  A suite past
     the oracle's budget is a ValueError and a MemoryError passes through;
-    any other exception fails that suite with one check."""
+    any other exception fails that suite with one check.  The suites run
+    without the int-to-str digit limit, which slope suites pass, so every
+    mismatch is worded with exact values; the caller's limit is restored."""
     if ("alpha" in options) != ("beta" in options):
         raise ValueError("--alpha and --beta select one slope; give both or neither")
     if "alpha" in options:
@@ -395,22 +402,29 @@ def run(names, options: dict, out) -> int:
                 f"more than {MAX_SLOPE_DIGITS} digits, the limit; lower --alpha, --beta or --order"
             )
     failures = 0
-    for name in names:
-        kwargs = {key: value for key, value in options.items() if key in accepted[name]}
-        print(f"suite {name}:", file=out)
-        try:
-            results = suites[name](**kwargs)
-        except BudgetExceeded as exc:  # the request's size, one error line
-            raise ValueError(str(exc)) from None
-        except MemoryError:  # reported by the caller
-            raise
-        except Exception as exc:  # a broken formula fails its suite, not the run
-            detail = f"{type(exc).__name__}: {exc}"
-            results = [CheckResult(f"suite {name} raised", False, detail)]
-        for result in results:
-            print(f"  {result}", file=out)
-            if not result.passed:
-                failures += 1
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for name in names:
+            kwargs = {key: value for key, value in options.items() if key in accepted[name]}
+            print(f"suite {name}:", file=out)
+            try:
+                results = suites[name](**kwargs)
+            except BudgetExceeded as exc:  # the request's size, one error line
+                raise ValueError(str(exc)) from None
+            except MemoryError:  # reported by the caller
+                raise
+            except Exception as exc:  # a broken formula fails its suite, not the run
+                detail = f"{type(exc).__name__}: {exc}"
+                results = [CheckResult(f"suite {name} raised", False, detail)]
+            for result in results:
+                print(f"  {result}", file=out)
+                if not result.passed:
+                    failures += 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     summary = f"{failures} check(s) failed" if failures else "all suites passed"
     print(f"verify: {summary}", file=out)
     return 1 if failures else 0

@@ -215,6 +215,11 @@ def test_g_b_requires_diagonal():
         ("verify", "--suite", "oracle-vs-table", "--max-steps", "41"),
         ("verify", "--suite", "crosses", "--max-steps", "41"),
         ("verify", "--suite", "syt", "--suite", "total-bounces", "--n-max", "21"),
+        ("verify", "--suite", "ring", "--count", "10001"),
+        ("verify", "--suite", "total-bounces", "--b-max", "21"),
+        ("verify", "--suite", "table-dual", "--max-left", "13"),
+        ("verify", "--suite", "table-dual", "--max-right", "13"),
+        ("verify", "--suite", "table-dual", "--max-slope-sum", "21"),
         ("coeffs", "--series", "g", "--alpha", "2", "--order", "5", "--bounces", "3"),
     ],
 )
@@ -383,9 +388,8 @@ class _Recorded(int):
 
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)
-def test_listing_converts_each_value_once_from_the_highest_power_down(monkeypatch, fmt):
-    # the largest value comes last, so converting it first makes a value past
-    # the int-to-str digit limit fail before any other is converted
+def test_listing_converts_each_value_exactly_once(monkeypatch, fmt):
+    # every value becomes text once, before any of them is written
     def listing(kind):
         double = lambda alpha, order: Series(tuple(kind(10**k) for k in range(order + 1)))
         monkeypatch.setattr(closed_forms, "fuss_catalan", double)
@@ -394,7 +398,7 @@ def test_listing_converts_each_value_once_from_the_highest_power_down(monkeypatc
 
     monkeypatch.setattr(_Recorded, "converted", [])
     assert listing(_Recorded) == listing(int)
-    assert _Recorded.converted == [10**k for k in range(4, -1, -1)]
+    assert sorted(_Recorded.converted) == [10**k for k in range(5)]
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import sys
 import types
@@ -6,7 +7,7 @@ import types
 import pytest
 
 from bouncepaths import bounce, cli, identities, verify
-from bouncepaths.closed_forms import Slope, Step
+from bouncepaths.closed_forms import Restriction, Slope, Step
 from bouncepaths.enumeration import TwoRowShape, enumerate_profiles
 from bouncepaths.identities import (
     suite_base_counts,
@@ -19,7 +20,7 @@ from bouncepaths.identities import (
 )
 from bouncepaths.series import Series
 from bouncepaths.verify import (
-    SUITES, CheckResult, _first_failure, _grid_equal, _series_equal, coprime_slopes,
+    SUITES, CheckResult, _first_failure, _matches_table, _series_equal, coprime_slopes,
 )
 
 # the suites of plain ``verify``, in the order it has always run them
@@ -51,13 +52,20 @@ def test_series_equal_reports_first_mismatch():
     assert (result.passed, result.detail) == (False, "s order expected=2 actual=1")
 
 
-def test_grid_equal_reports_first_mismatching_cell():
-    expected = [[(0, 1), (0, 2)], [(0, 3), (0, 4)]]
-    assert _grid_equal("demo", [row[:] for row in expected], expected).passed
-    result = _grid_equal("demo", [[(0, 1), (0, 2)], [(0, 3), (0, 5)]], expected, "s")
+def test_matches_table_reports_first_mismatching_cell():
+    slope, order = Slope(1, 1), 4
+    table = bounce.bounce_table(slope, Restriction.ALL, 1, 1, order).entries
+    grid = [list(row) for row in table]
+    assert _matches_table("demo", slope, Restriction.ALL, grid, order).passed
+    # cell (1, 0) comes before cell (1, 1), whatever the powers that differ
+    grid[1][0] = table[1][0] + Series.x(order) ** 3
+    grid[1][1] = table[1][1] + Series.x(order) ** 2
+    value = table[1][0].coeffs[3]
+    result = _matches_table("demo", slope, Restriction.ALL, grid, order, "s")
     assert not result.passed
-    assert result.detail == "s l=1 r=1 k=1 expected=4 actual=5"
-    result = _grid_equal("demo", expected[:1], expected)
+    assert result.detail == f"s l=1 r=0 k=3 expected={value + 1} actual={value}"
+    ragged = [table[0], table[1][:1]]
+    result = _matches_table("demo", slope, Restriction.ALL, ragged, order)
     assert (result.passed, result.detail) == (False, "grid shapes differ")
 
 
@@ -88,13 +96,17 @@ def test_grid_equal_reports_first_mismatching_cell():
          "g matches its binomial for 3/2"),
         (identities.suite_catalan_slope, "bounce_table", dict(order=8),
          "Catalan marker form matches general table"),
+        # 14 steps of slope 1/1 reach semilength 7
+        (verify.suite_oracle_vs_table, "bounce_table", dict(max_slope_sum=2, max_steps=14),
+         "table vs enumeration (1,1), 14 steps"),
     ],
 )
 def test_cross_checks_catch_a_wrong_production_formula(
     monkeypatch, suite, production, kwargs, failing
 ):
-    # the suite looks the production formula up in the module that defines it
-    module = sys.modules[suite.__module__]
+    # the suite looks the production formula up in the module that defines
+    # it; every table check builds the library's table in verify._matches_table
+    module = verify if production == "bounce_table" else sys.modules[suite.__module__]
     original = getattr(module, production)
 
     def skewed(*args):
@@ -446,3 +458,30 @@ def test_run_refuses_a_slope_past_its_digits_at_the_order_suites_run(monkeypatch
     assert out.getvalue() == "" and ran == []
     assert verify.run(["sloped"], {"alpha": 2001, "beta": 2000, "order": 1}, out) == 0
     assert ran == [1]
+
+
+def test_a_mismatch_past_the_digit_limit_is_worded_with_exact_values(monkeypatch):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python 3.10.0 to 3.10.6 have no int-to-str digit limit")
+    original = identities.g_series
+
+    def skewed(slope, order):  # the top coefficient one too large
+        return original(slope, order) + Series.x(order) ** order
+
+    monkeypatch.setattr(identities, "g_series", skewed)
+    out = io.StringIO()
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # C(2388, 1200), the path count of slope (100, 99) at x^12, has 717 digits
+        assert verify.run(["base-counts"], {"alpha": 100, "beta": 99, "order": 12}, out) == 1
+        assert sys.get_int_max_str_digits() == 640  # the caller's limit is back
+    finally:
+        sys.set_int_max_str_digits(previous)
+    top = math.comb(2388, 1200)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 6 and lines[-1] == "verify: 2 check(s) failed"
+    assert lines[4] == (
+        f"  FAIL  g matches its binomial for 100/99  "
+        f"[slope=(100,99) k=12 expected={top} actual={top + 1}]"
+    )
