@@ -6,7 +6,9 @@ layer, and a command line job compiles only the modules its command runs.
 """
 
 _EXPORTS = {
-    "beta_one": ("nhc_nrb_series", "nhc_prefix_series", "nhc_series", "rational_dyck_series"),
+    "beta_one": (
+        "g_b_series", "nhc_nrb_series", "nhc_prefix_series", "nhc_series", "rational_dyck_series",
+    ),
     "bounce": (
         "BounceTable",
         "bounce_free_ab",
@@ -14,7 +16,6 @@ _EXPORTS = {
         "bounce_free_total",
         "bounce_table",
         "expand_marker_quotient",
-        "g_b_series",
         "marker_cells",
         "no_left_bounce_total",
         "nrb_series",
@@ -43,12 +44,7 @@ _EXPORTS = {
         "enumerate_profiles",
         "enumerate_syt",
     ),
-    "series": (
-        "NonUnitConstantTerm",
-        "Series",
-        "SeriesError",
-        "ValuationMismatch",
-    ),
+    "series": ("NonUnitConstantTerm", "Series", "SeriesError"),
 }
 _LAYER = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

@@ -6,7 +6,9 @@ point, so crossings can be enumerated the same way as bounces: a
 outgoing E-steps.  ``nhc`` abbreviates "no horizontal crosses".  This
 module counts paths by their horizontal crosses, and the rational Dyck
 paths among them, from the closed forms alone: ``nhc_series`` from the
-split of g by first and last step, the rest from c_alpha.
+split of g by first and last step, the rest from c_alpha.  The diagonal is
+the unit-rise slope with alpha = 1, and ``g_b_series`` counts its paths by
+total bounces with a Catalan-family closed form.
 """
 
 from .closed_forms import Restriction, Slope, _exact, _g_parts, fuss_catalan, g_series
@@ -57,3 +59,24 @@ def rational_dyck_series(alpha: int, order: int) -> Series:
     """N-start paths with no horizontal crosses; these stay weakly above
     y = x/alpha, end with an E-step, and are counted by c_alpha - 1."""
     return fuss_catalan(alpha, order) - 1
+
+
+def g_b_series(total_bounces: int, order: int) -> Series:
+    """Paths to (n, n) with exactly ``total_bounces`` bounces of either kind.
+
+    Only meaningful for the diagonal slope (1, 1).  Computed from the
+    coefficient formula 2*(b+1)/j * C(2j, j-b-1) at x^j, with the binomial
+    stepped from j-1 to j by (2j-1)(2j) / ((j-b-1)(j+b+1)); the
+    ``total-bounces`` suite checks it against 2*(c(x) - 1)^(b+1) with c the
+    Catalan series.
+    """
+    b = total_bounces
+    if b < 0:
+        raise ValueError("the bounce count must be non-negative")
+    coeffs = [0] * (order + 1)
+    binom = 1  # C(2j, j-b-1), which is C(2b+2, 0) at j = b+1
+    for j in range(b + 1, order + 1):
+        if j > b + 1:
+            binom = binom * (2 * j - 1) * (2 * j) // ((j - b - 1) * (j + b + 1))
+        coeffs[j] = _exact(2 * (b + 1) * binom, j, "g_b", j)
+    return Series(tuple(coeffs))

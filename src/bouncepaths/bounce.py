@@ -10,7 +10,8 @@ not count.  Naming scheme used throughout the package:
 * ``nrb`` -- paths with no right bounces (equivalently, none on the left),
 * :class:`BounceTable` -- paths with exactly ``l`` left and ``r`` right
   bounces, as the coefficient grid of the two-marker generating function
-  over the series ring.  The closed-form cell sums ``b_lr`` that
+  over the series ring, a numerator triple over a denominator triple
+  (:func:`marker_cells`).  The closed-form cell sums ``b_lr`` that
   cross-check it live in :mod:`bouncepaths.identities`.
 """
 
@@ -45,12 +46,8 @@ def _delta(slope: Slope, g_en: Series) -> Series:
     )
 
 
-MarkerCells = dict[tuple[int, int], Series]
-
-
-def _marker_grids(slope: Slope, order: int) -> tuple[dict, MarkerCells]:
-    """Numerator grids of every restriction, and the denominator grid, of the
-    bounce generating function.
+def _marker_grids(slope: Slope, order: int) -> tuple[dict, tuple]:
+    """The numerator triple of each restriction and the denominator triple.
 
     With s marking left and t marking right bounces, the generating function
     for all paths is
@@ -58,32 +55,29 @@ def _marker_grids(slope: Slope, order: int) -> tuple[dict, MarkerCells]:
         (g + (2-s-t) * d) / (1 + (2-s-t) * g_en + (1-s)(1-t) * d),
 
     where d = g_en^2 - g_ee*g_nn.  Restrictions replace the numerator by
-    g_ee, g_nn, g_en + (1-s)*d or g_en + (1-t)*d for EE, NN, EN and NE.  A
-    grid maps the marker degrees (i, j) to the series at s^i t^j.  At s = t = 0
-    it counts bounce-free paths, and at s = 0, t = 1 paths with no left bounces.
+    g_ee, g_nn, g_en + (1-s)*d or g_en + (1-t)*d for EE, NN, EN and NE.  Each
+    is the triple (n, n_s, n_t) of n + s*n_s + t*n_t, the denominator the triple
+    (d_0, d_1, d_11) of d_0 + (s+t)*d_1 + st*d_11.  At s = t = 0 it counts
+    bounce-free paths, and at s = 0, t = 1 paths with no left bounces.
     """
     g, g_ee, g_en, g_nn = _g_parts(slope, order)
     d = _delta(slope, g_en)
-    minus_d, g_en_d = -d, g_en + d
+    zero, minus_d, g_en_d = Series.zero(order), -d, g_en + d
     numerators = {
-        Restriction.ALL: {(0, 0): g + 2 * d, (1, 0): minus_d, (0, 1): minus_d},
-        Restriction.EE: {(0, 0): g_ee},
-        Restriction.NN: {(0, 0): g_nn},
-        Restriction.EN: {(0, 0): g_en_d, (1, 0): minus_d},
-        Restriction.NE: {(0, 0): g_en_d, (0, 1): minus_d},
+        Restriction.ALL: (g + 2 * d, minus_d, minus_d),
+        Restriction.EE: (g_ee, zero, zero),
+        Restriction.NN: (g_nn, zero, zero),
+        Restriction.EN: (g_en_d, minus_d, zero),
+        Restriction.NE: (g_en_d, zero, minus_d),
     }
-    denominator = {(0, 0): 1 + 2 * g_en + d, (1, 0): -g_en_d, (0, 1): -g_en_d, (1, 1): d}
-    return numerators, denominator
+    return numerators, (1 + 2 * g_en + d, -g_en_d, d)
 
 
-def _marker_value(grids: tuple[dict, MarkerCells], classes, s: int, t: int) -> Series:
+def _marker_value(grids: tuple[dict, tuple], classes, s: int, t: int) -> Series:
     """The generating function of the given classes, summed, at the markers (s, t)."""
-    numerators, denominator = grids
-
-    def at(*parts: MarkerCells) -> Series:
-        return sum(s**i * t**j * cell for part in parts for (i, j), cell in part.items())
-
-    return at(*(numerators[c] for c in classes)).div(at(denominator))
+    numerators, (d_0, d_1, d_11) = grids
+    numerator = sum(n + s * n_s + t * n_t for n, n_s, n_t in map(numerators.get, classes))
+    return numerator.div(d_0 + (s + t) * d_1 + s * t * d_11)
 
 
 def nrb_series(slope: Slope, restriction: Restriction, order: int) -> Series:
@@ -128,84 +122,58 @@ def no_left_bounce_total(slope: Slope, order: int) -> Series:
     return _marker_value(_marker_grids(slope, order), (Restriction.ALL,), 0, 1)
 
 
-def g_b_series(total_bounces: int, order: int) -> Series:
-    """Paths to (n, n) with exactly ``total_bounces`` bounces of either kind.
-
-    Only meaningful for the diagonal slope (1, 1).  Computed from the
-    coefficient formula 2*(b+1)/j * C(2j, j-b-1) at x^j, with the binomial
-    stepped from j-1 to j by (2j-1)(2j) / ((j-b-1)(j+b+1)); the
-    ``total-bounces`` suite checks it against 2*(c(x) - 1)^(b+1) with c the
-    Catalan series.
-    """
-    b = total_bounces
-    if b < 0:
-        raise ValueError("the bounce count must be non-negative")
-    coeffs = [0] * (order + 1)
-    binom = 1  # C(2j, j-b-1), which is C(2b+2, 0) at j = b+1
-    for j in range(b + 1, order + 1):
-        if j > b + 1:
-            binom = binom * (2 * j - 1) * (2 * j) // ((j - b - 1) * (j + b + 1))
-        coeffs[j] = _exact(2 * (b + 1) * binom, j, "g_b", j)
-    return Series(tuple(coeffs))
-
-
 # --------------------------------------------------------------------- table
 
 
 def expand_marker_quotient(
-    numerator: MarkerCells,
-    denominator: MarkerCells,
+    numerator: tuple[Series, Series, Series],
+    denominator: tuple[Series, Series, Series],
     max_left: int,
     max_right: int,
 ) -> list[list[Series]]:
-    """Expand numerator/denominator as a polynomial in two bounded markers.
+    """Expand (n + s*n_s + t*n_t) / (d_0 + (s+t)*d_1 + st*d_11) in the
+    markers s and t, up to s^max_left t^max_right.
 
-    Both operands are sparse grids of series of one truncation order N,
-    indexed by marker degrees (l, r).  The denominator's (0, 0) cell must
-    have a unit constant term; with inv its reciprocal, the quotient is
-    produced cell by cell up to (max_left, max_right) by solving
-    numerator = denominator * quotient in increasing degree:
+    ``numerator`` is (n, n_s, n_t) and ``denominator`` (d_0, d_1, d_11), series
+    of one truncation order N, d_0 with a unit constant term.  With inv its
+    reciprocal and c[l][r] the numerator's series at s^l t^r, the cells follow
+    in increasing degree from
 
-        q[l][r] = inv*n[l][r] - sum over (i, j) != (0, 0) of inv*d[i][j] * q[l-i][r-j].
+        q[l][r] = inv*c[l][r] - inv*d_1 * (q[l-1][r] + q[l][r-1]) - inv*d_11 * q[l-1][r-1].
 
-    Every input cell is scaled by inv once, and equal denominator cells form
-    one group, whose factor -inv*d and valuation are found once.  The same
-    recurrence over valuations bounds each q[l][r] from below; a cell whose
-    bound exceeds N is zero and is not computed.  Per cell, one pass over a
-    group's offsets finds its live neighbours and their lowest bound.  The
-    cell accumulates in place in one coefficient list, from inv*n[l][r] or
-    zeros, one product per group by the series ring's multiply-accumulate
-    kernel, the factor times the sum of the live neighbours, and becomes
-    one Series when finished: mirrored cells share it, all zero cells one.
+    The factors -inv*d_1 and -inv*d_11 and their valuations are formed once.
+    The same recurrence over valuations bounds each q[l][r] from below; a
+    cell whose bound exceeds N is zero and is not computed.  A cell
+    accumulates in place in one coefficient list, from inv*c[l][r] or zeros,
+    by one multiply-accumulate per factor over the sum of its live
+    neighbours, and becomes one Series: mirrored cells share it, all zero
+    cells one.
 
-    When both grids are closed under the mirror (i, j) -> (j, i), so is the
-    quotient, and a cell with r < l <= max_right is the (r, l) cell of an
-    earlier row.  The bounce grids of ALL, EE and NN are: rotating a path by
-    180 degrees about the midpoint of its segment keeps its line points and
-    reverses its step word, so left and right bounces trade places and the
-    first and last steps swap.
+    The denominator is symmetric in s and t, so the quotient is too when
+    n_s == n_t: a cell with r < l <= max_right is then the (r, l) cell of an
+    earlier row.  The bounce quotients of ALL, EE and NN are: a half turn
+    about the midpoint of a path's segment keeps its line points and reverses
+    its step word, so left and right bounces trade places and the end steps swap.
     """
-    lead = denominator[(0, 0)]
-    inv = lead.reciprocal()
-    zero = Series.zero(lead.order)
-    vanished = lead.order + 1  # valuation bound of a cell known to be zero
+    n, n_s, n_t = numerator
+    d_0, d_1, d_11 = denominator
+    inv = d_0.reciprocal()
+    zero = Series.zero(d_0.order)
+    vanished = d_0.order + 1  # valuation bound of a cell known to be zero
 
     def low(series: Series) -> int:
         v = series.valuation()
         return vanished if v is None else v
 
-    scaled = {key: cell * inv for key, cell in numerator.items()}
-    offsets: dict[Series, list[tuple[int, int]]] = {}
-    for key, cell in denominator.items():
-        if key != (0, 0) and not cell.is_zero():
-            offsets.setdefault(cell, []).append(key)
-    # (coefficients of -inv * d, valuation of d, offsets of the cells equal to d)
-    groups = [((-(cell * inv)).coeffs, low(cell), keys) for cell, keys in offsets.items()]
+    scaled = {(0, 0): n * inv, (1, 0): n_s * inv, (0, 1): n_t * inv}
+    # (coefficients of -inv * d, valuation of d, the neighbour offsets it multiplies)
+    groups = [
+        ((-(d * inv)).coeffs, low(d), keys)
+        for d, keys in ((d_1, ((1, 0), (0, 1))), (d_11, ((1, 1),)))
+        if not d.is_zero()
+    ]
 
-    mirrored = all(
-        grid.get((j, i)) == cell for grid in (numerator, denominator)
-        for (i, j), cell in grid.items()
-    )
+    mirrored = n_s == n_t
     out = [[zero] * (max_right + 1) for _ in range(max_left + 1)]
     bound = [[vanished] * (max_right + 1) for _ in range(max_left + 1)]
     for l in range(max_left + 1):
@@ -278,8 +246,8 @@ class BounceTable(_Record):
         return total
 
 
-def marker_cells(slope: Slope, restriction: Restriction, order: int) -> tuple[dict, dict]:
-    """Numerator grid of the restriction and the denominator grid of the
+def marker_cells(slope: Slope, restriction: Restriction, order: int) -> tuple[tuple, tuple]:
+    """Numerator triple of the restriction and the denominator triple of the
     bounce generating function (see :func:`_marker_grids`)."""
     numerators, denominator = _marker_grids(slope, order)
     return numerators[restriction], denominator

@@ -6,9 +6,10 @@ the suites that call them: the cell sums of the bounce table over the
 bounce-free classes (f_ee, f_en, f_nn), which :func:`bounce_free_classes`
 builds once per slope, and the beta = 1 and Fuss-Catalan forms of those
 classes, :func:`bounce_free_ab_beta1` and :func:`f_ab_via_fuss_catalan`.
-The bounce-free, beta = 1 and Catalan two-marker forms are each laid out by
-:func:`_mirrored_marker_form`, apart from the production grids.  The suites
-report through the check record and comparison helpers of
+The bounce-free, beta = 1 and Catalan two-marker forms each pass their own
+triples to :func:`~bouncepaths.bounce.expand_marker_quotient`, apart from
+the production triples, so a slip in either shows.  The suites report
+through the check record and comparison helpers of
 :mod:`bouncepaths.verify`, every table check through its
 :func:`~bouncepaths.verify._matches_table`.
 
@@ -203,16 +204,6 @@ def bounce_free_classes(slope: Slope, order: int) -> tuple[Series, Series, Serie
     )
 
 
-def _mirrored_marker_form(numerator, denominator, max_left: int, max_right: int):
-    """The grid of (n + (s+t) n_1) / (d + (s+t) d_1 + st d_11), a two-marker
-    form closed under s <-> t, from ``numerator`` (n, n_1) and ``denominator``
-    (d, d_1, d_11): laid out apart from ``bounce._marker_grids``, so a slip
-    in either layout shows."""
-    (n, n_1), (d, d_1, d_11) = numerator, denominator
-    cells = {(0, 0): d, (1, 0): d_1, (0, 1): d_1, (1, 1): d_11}
-    return expand_marker_quotient({(0, 0): n, (1, 0): n_1, (0, 1): n_1}, cells, max_left, max_right)
-
-
 def one_sided_bounce_series(classes: tuple[Series, Series, Series], count: int) -> Series:
     """Paths with exactly ``count`` bounces on one side and none on the other,
     from the bounce-free ``classes`` (f_ee, f_en, f_nn).
@@ -317,7 +308,7 @@ def suite_bounce_free(
         checks = [
             (
                 f"bounce determinant matches g_en^2 - g_ee*g_nn {tag}",
-                marker_cells(slope, Restriction.ALL, order)[1][(1, 1)],
+                marker_cells(slope, Restriction.ALL, order)[1][2],
                 g_en * g_en - g_ee * g_nn,
             ),
             (
@@ -341,7 +332,9 @@ def suite_bounce_free(
 
         # marker form over bounce-free series vs the one over raw counts
         delta_f = f_en * f_en - f_ee * f_nn
-        form = _mirrored_marker_form((f, -delta_f), (Series.one(order), -f_en, delta_f), 3, 3)
+        form = expand_marker_quotient(
+            (f, -delta_f, -delta_f), (Series.one(order), -f_en, delta_f), 3, 3
+        )
         name = f"bounce-free marker form matches count marker form {tag}"
         results.append(_matches_table(name, slope, Restriction.ALL, form, order, context=tag))
 
@@ -460,9 +453,9 @@ def bounce_table_beta1(
         (g + (2-s-t) g_nn) / (1 + (2-s-t) g_en + (1-s)(1-t) g_nn).
     """
     g, _, g_en, g_nn = _g_parts(Slope(alpha, 1), order)
-    return _mirrored_marker_form(
-        (g + 2 * g_nn, -g_nn), (1 + 2 * g_en + g_nn, -(g_en + g_nn), g_nn), max_left, max_right
-    )
+    numerator = (g + 2 * g_nn, -g_nn, -g_nn)
+    denominator = (1 + 2 * g_en + g_nn, -(g_en + g_nn), g_nn)
+    return expand_marker_quotient(numerator, denominator, max_left, max_right)
 
 
 def suite_beta1(alpha_max: int = 5, order: int = 10) -> list[CheckResult]:
@@ -522,7 +515,7 @@ def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
     ]
     results = _checks_equal(checks)
     # two-marker form written directly in x*c(x)
-    form = _mirrored_marker_form((4 * xc - 2 * x, x - xc), (1 + x - xc, -xc, xc - x), 4, 4)
+    form = expand_marker_quotient((4 * xc - 2 * x, x - xc, x - xc), (1 + x - xc, -xc, xc - x), 4, 4)
     name = "Catalan marker form matches general table"
     results.append(_matches_table(name, slope, Restriction.ALL, form, order))
     return results

@@ -5,6 +5,8 @@ power series up to an explicit truncation order ``N``.  Arithmetic always
 truncates to the minimum of the operands' orders, so a result never claims
 a coefficient that both inputs do not determine.  Coefficients are plain
 Python ints, hence arbitrary precision and every comparison is exact.
+Division is by a series with constant term +1 or -1, the units over the
+integers, so a quotient keeps the smaller truncation order of its operands.
 """
 
 from itertools import compress, count
@@ -58,12 +60,7 @@ class SeriesError(Exception):
 
 
 class NonUnitConstantTerm(SeriesError):
-    """Raised when inverting a series whose constant term is not +1 or -1."""
-
-
-class ValuationMismatch(SeriesError):
-    """Raised when division would need to cancel more powers of x than the
-    numerator provides."""
+    """Raised when dividing by a series whose constant term is not +1 or -1."""
 
 
 def _mul_add(out: list, a, b, va: int, vb: int) -> None:
@@ -209,33 +206,17 @@ class Series(_Record):
         return result
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse to the truncation order: the long division
-        of one.  Requires constant term +1 or -1 (the only units over the
-        integers)."""
-        _require_unit(self.coeffs[0])
+        """Multiplicative inverse to the truncation order: the long division of one."""
         return Series.one(self.order).div(self)
 
     def div(self, other: "Series") -> "Series":
-        """Quotient self / other, cancelling the common factor x^m first.
-
-        ``m = valuation(other)``; the numerator must vanish to order at least
-        m, and the divisor's cofactor d after cancellation must have a unit
-        constant term.  The result's truncation order shrinks by m.  One pass
-        of long division: q_k = d_0 * (a_k - sum_{j=1..k} d_j q_(k-j)).
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by an identically zero series")
-        m = other.valuation()
-        if any(self.coeffs[: min(m, self.order + 1)]):
-            raise ValuationMismatch(
-                f"numerator valuation is below the divisor valuation {m}"
-            )
-        n = min(self.order, other.order) - m
-        if n < 0:
-            raise ValueError(f"cancelling x^{m} leaves no determined coefficients")
-        a, d = self.coeffs[m:], other.coeffs[m:]
+        """Quotient self / other by one pass of long division,
+        q_k = d_0 * (a_k - sum_{j=1..k} d_j q_(k-j)), for a divisor whose
+        constant term d_0 is +1 or -1 (the only units over the integers)."""
+        a, d = self.coeffs, other.coeffs
         d0 = d[0]
         _require_unit(d0)
+        n = min(self.order, other.order)
         terms = [(j, dj) for j, dj in enumerate(d[1 : n + 1], 1) if dj]
         q = [0] * (n + 1)
         for k in range(n + 1):

@@ -22,8 +22,9 @@ option must lie in ``BOUNDS`` and be one that a named suite takes.
 import math
 import sys
 
-from .beta_one import nhc_nrb_series, nhc_prefix_series, nhc_series, rational_dyck_series
-from .bounce import bounce_table, g_b_series
+from .beta_one import (
+    g_b_series, nhc_nrb_series, nhc_prefix_series, nhc_series, rational_dyck_series,
+)
 from .closed_forms import (
     AB_RESTRICTIONS,
     NonIntegerCoefficient,
@@ -105,6 +106,8 @@ def _matches_table(
     bounds of ``grid``, a grid of series, checked against it on coefficient
     tuples; a failure names the first mismatching cell in l, then r, then k
     order, and a grid whose rows differ in length has its shape reported."""
+    from .bounce import bounce_table  # only the table checks load the bounce layer
+
     table = bounce_table(slope, restriction, len(grid) - 1, len(grid[0]) - 1, order).entries
     if [[s.coeffs for s in row] for row in table] == [[s.coeffs for s in row] for row in grid]:
         return CheckResult(name, True)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bouncepaths import bounce
+from bouncepaths.beta_one import g_b_series
 from bouncepaths.bounce import (
     BounceTable,
     bounce_free_ab,
@@ -11,7 +12,6 @@ from bouncepaths.bounce import (
     bounce_free_total,
     bounce_table,
     expand_marker_quotient,
-    g_b_series,
     marker_cells,
     no_left_bounce_total,
     nrb_series,
@@ -115,12 +115,12 @@ def test_bounce_free_prefix():
 
 @pytest.mark.parametrize("slope", coprime_slopes(9), ids=str)
 def test_marker_delta_matches_the_two_product_form(slope):
-    # the (1, 1) denominator cell is delta = g_en^2 - g_ee*g_nn
+    # the st term d_11 of the denominator is delta = g_en^2 - g_ee*g_nn
     order = 60
     g_ee = g_ab_series(slope, Step.E, Step.E, order)
     g_en = g_ab_series(slope, Step.E, Step.N, order)
     g_nn = g_ab_series(slope, Step.N, Step.N, order)
-    delta = marker_cells(slope, Restriction.ALL, order)[1][(1, 1)]
+    delta = marker_cells(slope, Restriction.ALL, order)[1][2]
     assert delta == g_en * g_en - g_ee * g_nn
 
 
@@ -214,16 +214,16 @@ def test_b_lr_vanishes_when_bounces_exceed_semilength(left, right, k):
 
 
 def test_expand_marker_quotient_geometric():
-    one = Series.one(3)
-    # 1 / (1 - s): constant series along the left index, zero elsewhere
-    grid = expand_marker_quotient({(0, 0): one}, {(0, 0): one, (1, 0): -one}, 2, 2)
-    for l in range(3):
-        for r in range(3):
-            assert grid[l][r] == (one if r == 0 else Series.zero(3))
+    one, zero = Series.one(3), Series.zero(3)
+    # 1 / ((1 - s)(1 - t)) = 1 / (1 - (s+t) + st): the constant series in every cell
+    grid = expand_marker_quotient((one, zero, zero), (one, -one, one), 2, 2)
+    assert grid == [[one] * 3] * 3
 
 
 def reference_expand_marker_quotient(numerator, denominator, max_left, max_right):
-    """The plain cell-by-cell expansion: four products per cell, no skipping."""
+    """The plain cell-by-cell expansion of sparse grids, which map the marker
+    degrees (i, j) to the series at s^i t^j: four products per cell, no
+    skipping, no mirror."""
     lead = denominator[(0, 0)]
     inv = lead.reciprocal()
     zero = Series.zero(lead.order)
@@ -240,52 +240,47 @@ def reference_expand_marker_quotient(numerator, denominator, max_left, max_right
     return out
 
 
+def as_grids(numerator, denominator):
+    """The reference's grids of (n + s*n_s + t*n_t) / (d_0 + (s+t)*d_1 + st*d_11)."""
+    (n, n_s, n_t), (d_0, d_1, d_11) = numerator, denominator
+    return (
+        {(0, 0): n, (1, 0): n_s, (0, 1): n_t},
+        {(0, 0): d_0, (1, 0): d_1, (0, 1): d_1, (1, 1): d_11},
+    )
+
+
 @st.composite
-def marker_grids(draw):
-    """Random numerator and denominator grids of one order.
+def marker_triples(draw):
+    """Random numerator and denominator triples of one order.
 
-    Cells may have valuation 0 whatever their marker degree, and non-lead
-    denominator cells are drawn from a pool of three so that equal cells
-    occur often.  About half the draws close both grids under the mirror
-    (i, j) -> (j, i), as the bounce grids of ALL, EE and NN are; some of
-    those then differ from a mirror-closed grid in one off-diagonal cell.
-    The bounds are drawn independently, so mirrors of cells often fall
-    outside them."""
+    Any cell may be zero or have valuation 0, except d_0, whose constant term
+    is +1 or -1.  About half the draws have n_s = n_t, the mirror-closed
+    numerators of ALL, EE and NN, and some have d_1 = d_11.  The bounds are
+    drawn independently, so mirrors of cells often fall outside them."""
     order = draw(st.integers(0, 12))
-    keys = [(i, j) for i in range(3) for j in range(3)]
 
-    def series(max_zeros):
-        zeros = draw(st.integers(0, max_zeros))
+    def series():
+        zeros = draw(st.integers(0, order + 1))
         tail = draw(st.lists(st.integers(-4, 4), min_size=order + 1, max_size=order + 1))
         return Series((0,) * zeros + tuple(tail[zeros:]))
 
-    mirrored = draw(st.booleans())
-
-    def close(grid):
-        return {**grid, **{(j, i): cell for (i, j), cell in grid.items()}} if mirrored else grid
-
-    numerator = close({
-        key: series(order + 1)
-        for key in draw(st.lists(st.sampled_from(keys), max_size=5, unique=True))
-    })
+    n, n_s = series(), series()
+    n_t = n_s if draw(st.booleans()) else series()
     lead_tail = draw(st.lists(st.integers(-4, 4), min_size=order, max_size=order))
-    lead = Series((draw(st.sampled_from([1, -1])),) + tuple(lead_tail))
-    pool = [series(order + 1) for _ in range(3)]
-    rest = draw(st.lists(st.sampled_from(keys[1:]), max_size=5, unique=True))
-    denominator = close({(0, 0): lead, **{key: draw(st.sampled_from(pool)) for key in rest}})
-    if mirrored and draw(st.booleans()):
-        grid = draw(st.sampled_from([numerator, denominator]))
-        grid[draw(st.sampled_from([(i, j) for i, j in keys if i != j]))] = series(order + 1)
-    return numerator, denominator, draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    d_0 = Series((draw(st.sampled_from([1, -1])),) + tuple(lead_tail))
+    d_1 = series()
+    d_11 = d_1 if draw(st.booleans()) else series()
+    bounds = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return (n, n_s, n_t), (d_0, d_1, d_11), *bounds
 
 
 @settings(max_examples=150, deadline=None)
-@given(marker_grids())
-def test_expand_marker_quotient_matches_reference(grids):
-    numerator, denominator, max_left, max_right = grids
+@given(marker_triples())
+def test_expand_marker_quotient_matches_reference(triples):
+    numerator, denominator, max_left, max_right = triples
     assert expand_marker_quotient(
         numerator, denominator, max_left, max_right
-    ) == reference_expand_marker_quotient(numerator, denominator, max_left, max_right)
+    ) == reference_expand_marker_quotient(*as_grids(numerator, denominator), max_left, max_right)
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,7 +290,9 @@ def test_path_reversal_symmetry_of_the_reference_expansion(slope, order):
     # an EN-path into an NE-path; the plain expansion does not assume it
     bound = order - 1
     grids = {
-        r: reference_expand_marker_quotient(*marker_cells(slope, r, order), bound, bound)
+        r: reference_expand_marker_quotient(
+            *as_grids(*marker_cells(slope, r, order)), bound, bound
+        )
         for r in Restriction
     }
     for restriction in (Restriction.ALL, Restriction.EE, Restriction.NN):
@@ -310,7 +307,7 @@ def test_expand_marker_quotient_matches_reference_on_bounce_cells():
             numerator, denominator = marker_cells(slope, restriction, 9)
             assert expand_marker_quotient(
                 numerator, denominator, 9, 7
-            ) == reference_expand_marker_quotient(numerator, denominator, 9, 7)
+            ) == reference_expand_marker_quotient(*as_grids(numerator, denominator), 9, 7)
 
 
 def count_products(monkeypatch, slope, restriction, max_left, max_right, order):

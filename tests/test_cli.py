@@ -441,7 +441,7 @@ def test_running_verify_leaves_inspect_unloaded():
 
 
 LAYERS = {"cli", "closed_forms", "series"}  # what importing the cli loads
-ORACLE = LAYERS | {"beta_one", "bounce", "enumeration", "verify"}
+ORACLE = LAYERS | {"beta_one", "enumeration", "verify"}
 
 
 @pytest.mark.parametrize("statement, loaded", [
@@ -456,10 +456,17 @@ ORACLE = LAYERS | {"beta_one", "bounce", "enumeration", "verify"}
      LAYERS | {"beta_one"}),
     ("main(['bounce-table', '--alpha', '2', '--order', '4', '--format', 'csv'])",
      LAYERS | {"bounce"}),
+    ("main(['coeffs', '--series', 'g_b', '--alpha', '1', '--bounces', '2', '--order', '6'])",
+     LAYERS | {"beta_one"}),
     ("main(['verify', '--suite', 'syt', '--n-max', '3'])", ORACLE),
-    ("main(['verify', '--suite', 'ring', '--count', '3'])", ORACLE | {"identities"}),
+    ("main(['verify', '--suite', 'total-bounces', '--b-max', '1', '--n-max', '4'])", ORACLE),
+    ("main(['verify', '--suite', 'crosses', '--alpha-max', '1', '--max-steps', '6'])", ORACLE),
+    ("main(['verify', '--suite', 'oracle-vs-table', '--max-steps', '4'])",
+     ORACLE | {"bounce"}),
+    ("main(['verify', '--suite', 'ring', '--count', '3'])", ORACLE | {"bounce", "identities"}),
 ], ids=["package", "cli", "coeffs-g", "coeffs-c_alpha", "coeffs-H", "coeffs-nhc_ee",
-        "bounce-table", "verify-syt", "verify-ring"])
+        "bounce-table", "coeffs-g_b", "verify-syt", "verify-total-bounces", "verify-crosses",
+        "verify-oracle-vs-table", "verify-ring"])
 def test_each_command_loads_only_the_modules_it_runs(statement, loaded):
     # a fresh interpreter that compiles from source, as each CLI job does
     if statement.startswith("main("):

@@ -6,11 +6,7 @@ from hypothesis import given, strategies as st
 
 import bouncepaths
 from bouncepaths.closed_forms import Restriction, Slope, Step
-from bouncepaths.series import (
-    NonUnitConstantTerm,
-    Series,
-    ValuationMismatch,
-)
+from bouncepaths.series import NonUnitConstantTerm, Series
 
 
 def S(*coeffs):
@@ -144,26 +140,21 @@ def test_reciprocal_requires_unit():
         S(0, 1).reciprocal()
 
 
-def test_div_monomial_cancellation():
-    # x^2 / x = x, with the order dropping by the cancelled valuation
-    q = S(0, 0, 1).div(S(0, 1, 0))
-    assert q == S(0, 1)
-    assert q.order == 1
-
-
 def test_div_frozen_case():
     q = S(0, 1, 2, 5).div(S(1, 1, 1, 2))
     assert q == S(0, 1, 1, 3)
     assert q * S(1, 1, 1, 2) == S(0, 1, 2, 5)
 
 
-def test_div_valuation_mismatch():
-    with pytest.raises(ValuationMismatch):
-        S(1, 1).div(S(0, 1))
-    with pytest.raises(ZeroDivisionError):
-        S(1, 1).div(S(0, 0))
-    with pytest.raises(NonUnitConstantTerm):
-        S(0, 0, 1).div(S(0, 2, 1))  # cofactor after cancelling x is not a unit
+@pytest.mark.parametrize("c0", [0, 2])
+def test_div_requires_a_unit_constant_term(c0):
+    # no power of x is cancelled: x^2 / x is refused as 1 / 2 is, in reciprocal's words
+    message = f"constant term {c0} is not invertible over the integers"
+    for numerator in (S(0, 0, 1), S(1, 1, 1)):
+        with pytest.raises(NonUnitConstantTerm, match=f"^{message}$"):
+            numerator.div(S(c0, 1, 0))
+    with pytest.raises(NonUnitConstantTerm, match=f"^{message}$"):
+        S(c0, 1).reciprocal()
 
 
 def test_repr_is_readable():
@@ -195,18 +186,6 @@ def test_div_round_trip(pair):
     q, b = pair
     unit = Series((1,) + b.coeffs[1:])
     assert (q * unit).div(unit) == q
-
-
-@given(same_order_pairs(), st.integers(0, 3))
-def test_div_with_valuation_round_trip(pair, shift):
-    q, b = pair
-    if q.order < shift:
-        return
-    unit = Series((1,) + b.coeffs[1:])
-    shifted = Series((0,) * shift + unit.coeffs)  # x^shift * unit, higher order
-    product = q * shifted.truncate(q.order)
-    quotient = product.div(shifted.truncate(q.order))
-    assert quotient.coeffs == q.coeffs[: quotient.order + 1]
 
 
 @given(same_order_pairs(), st.integers(0, 8))
@@ -250,30 +229,28 @@ def test_mul_matches_schoolbook(a, b):
 
 def reference_div(a, d):
     """Division as reciprocal then product: r_n = -d_0 sum_j d_j r_(n-j)
-    for the cofactor after cancelling x^m, then the numerator times r."""
-    m = d.valuation()
-    n = min(a.order, d.order) - m
-    c = d.coeffs[m : m + n + 1]
+    for the unit d, then the numerator times r."""
+    n = min(a.order, d.order)
+    c = d.coeffs
     r = [c[0]] + [0] * n
     for k in range(1, n + 1):
         r[k] = -c[0] * sum(c[j] * r[k - j] for j in range(1, k + 1))
-    return schoolbook_product(Series(a.coeffs[m : m + n + 1]), Series(tuple(r)))
+    return schoolbook_product(a, Series(tuple(r)))
 
 
 @st.composite
 def division_cases(draw):
     """(numerator, divisor) of orders 0..40, unequal in general; the divisor
-    is x^m times a cofactor with constant term +1 or -1, m in 0..3, and the
-    numerator vanishes through x^(m-1) and may have a longer zero prefix."""
-    m = draw(st.integers(0, 3))
-    d_order = draw(st.integers(m, 40))
-    a_order = draw(st.integers(m, 40))
-    cofactor = draw(st.lists(st.integers(-9, 9), min_size=d_order - m, max_size=d_order - m))
-    d = Series((0,) * m + (draw(st.sampled_from([1, -1])),) + tuple(cofactor))
-    zeros = draw(st.integers(m, a_order + 1))
-    tail = draw(st.lists(st.integers(-9, 9), min_size=a_order + 1 - zeros,
-                         max_size=a_order + 1 - zeros))
-    return Series((0,) * zeros + tuple(tail)), d
+    has constant term +1 or -1, and the numerator may have any zero prefix,
+    all-zero included."""
+    d_order = draw(st.integers(0, 40))
+    a_order = draw(st.integers(0, 40))
+    tail = draw(st.lists(st.integers(-9, 9), min_size=d_order, max_size=d_order))
+    d = Series((draw(st.sampled_from([1, -1])),) + tuple(tail))
+    zeros = draw(st.integers(0, a_order + 1))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=a_order + 1 - zeros,
+                           max_size=a_order + 1 - zeros))
+    return Series((0,) * zeros + tuple(coeffs)), d
 
 
 @given(division_cases())
@@ -281,14 +258,13 @@ def test_div_matches_reciprocal_then_product(case):
     a, d = case
     q = a.div(d)
     assert q == reference_div(a, d)
-    assert q.order == min(a.order, d.order) - d.valuation()
+    assert q.order == min(a.order, d.order)
 
 
 @given(division_cases())
 def test_reciprocal_matches_reference(case):
     _, d = case
-    unit = Series(d.coeffs[d.valuation():])
-    assert unit.reciprocal() == reference_div(Series.one(unit.order), unit)
+    assert d.reciprocal() == reference_div(Series.one(d.order), d)
 
 
 def deep_prefixed_series():

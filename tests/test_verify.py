@@ -105,8 +105,8 @@ def test_cross_checks_catch_a_wrong_production_formula(
     monkeypatch, suite, production, kwargs, failing
 ):
     # the suite looks the production formula up in the module that defines
-    # it; every table check builds the library's table in verify._matches_table
-    module = verify if production == "bounce_table" else sys.modules[suite.__module__]
+    # it; every table check looks the library's table up in bounce when it runs
+    module = bounce if production == "bounce_table" else sys.modules[suite.__module__]
     original = getattr(module, production)
 
     def skewed(*args):
