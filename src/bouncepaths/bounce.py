@@ -11,11 +11,15 @@ not count.  Naming scheme used throughout the package:
 * :class:`BounceTable` -- paths with exactly ``l`` left and ``r`` right
   bounces, as the coefficient grid of the two-marker generating function
   over the series ring, a numerator triple over a denominator triple
-  (:func:`marker_cells`).  The closed-form cell sums ``b_lr`` that
-  cross-check it live in :mod:`bouncepaths.identities`.
+  (:func:`marker_cells`).  :func:`expand_marker_quotient` packs the cells
+  of one anti-diagonal l + r as the balanced digits of one int per
+  coefficient, wider than a proven bound on every cell, so that they read
+  back exactly.  The closed-form cell sums ``b_lr`` that cross-check it
+  live in :mod:`bouncepaths.identities`.
 """
 
-from operator import add
+from itertools import compress, count, repeat
+from operator import add, and_, lshift, mul, rshift, sub
 
 # binomial is unused here, but the benchmark's self-tests call bounce.binomial
 from .closed_forms import Restriction, Slope, Step, _exact, _g_parts, binomial
@@ -136,78 +140,117 @@ def expand_marker_quotient(
 
     ``numerator`` is (n, n_s, n_t) and ``denominator`` (d_0, d_1, d_11), series
     of one truncation order N, d_0 with a unit constant term.  With inv its
-    reciprocal and c[l][r] the numerator's series at s^l t^r, the cells follow
-    in increasing degree from
+    reciprocal, the cells q[l][r] with l + r = m are the digits l in base
+    u = 2^W (Kronecker substitution of u for s/t) of the packed series
 
-        q[l][r] = inv*c[l][r] - inv*d_1 * (q[l-1][r] + q[l][r-1]) - inv*d_11 * q[l-1][r-1].
+        P_m = inv*N_m + f1 * (1 + u) * P_(m-1) + f2 * u * P_(m-2),
 
-    The factors -inv*d_1 and -inv*d_11 and their valuations are formed once.
-    The same recurrence over valuations bounds each q[l][r] from below; a
-    cell whose bound exceeds N is zero and is not computed.  A cell
-    accumulates in place in one coefficient list, from inv*c[l][r] or zeros,
-    by one multiply-accumulate per factor over the sum of its live
-    neighbours, and becomes one Series: mirrored cells share it, all zero
-    cells one.
+    f1 = -inv*d_1, f2 = -inv*d_11 and N_m the numerator's cells of degree m:
+    two multiply-accumulates per anti-diagonal, over the packed factors' slots
+    that the grid keeps, from their valuations on.  One slot is its own cell.
+
+    Width: coefficientwise, A = |inv*n| + |inv*n_s| + |inv*n_t| bounds each
+    inv*c[l][r], so by induction the cells of anti-diagonal m are bounded by
+    A*(1 + F + ... + F^m), F = 2|f1| + |f2|: by A/(1-F) if F(0) = 0, as for
+    every bounce quotient, else up to m = max_left + max_right.  W is the
+    bound's bit length plus a sign bit, so each digit has |d_l| < 2^(W-1).
+    Packed arithmetic is exact, and balanced digits are unique: digit l of
+    P + sum_l 2^(W-1) u^l is d_l + 2^(W-1), in [0, 2^W), so a mask and a
+    shift of these nonnegative digits keep any run of slots.
 
     The denominator is symmetric in s and t, so the quotient is too when
-    n_s == n_t: a cell with r < l <= max_right is then the (r, l) cell of an
-    earlier row.  The bounce quotients of ALL, EE and NN are: a half turn
-    about the midpoint of a path's segment keeps its line points and reverses
-    its step word, so left and right bounces trade places and the end steps swap.
+    n_s == n_t: only slots l <= m - l are kept, q[m/2][m/2-1] is its mirror,
+    and mirrored cells are one Series.  The bounce quotients of ALL, EE and
+    NN are: a half turn about the midpoint of a path's segment keeps its
+    line points and reverses its step word, so left and right bounces trade
+    places and the end steps swap.
     """
     n, n_s, n_t = numerator
     d_0, d_1, d_11 = denominator
-    inv = d_0.reciprocal()
-    zero = Series.zero(d_0.order)
-    vanished = d_0.order + 1  # valuation bound of a cell known to be zero
+    inv, order, zero = d_0.reciprocal().coeffs, d_0.order, Series.zero(d_0.order)
 
-    def low(series: Series) -> int:
-        v = series.valuation()
-        return vanished if v is None else v
+    def times(a, b) -> list:  # the truncated product of coefficient sequences
+        out = [0] * (order + 1)
+        _mul_add(out, a, b, 0, 0)
+        return out
 
-    scaled = {(0, 0): n * inv, (1, 0): n_s * inv, (0, 1): n_t * inv}
-    # (coefficients of -inv * d, valuation of d, the neighbour offsets it multiplies)
-    groups = [
-        ((-(d * inv)).coeffs, low(d), keys)
-        for d, keys in ((d_1, ((1, 0), (0, 1))), (d_11, ((1, 1),)))
-        if not d.is_zero()
-    ]
+    mirrored, minus_inv = n_s == n_t, [-c for c in inv]
+    scaled = {(0, 0): times(n.coeffs, inv), (1, 0): times(n_s.coeffs, inv)}
+    scaled[0, 1] = scaled[1, 0] if mirrored else times(n_t.coeffs, inv)
+    f1, f2 = times(d_1.coeffs, minus_inv), times(d_11.coeffs, minus_inv)
+    v1, v2 = (next(compress(count(), f), order + 1) for f in (f1, f2))  # N + 1 if zero
+    # the slot bounds; a mirrored quotient keeps the triangle l <= r
+    left, right = sorted((max_left, max_right)) if mirrored else (max_left, max_right)
+    width = 0
+    if left and right > mirrored:  # some anti-diagonal holds two slots
+        a = [abs(x) + abs(y) + abs(z) for x, y, z in zip(*scaled.values())]
+        f = [2 * abs(x) + abs(y) for x, y in zip(f1, f2)]
+        bound = a
+        if f[0]:  # the sum up to the last anti-diagonal
+            for _ in range(left + right):
+                bound = [x + sum(map(mul, f[k::-1], bound)) for k, x in enumerate(a)]
+        else:  # A/(1-F), one coefficient at a time
+            for k in range(1, order + 1):
+                a[k] += sum(map(mul, f[k:0:-1], a))
+        width = max(bound).bit_length() + 1
+    half, digit = 1 << width >> 1, (1 << width) - 1
 
-    mirrored = n_s == n_t
+    def window(state, base, slots):
+        # the kept slots among base .. base+slots-1, first at digit 0, and its distance from base
+        packed, _, lo_p, hi_p, _ = state
+        first = base if base > lo_p else lo_p
+        last = base + slots - 1 if base + slots <= hi_p else hi_p
+        if first > last:
+            return None, 0
+        if first > lo_p or last < hi_p:  # digits made nonnegative, masked and shifted
+            keep, drop = width * (last - lo_p + 1), width * (first - lo_p)
+            h = half * ((1 << keep) - 1) // digit  # sum of 2^(W-1) u^l up to the last slot
+            packed = map(and_, map(add, packed, repeat(h)), repeat((1 << keep) - 1))
+            packed = map(sub, map(rshift, packed, repeat(drop)), repeat(h >> drop))
+        return packed, first - base
+
     out = [[zero] * (max_right + 1) for _ in range(max_left + 1)]
-    bound = [[vanished] * (max_right + 1) for _ in range(max_left + 1)]
-    for l in range(max_left + 1):
-        out_l, bound_l = out[l], bound[l]
-        for r in range(max_right + 1):
-            if mirrored and r < l <= max_right:
-                out_l[r], bound_l[r] = out[r][l], bound[r][l]
-                continue
-            acc = scaled.get((l, r))
-            low_lr = vanished if acc is None else low(acc)
-            terms = []
-            for factor, v, keys in groups:
-                near, start = [], vanished
-                for i, j in keys:
-                    if i <= l and j <= r:
-                        b = bound[l - i][r - j]
-                        if b < vanished:
-                            near.append(out[l - i][r - j].coeffs)
-                            if b < start:
-                                start = b
-                if near:
-                    if v + start < low_lr:
-                        low_lr = v + start
-                    terms.append((factor, v, start, near))
-            if low_lr >= vanished:
-                continue
-            coeffs = [0] * vanished if acc is None else list(acc.coeffs)
-            for factor, v, start, cells in terms:
-                total = cells[0]
-                for cell in cells[1:]:
-                    total = list(map(add, total, cell))
-                _mul_add(coeffs, total, factor, start, v)
-            out_l[r] = Series(tuple(coeffs))
-            bound_l[r] = low_lr
+    masks, halves = repeat(digit), repeat(half)
+    # (packed coefficients, valuation, first slot, last slot, last cell) of P_(m-1), P_(m-2)
+    prev = prev2 = (None, order + 1, 0, -1, None)
+    for m in range(left + right + 1):
+        lo, hi = m - right if m > right else 0, m // 2 if mirrored else m
+        hi = hi if hi < left else left
+        if lo > hi or m > 1 and prev[1] > order and prev2[1] + v2 > order:
+            break  # past the grid, or P_(m-1) = 0 and every later P vanishes
+        slots, acc = hi - lo + 1, [0] * (order + 1)
+        if prev2[1] + v2 <= order:  # f2 * u * P_(m-2), at digit 0 and then moved
+            packed, shift = window(prev2, lo - 1, slots)
+            if packed:
+                _mul_add(acc, list(packed), f2, prev2[1], v2)
+                acc = list(map(lshift, acc, repeat(width * shift))) if shift else acc
+        if m < 2:  # inv * N_m
+            acc = list(scaled[lo, m - lo])
+            if slots > 1:
+                acc = list(map(add, acc, map(lshift, scaled[1, 0], repeat(width))))
+        if prev[1] + v1 <= order:  # f1 * (1 + u) * P_(m-1)
+            parts = [window(prev, lo, slots), window(prev, lo - 1, slots)]
+            if mirrored and 2 * hi == m:  # q[hi][hi-1] is q[hi-1][hi]
+                parts.append((prev[4], hi - lo))
+            packed = None
+            for part, shift in parts:
+                if part:
+                    part = map(lshift, part, repeat(width * shift)) if shift else part
+                    packed = map(add, packed, part) if packed else part
+            _mul_add(acc, list(packed), f1, prev[1], v1)
+        v = next(compress(count(), acc), order + 1)
+        cells = [acc] if v <= order else []
+        if slots > 1 and cells:  # the balanced digits, from the packed valuation on
+            h = half * ((1 << width * slots) - 1) // digit
+            digits, prefix = list(map(add, acc[v:], repeat(h))), zero.coeffs[:v]
+            shifted = (map(rshift, digits, repeat(width * i)) for i in range(slots))
+            cells = [prefix + tuple(map(sub, map(and_, d, masks), halves)) for d in shifted]
+        for l, cell in enumerate(map(Series, cells), lo):
+            if m - l <= max_right:
+                out[l][m - l] = cell
+            if mirrored and m - l <= max_left:
+                out[m - l][l] = cell
+        prev2, prev = prev, (acc, v, lo, hi, cells[-1] if cells else None)
     return out
 
 

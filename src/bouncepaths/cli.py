@@ -24,14 +24,13 @@ from .closed_forms import AB_RESTRICTIONS, Restriction, Slope, Step, _binomial_d
 
 FORMATS = ("table", "csv", "json", "oeis-bfile")
 # coefficients a bounce-table may list, (max_left+1)(max_right+1) * order, at
-# slope (1,1); coefficients grow longer with alpha + beta, so each one counts
-# (alpha+beta)/2.  A cell's series takes about order^2 products of coefficients
-# that grow with (alpha+beta) * order, so past the order where the full table
-# reaches the limit, (alpha+beta)/2 * order^3 = 100^3, each coefficient also
-# counts the square of that ratio.  Fresh processes at the limit took 0.8 s for
-# (1,1) order 100 with the default bounds, 0.8-1.0 s for (1,1) orders 105-131
-# with the widest bounds and 0.14 s for order 372 with no bounces (best of 4),
-# on a shared 2-core host with CPython 3.11.7
+# slope (1,1); each counts (alpha+beta)/2, as coefficients grow with alpha +
+# beta, and past the order where the full table reaches the limit,
+# (alpha+beta)/2 * order^3 = 100^3, also the square of that ratio, as a cell
+# takes about order^2 products.  At the limit, fresh processes took 0.30 s for
+# (1,1) order 100 with the default bounds, 0.30-0.37 s for (1,1) orders
+# 105-131 with the widest bounds and 0.11 s for order 372 with no bounces
+# (best of 4, shared 2-core host, CPython 3.11.7)
 MAX_TABLE_COEFFICIENTS = 1_000_000
 
 

@@ -129,9 +129,6 @@ class Series(_Record):
             raise IndexError(f"coefficient {k} {where}")
         return self.coeffs[k]
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all vanish."""
         return next(compress(count(), self.coeffs), None)

@@ -310,9 +310,86 @@ def test_expand_marker_quotient_matches_reference_on_bounce_cells():
             ) == reference_expand_marker_quotient(*as_grids(numerator, denominator), 9, 7)
 
 
+def series(*coeffs):
+    return Series(coeffs)
+
+
+# signed triples of order 5: d_1 and d_11 vanish at x^0 in the first
+# denominator, as in every bounce quotient, and not in the second, where the
+# width bound is the geometric sum cut off at the last anti-diagonal
+SIGNED_NUMERATOR = (
+    series(0, -3, 5, -7, 2, 9),
+    series(1, -2, 0, 4, -4, 3),
+    series(0, 0, -1, 3, -5, 8),
+)
+SIGNED_DENOMINATORS = (
+    (series(-1, 2, -3, 1, 0, 5), series(0, 1, -2, 3, -1, 2), series(0, -2, 1, 0, 4, -3)),
+    (series(1, 2, -3, 1, 0, 5), series(2, 1, -1, 0, 3, 1), series(-1, 0, 2, -2, 1, 0)),
+)
+
+
+@pytest.mark.parametrize("denominator", SIGNED_DENOMINATORS)
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("max_left, max_right", [(4, 3), (0, 6), (6, 0), (2, 5), (5, 2), (0, 0)])
+def test_expand_marker_quotient_signed_cells(denominator, mirrored, max_left, max_right):
+    # the bounds drop slots at both ends of the anti-diagonals, and in the
+    # mirrored quotient (n_s == n_t) keep a triangle wider than the grid
+    n, n_s, n_t = SIGNED_NUMERATOR
+    numerator = (n, n_s, n_s if mirrored else n_t)
+    assert expand_marker_quotient(
+        numerator, denominator, max_left, max_right
+    ) == reference_expand_marker_quotient(*as_grids(numerator, denominator), max_left, max_right)
+
+
+@pytest.mark.parametrize(
+    "denominator", [(series(1), series(0), series(0)), (series(-1), series(2), series(-3))]
+)
+def test_expand_marker_quotient_at_order_zero(denominator):
+    for numerator in (series(3), series(-2), series(5)), (series(3), series(-2), series(-2)):
+        assert expand_marker_quotient(
+            numerator, denominator, 3, 4
+        ) == reference_expand_marker_quotient(*as_grids(numerator, denominator), 3, 4)
+
+
+@pytest.mark.parametrize("n_s", [series(7, -7, 1), series(-8, 8, -1)])
+def test_expand_marker_quotient_width_is_tight(n_s):
+    # with d_1 = d_11 = 0 the width bound is |n_s| itself: the cell q[1][0]
+    # fills its slot, sign bit included
+    zero = Series.zero(2)
+    numerator, denominator = (zero, n_s, zero), (Series.one(2), zero, zero)
+    grid = expand_marker_quotient(numerator, denominator, 1, 2)
+    assert grid[1][0] == n_s
+    assert grid == reference_expand_marker_quotient(*as_grids(numerator, denominator), 1, 2)
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_expand_marker_quotient_binomial_cells(mirrored):
+    # 1 / (1 - x(s+t)): q[l][r] = C(l+r, l) x^(l+r), each from two neighbours
+    x, zero = Series.x(6), Series.zero(6)
+    n_t = zero if mirrored else Series((0,) * 6 + (1,))
+    numerator, denominator = (Series.one(6), zero, n_t), (Series.one(6), -x, zero)
+    grid = expand_marker_quotient(numerator, denominator, 6, 6)
+    assert grid == reference_expand_marker_quotient(*as_grids(numerator, denominator), 6, 6)
+    assert [grid[l][4 - l].coefficient(4) for l in range(5)] == [1, 4, 6, 4, 1]
+
+
+@pytest.mark.parametrize(
+    "slope, restriction, order, count",
+    [
+        (Slope(1, 1), Restriction.ALL, 100, lambda k: math.comb(2 * k, k)),
+        (Slope(3, 2), Restriction.ALL, 70, lambda k: math.comb(5 * k, 3 * k)),
+        (Slope(3, 2), Restriction.EN, 60, lambda k: math.comb(5 * k - 2, 3 * k - 1)),
+    ],
+)
+def test_widest_full_tables_sum_to_their_class(slope, restriction, order, count):
+    # full grids at or near the CLI's size limit, whose packed slots are the widest;
+    # each column k >= 1 sums to the paths of the class of semilength k
+    table = bounce_table(slope, restriction, order - 1, order - 1, order)
+    assert table.sum_all().coeffs == (0, *map(count, range(1, order + 1)))
+
+
 def count_products(monkeypatch, slope, restriction, max_left, max_right, order):
-    """Calls of the multiply-accumulate kernel the expansion adds each
-    neighbour group's product with."""
+    """Calls of the multiply-accumulate kernel the expansion multiplies with."""
     calls = []
     product = bounce._mul_add
 
@@ -326,21 +403,27 @@ def count_products(monkeypatch, slope, restriction, max_left, max_right, order):
     return len(calls)
 
 
-def test_symmetric_tables_expand_one_triangle(monkeypatch):
-    # at order 20 the cells with 0 < l + r <= 19 can be nonzero; an axis
-    # cell adds one product over its neighbours, an interior cell two
-    def products(cells):
-        return sum(1 if l == 0 or r == 0 else 2 for l, r in cells)
-
-    cells = [(l, r) for l in range(20) for r in range(20) if 0 < l + r <= 19]
-    upper = [(l, r) for l, r in cells if l <= r]
-    counts = {
-        restriction: count_products(monkeypatch, Slope(1, 1), restriction, 19, 19, 20)
-        - count_products(monkeypatch, Slope(1, 1), restriction, 0, 0, 20)
-        for restriction in (Restriction.ALL, Restriction.EN)
-    }
-    assert counts[Restriction.ALL] <= products(upper) < products(cells)
-    assert counts[Restriction.EN] == products(cells)
+def test_tables_expand_by_anti_diagonal(monkeypatch):
+    # beyond the set-up products of the (0, 0) table, at most two products
+    # per anti-diagonal l + r with a nonzero cell; a mirrored quotient reads
+    # back one triangle, each mirrored pair of cells as one Series
+    read_back = {}
+    for restriction in (Restriction.ALL, Restriction.EN):
+        table = bounce_table(Slope(1, 1), restriction, 19, 19, 20)
+        cells = {
+            (l, r): cell
+            for l, row in enumerate(table.entries)
+            for r, cell in enumerate(row)
+            if any(cell.coeffs)
+        }
+        products = count_products(monkeypatch, Slope(1, 1), restriction, 19, 19, 20)
+        setup = count_products(monkeypatch, Slope(1, 1), restriction, 0, 0, 20)
+        assert 0 < products - setup <= 2 * len({l + r for l, r in cells})
+        triangle = {(min(key), max(key)) for key in cells}
+        read_back[restriction] = len({id(cell) for cell in cells.values()})
+        mirrored = restriction is Restriction.ALL
+        assert read_back[restriction] == len(triangle if mirrored else cells)
+    assert read_back[Restriction.ALL] < read_back[Restriction.EN]
 
 
 def test_bounce_table_frozen_values():
