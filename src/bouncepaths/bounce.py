@@ -10,12 +10,13 @@ not count.  Naming scheme used throughout the package:
 * ``nrb`` -- paths with no right bounces (equivalently, none on the left),
 * :class:`BounceTable` -- paths with exactly ``l`` left and ``r`` right
   bounces, as the coefficient grid of the two-marker generating function
-  over the series ring, a numerator triple over a denominator triple
-  (:func:`marker_cells`).  :func:`expand_marker_quotient` packs the cells
-  of one anti-diagonal l + r as the balanced digits of one int per
-  coefficient, wider than a proven bound on every cell, so that they read
-  back exactly.  The closed-form cell sums ``b_lr`` that cross-check it
-  live in :mod:`bouncepaths.identities`.
+  over the series ring, a numerator triple over a denominator triple whose
+  marker terms vanish at x^0 (:func:`marker_cells`).  Set up by long
+  division, :func:`expand_marker_quotient` packs the cells of one
+  anti-diagonal l + r as the balanced digits of one int per coefficient,
+  wider than a proven bound on every cell, so that they read back exactly.
+  The closed-form cell sums ``b_lr`` that cross-check it live in
+  :mod:`bouncepaths.identities`.
 """
 
 from itertools import compress, count, repeat
@@ -50,7 +51,7 @@ def _delta(slope: Slope, g_en: Series) -> Series:
     )
 
 
-def _marker_grids(slope: Slope, order: int) -> tuple[dict, tuple]:
+def marker_cells(slope: Slope, order: int) -> tuple[dict, tuple]:
     """The numerator triple of each restriction and the denominator triple.
 
     With s marking left and t marking right bounces, the generating function
@@ -61,8 +62,9 @@ def _marker_grids(slope: Slope, order: int) -> tuple[dict, tuple]:
     where d = g_en^2 - g_ee*g_nn.  Restrictions replace the numerator by
     g_ee, g_nn, g_en + (1-s)*d or g_en + (1-t)*d for EE, NN, EN and NE.  Each
     is the triple (n, n_s, n_t) of n + s*n_s + t*n_t, the denominator the triple
-    (d_0, d_1, d_11) of d_0 + (s+t)*d_1 + st*d_11.  At s = t = 0 it counts
-    bounce-free paths, and at s = 0, t = 1 paths with no left bounces.
+    (d_0, d_1, d_11) of d_0 + (s+t)*d_1 + st*d_11, whose d_1 = -(g_en + d) and
+    d_11 = d vanish at x^0.  At s = t = 0 it counts bounce-free paths, and at
+    s = 0, t = 1 paths with no left bounces.
     """
     g, g_ee, g_en, g_nn = _g_parts(slope, order)
     d = _delta(slope, g_en)
@@ -87,7 +89,7 @@ def _marker_value(grids: tuple[dict, tuple], classes, s: int, t: int) -> Series:
 def nrb_series(slope: Slope, restriction: Restriction, order: int) -> Series:
     """Paths of the given class with no right bounces: g_ab / (1 + g_en).
 
-    This is the generating function of :func:`_marker_grids` at s = 1, t = 0,
+    This is the generating function of :func:`marker_cells` at s = 1, t = 0,
     where d cancels for EE, EN and NN, so the direct quotient does not compute
     it.  For EE and NN the same series also counts the class with no left
     bounces, and the EN series counts the mirrored NE-paths with no left
@@ -105,25 +107,25 @@ def bounce_free_ab(slope: Slope, restriction: Restriction, order: int) -> Series
     """Bounce-free paths with prescribed first and last steps."""
     if restriction is Restriction.ALL:
         raise ValueError("this series is defined per first/last step restriction")
-    return _marker_value(_marker_grids(slope, order), (restriction,), 0, 0)
+    return _marker_value(marker_cells(slope, order), (restriction,), 0, 0)
 
 
 def bounce_free_prefix(slope: Slope, first: Step, order: int) -> Series:
     """Bounce-free paths starting with the given step (ending anywhere); by
     symmetry the same series counts bounce-free paths *ending* with it."""
     e, n = (Restriction.EE, Restriction.EN), (Restriction.NN, Restriction.NE)
-    return _marker_value(_marker_grids(slope, order), e if first is Step.E else n, 0, 0)
+    return _marker_value(marker_cells(slope, order), e if first is Step.E else n, 0, 0)
 
 
 def bounce_free_total(slope: Slope, order: int) -> Series:
     """All bounce-free paths: the generating function at s = t = 0."""
-    return _marker_value(_marker_grids(slope, order), (Restriction.ALL,), 0, 0)
+    return _marker_value(marker_cells(slope, order), (Restriction.ALL,), 0, 0)
 
 
 def no_left_bounce_total(slope: Slope, order: int) -> Series:
     """Paths with no left bounces (equally: no right bounces); equals the sum
     of the one-sided series over all counts."""
-    return _marker_value(_marker_grids(slope, order), (Restriction.ALL,), 0, 1)
+    return _marker_value(marker_cells(slope, order), (Restriction.ALL,), 0, 1)
 
 
 # --------------------------------------------------------------------- table
@@ -139,21 +141,22 @@ def expand_marker_quotient(
     markers s and t, up to s^max_left t^max_right.
 
     ``numerator`` is (n, n_s, n_t) and ``denominator`` (d_0, d_1, d_11), series
-    of one truncation order N, d_0 with a unit constant term.  With inv its
-    reciprocal, the cells q[l][r] with l + r = m are the digits l in base
-    u = 2^W (Kronecker substitution of u for s/t) of the packed series
+    of one truncation order N: d_0 has a unit constant term, and d_1 and d_11
+    vanish at x^0, as in every bounce quotient (else, or for a negative
+    bound, ValueError).  The cells q[l][r] with l + r = m are the digits l in
+    base u = 2^W (Kronecker substitution of u for s/t) of the packed series
 
-        P_m = inv*N_m + f1 * (1 + u) * P_(m-1) + f2 * u * P_(m-2),
+        P_m = N_m/d_0 + f1 * (1 + u) * P_(m-1) + f2 * u * P_(m-2),
 
-    f1 = -inv*d_1, f2 = -inv*d_11 and N_m the numerator's cells of degree m:
-    two multiply-accumulates per anti-diagonal, over the packed factors' slots
-    that the grid keeps, from their valuations on.  One slot is its own cell.
+    f1 = -d_1/d_0, f2 = -d_11/d_0 and N_m the numerator's cells of degree m,
+    each set up by long division: two multiply-accumulates per anti-diagonal,
+    over the packed factors' slots that the grid keeps, from their
+    valuations on.  One slot is its own cell.
 
-    Width: coefficientwise, A = |inv*n| + |inv*n_s| + |inv*n_t| bounds each
-    inv*c[l][r], so by induction the cells of anti-diagonal m are bounded by
-    A*(1 + F + ... + F^m), F = 2|f1| + |f2|: by A/(1-F) if F(0) = 0, as for
-    every bounce quotient, else up to m = max_left + max_right.  W is the
-    bound's bit length plus a sign bit, so each digit has |d_l| < 2^(W-1).
+    Width: coefficientwise, A = |n/d_0| + |n_s/d_0| + |n_t/d_0| bounds each
+    c[l][r]/d_0, so by induction the cells of anti-diagonal m are bounded by
+    A*(1 + F + ... + F^m) <= A/(1-F), F = 2|f1| + |f2| with F(0) = 0.  W is
+    the bound's bit length plus a sign bit, so each digit has |d_l| < 2^(W-1).
     Packed arithmetic is exact, and balanced digits are unique: digit l of
     P + sum_l 2^(W-1) u^l is d_l + 2^(W-1), in [0, 2^W), so a mask and a
     shift of these nonnegative digits keep any run of slots.
@@ -167,17 +170,14 @@ def expand_marker_quotient(
     """
     n, n_s, n_t = numerator
     d_0, d_1, d_11 = denominator
-    inv, order, zero = d_0.reciprocal().coeffs, d_0.order, Series.zero(d_0.order)
-
-    def times(a, b) -> list:  # the truncated product of coefficient sequences
-        out = [0] * (order + 1)
-        _mul_add(out, a, b, 0, 0)
-        return out
-
-    mirrored, minus_inv = n_s == n_t, [-c for c in inv]
-    scaled = {(0, 0): times(n.coeffs, inv), (1, 0): times(n_s.coeffs, inv)}
-    scaled[0, 1] = scaled[1, 0] if mirrored else times(n_t.coeffs, inv)
-    f1, f2 = times(d_1.coeffs, minus_inv), times(d_11.coeffs, minus_inv)
+    if max_left < 0 or max_right < 0:
+        raise ValueError("marker bounds must be non-negative")
+    if d_1.coeffs[0] or d_11.coeffs[0]:
+        raise ValueError("the marker terms d_1 and d_11 must vanish at x^0")
+    order, zero, mirrored = d_0.order, Series.zero(d_0.order), n_s == n_t
+    scaled = {(0, 0): n.div(d_0).coeffs, (1, 0): n_s.div(d_0).coeffs}
+    scaled[0, 1] = scaled[1, 0] if mirrored else n_t.div(d_0).coeffs
+    f1, f2 = (-d_1).div(d_0).coeffs, (-d_11).div(d_0).coeffs
     v1, v2 = (next(compress(count(), f), order + 1) for f in (f1, f2))  # N + 1 if zero
     # the slot bounds; a mirrored quotient keeps the triangle l <= r
     left, right = sorted((max_left, max_right)) if mirrored else (max_left, max_right)
@@ -185,14 +185,9 @@ def expand_marker_quotient(
     if left and right > mirrored:  # some anti-diagonal holds two slots
         a = [abs(x) + abs(y) + abs(z) for x, y, z in zip(*scaled.values())]
         f = [2 * abs(x) + abs(y) for x, y in zip(f1, f2)]
-        bound = a
-        if f[0]:  # the sum up to the last anti-diagonal
-            for _ in range(left + right):
-                bound = [x + sum(map(mul, f[k::-1], bound)) for k, x in enumerate(a)]
-        else:  # A/(1-F), one coefficient at a time
-            for k in range(1, order + 1):
-                a[k] += sum(map(mul, f[k:0:-1], a))
-        width = max(bound).bit_length() + 1
+        for k in range(1, order + 1):  # A/(1-F), one coefficient at a time
+            a[k] += sum(map(mul, f[k:0:-1], a))
+        width = max(a).bit_length() + 1
     half, digit = 1 << width >> 1, (1 << width) - 1
 
     def window(state, base, slots):
@@ -289,13 +284,6 @@ class BounceTable(_Record):
         return total
 
 
-def marker_cells(slope: Slope, restriction: Restriction, order: int) -> tuple[tuple, tuple]:
-    """Numerator triple of the restriction and the denominator triple of the
-    bounce generating function (see :func:`_marker_grids`)."""
-    numerators, denominator = _marker_grids(slope, order)
-    return numerators[restriction], denominator
-
-
 def bounce_table(
     slope: Slope,
     restriction: Restriction,
@@ -304,10 +292,10 @@ def bounce_table(
     order: int,
 ) -> BounceTable:
     """Bounce statistics table from the rational two-marker expansion."""
-    if max_left < 0 or max_right < 0:
+    if max_left < 0 or max_right < 0:  # refused before the grids are built
         raise ValueError("marker bounds must be non-negative")
-    numerator, denominator = marker_cells(slope, restriction, order)
-    grid = expand_marker_quotient(numerator, denominator, max_left, max_right)
+    numerators, denominator = marker_cells(slope, order)
+    grid = expand_marker_quotient(numerators[restriction], denominator, max_left, max_right)
     return BounceTable(
         slope=slope,
         trunc_order=order,

@@ -120,7 +120,7 @@ def test_marker_delta_matches_the_two_product_form(slope):
     g_ee = g_ab_series(slope, Step.E, Step.E, order)
     g_en = g_ab_series(slope, Step.E, Step.N, order)
     g_nn = g_ab_series(slope, Step.N, Step.N, order)
-    delta = marker_cells(slope, Restriction.ALL, order)[1][2]
+    delta = marker_cells(slope, order)[1][2]
     assert delta == g_en * g_en - g_ee * g_nn
 
 
@@ -214,10 +214,10 @@ def test_b_lr_vanishes_when_bounces_exceed_semilength(left, right, k):
 
 
 def test_expand_marker_quotient_geometric():
-    one, zero = Series.one(3), Series.zero(3)
-    # 1 / ((1 - s)(1 - t)) = 1 / (1 - (s+t) + st): the constant series in every cell
-    grid = expand_marker_quotient((one, zero, zero), (one, -one, one), 2, 2)
-    assert grid == [[one] * 3] * 3
+    x, zero = Series.x(4), Series.zero(4)
+    # 1 / ((1 - xs)(1 - xt)) = 1 / (1 - x(s+t) + x^2 st): x^(l+r) in cell (l, r)
+    grid = expand_marker_quotient((Series.one(4), zero, zero), (Series.one(4), -x, x * x), 2, 2)
+    assert grid == [[x ** (l + r) for r in range(3)] for l in range(3)]
 
 
 def reference_expand_marker_quotient(numerator, denominator, max_left, max_right):
@@ -254,13 +254,14 @@ def marker_triples(draw):
     """Random numerator and denominator triples of one order.
 
     Any cell may be zero or have valuation 0, except d_0, whose constant term
-    is +1 or -1.  About half the draws have n_s = n_t, the mirror-closed
+    is +1 or -1, and the marker terms d_1 and d_11, which vanish at x^0 as in
+    every bounce quotient.  About half the draws have n_s = n_t, the mirror-closed
     numerators of ALL, EE and NN, and some have d_1 = d_11.  The bounds are
     drawn independently, so mirrors of cells often fall outside them."""
     order = draw(st.integers(0, 12))
 
-    def series():
-        zeros = draw(st.integers(0, order + 1))
+    def series(least=0):
+        zeros = draw(st.integers(least, order + 1))
         tail = draw(st.lists(st.integers(-4, 4), min_size=order + 1, max_size=order + 1))
         return Series((0,) * zeros + tuple(tail[zeros:]))
 
@@ -268,8 +269,8 @@ def marker_triples(draw):
     n_t = n_s if draw(st.booleans()) else series()
     lead_tail = draw(st.lists(st.integers(-4, 4), min_size=order, max_size=order))
     d_0 = Series((draw(st.sampled_from([1, -1])),) + tuple(lead_tail))
-    d_1 = series()
-    d_11 = d_1 if draw(st.booleans()) else series()
+    d_1 = series(least=1)
+    d_11 = d_1 if draw(st.booleans()) else series(least=1)
     bounds = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     return (n, n_s, n_t), (d_0, d_1, d_11), *bounds
 
@@ -289,10 +290,9 @@ def test_path_reversal_symmetry_of_the_reference_expansion(slope, order):
     # rotating a path by 180 degrees swaps left and right bounces and turns
     # an EN-path into an NE-path; the plain expansion does not assume it
     bound = order - 1
+    numerators, denominator = marker_cells(slope, order)
     grids = {
-        r: reference_expand_marker_quotient(
-            *as_grids(*marker_cells(slope, r, order)), bound, bound
-        )
+        r: reference_expand_marker_quotient(*as_grids(numerators[r], denominator), bound, bound)
         for r in Restriction
     }
     for restriction in (Restriction.ALL, Restriction.EE, Restriction.NN):
@@ -303,8 +303,8 @@ def test_path_reversal_symmetry_of_the_reference_expansion(slope, order):
 
 def test_expand_marker_quotient_matches_reference_on_bounce_cells():
     for slope in (Slope(1, 1), Slope(3, 2)):
-        for restriction in Restriction:
-            numerator, denominator = marker_cells(slope, restriction, 9)
+        numerators, denominator = marker_cells(slope, 9)
+        for numerator in numerators.values():
             assert expand_marker_quotient(
                 numerator, denominator, 9, 7
             ) == reference_expand_marker_quotient(*as_grids(numerator, denominator), 9, 7)
@@ -314,35 +314,67 @@ def series(*coeffs):
     return Series(coeffs)
 
 
-# signed triples of order 5: d_1 and d_11 vanish at x^0 in the first
-# denominator, as in every bounce quotient, and not in the second, where the
-# width bound is the geometric sum cut off at the last anti-diagonal
+# signed triples of order 5 whose d_1 and d_11 vanish at x^0, as in every
+# bounce quotient
 SIGNED_NUMERATOR = (
     series(0, -3, 5, -7, 2, 9),
     series(1, -2, 0, 4, -4, 3),
     series(0, 0, -1, 3, -5, 8),
 )
-SIGNED_DENOMINATORS = (
-    (series(-1, 2, -3, 1, 0, 5), series(0, 1, -2, 3, -1, 2), series(0, -2, 1, 0, 4, -3)),
-    (series(1, 2, -3, 1, 0, 5), series(2, 1, -1, 0, 3, 1), series(-1, 0, 2, -2, 1, 0)),
+SIGNED_DENOMINATOR = (
+    series(-1, 2, -3, 1, 0, 5), series(0, 1, -2, 3, -1, 2), series(0, -2, 1, 0, 4, -3)
 )
 
 
-@pytest.mark.parametrize("denominator", SIGNED_DENOMINATORS)
 @pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("max_left, max_right", [(4, 3), (0, 6), (6, 0), (2, 5), (5, 2), (0, 0)])
-def test_expand_marker_quotient_signed_cells(denominator, mirrored, max_left, max_right):
+def test_expand_marker_quotient_signed_cells(mirrored, max_left, max_right):
     # the bounds drop slots at both ends of the anti-diagonals, and in the
     # mirrored quotient (n_s == n_t) keep a triangle wider than the grid
     n, n_s, n_t = SIGNED_NUMERATOR
     numerator = (n, n_s, n_s if mirrored else n_t)
     assert expand_marker_quotient(
-        numerator, denominator, max_left, max_right
-    ) == reference_expand_marker_quotient(*as_grids(numerator, denominator), max_left, max_right)
+        numerator, SIGNED_DENOMINATOR, max_left, max_right
+    ) == reference_expand_marker_quotient(
+        *as_grids(numerator, SIGNED_DENOMINATOR), max_left, max_right
+    )
 
 
 @pytest.mark.parametrize(
-    "denominator", [(series(1), series(0), series(0)), (series(-1), series(2), series(-3))]
+    "denominator",
+    [
+        # d_1(0) != 0, d_11(0) != 0, then each on its own, at orders 5 and 0
+        (series(1, 2, -3, 1, 0, 5), series(2, 1, -1, 0, 3, 1), series(-1, 0, 2, -2, 1, 0)),
+        (series(1, 2, -3, 1, 0, 5), series(2, 1, -1, 0, 3, 1), series(0, 0, 2, -2, 1, 0)),
+        (series(1, 2, -3, 1, 0, 5), series(0, 1, -1, 0, 3, 1), series(-1, 0, 2, -2, 1, 0)),
+        (series(-1), series(2), series(-3)),
+        (series(-1), series(2), series(0)),
+        (series(-1), series(0), series(-3)),
+    ],
+)
+@pytest.mark.parametrize("max_left, max_right", [(4, 3), (0, 0)])
+def test_expand_marker_quotient_requires_marker_terms_vanishing_at_x0(
+    monkeypatch, denominator, max_left, max_right
+):
+    # refused before any work, the one-slot (0, 0) grid included
+    monkeypatch.setattr(Series, "div", None)
+    numerator = SIGNED_NUMERATOR if denominator[0].order else (series(3), series(-2), series(5))
+    with pytest.raises(ValueError, match="must vanish at x\\^0"):
+        expand_marker_quotient(numerator, denominator, max_left, max_right)
+
+
+@pytest.mark.parametrize("max_left, max_right", [(-1, 0), (0, -1), (2, -1), (-3, -3)])
+def test_negative_marker_bounds_are_refused(monkeypatch, max_left, max_right):
+    with pytest.raises(ValueError, match="^marker bounds must be non-negative$"):
+        expand_marker_quotient(SIGNED_NUMERATOR, SIGNED_DENOMINATOR, max_left, max_right)
+    # the table refuses them before it builds the marker grids
+    monkeypatch.setattr(bounce, "marker_cells", None)
+    with pytest.raises(ValueError, match="^marker bounds must be non-negative$"):
+        bounce_table(Slope(1, 1), Restriction.ALL, max_left, max_right, 10**5)
+
+
+@pytest.mark.parametrize(
+    "denominator", [(series(1), series(0), series(0)), (series(-1), series(0), series(0))]
 )
 def test_expand_marker_quotient_at_order_zero(denominator):
     for numerator in (series(3), series(-2), series(5)), (series(3), series(-2), series(-2)):
@@ -404,9 +436,10 @@ def count_products(monkeypatch, slope, restriction, max_left, max_right, order):
 
 
 def test_tables_expand_by_anti_diagonal(monkeypatch):
-    # beyond the set-up products of the (0, 0) table, at most two products
-    # per anti-diagonal l + r with a nonzero cell; a mirrored quotient reads
-    # back one triangle, each mirrored pair of cells as one Series
+    # the set-up is long division, so the (0, 0) table makes no product and
+    # a full one at most two per anti-diagonal l + r with a nonzero cell; a
+    # mirrored quotient reads back one triangle, each mirrored pair of cells
+    # as one Series
     read_back = {}
     for restriction in (Restriction.ALL, Restriction.EN):
         table = bounce_table(Slope(1, 1), restriction, 19, 19, 20)
@@ -417,8 +450,8 @@ def test_tables_expand_by_anti_diagonal(monkeypatch):
             if any(cell.coeffs)
         }
         products = count_products(monkeypatch, Slope(1, 1), restriction, 19, 19, 20)
-        setup = count_products(monkeypatch, Slope(1, 1), restriction, 0, 0, 20)
-        assert 0 < products - setup <= 2 * len({l + r for l, r in cells})
+        assert count_products(monkeypatch, Slope(1, 1), restriction, 0, 0, 20) == 0
+        assert 0 < products <= 2 * len({l + r for l, r in cells})
         triangle = {(min(key), max(key)) for key in cells}
         read_back[restriction] = len({id(cell) for cell in cells.values()})
         mirrored = restriction is Restriction.ALL
