@@ -3,13 +3,16 @@
     python3 bench_pair.py --base HEAD~1 --workload table --seeds 101-110 \\
         --seconds 30 --out BENCH_next.json
 
-The base commit is checked out into a temporary ``git worktree``, removed
-afterwards.  For each seed, each tree runs its own, unchanged
-``perfbench/run.py`` once, the two in alternating order, and the last line
-of its standard output, one JSON object, is kept.  The output file records
-both commit ids, the interpreter, ``nproc``, every run's JSON line and, per
-end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
-and the number of pairs in which the change is better.
+The change side is the working tree as it is, untracked files included:
+it is written as a commit on top of HEAD through a temporary index.  Both
+sides are checked out into temporary ``git worktree``s under one directory,
+removed afterwards, so neither runs from the checkout.  For each seed, each
+tree runs its own, unchanged ``perfbench/run.py`` once, the two in
+alternating order, and the last line of its standard output, one JSON
+object, is kept.  The output file records both commit ids and HEAD, the
+interpreter, ``nproc``, every run's JSON line and, per end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles and the number of
+pairs in which the change is better.
 """
 
 import argparse
@@ -25,10 +28,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 
 
-def git(*args: str) -> str:
+def git(*args: str, env: dict | None = None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True, env=env
     ).stdout.strip()
+
+
+def working_tree_commit(index: Path) -> str:
+    """A commit, child of HEAD, of every file of the working tree that git
+    does not ignore, built in the index file ``index``; the real index and
+    the branch are left alone."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    git("add", "-A", env=env)
+    tree = git("write-tree", env=env)
+    name = ["-c", "user.name=bench_pair", "-c", "user.email=bench_pair@localhost"]
+    return git(*name, "commit-tree", tree, "-p", "HEAD", "-m", "bench_pair working tree")
 
 
 def seeds(text: str) -> list[int]:
@@ -90,8 +104,7 @@ def main(argv=None) -> int:
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     record = {
         "base": {"commit": git("rev-parse", args.base)},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "change": {"head": git("rev-parse", "HEAD")},
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "nproc": os.cpu_count(),
@@ -99,23 +112,29 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
-        base_dir = Path(scratch) / "base"
-        git("worktree", "add", "--detach", str(base_dir), record["base"]["commit"])
+        change = working_tree_commit(Path(scratch) / "index")
+        record["change"].update(
+            commit=change, uncommitted_changes=bool(git("diff", "--name-only", "HEAD", change))
+        )
+        trees = {side: Path(scratch) / side for side in ("base", "change")}
         try:
+            for side, tree in trees.items():
+                git("worktree", "add", "--detach", str(tree), record[side]["commit"])
             for workload in args.workload:
                 runs = []
                 for i, seed in enumerate(args.seeds):
                     order = ("base", "change") if i % 2 == 0 else ("change", "base")
                     run = {"seed": seed, "first": order[0]}
                     for side in order:
-                        tree = base_dir if side == "base" else ROOT
-                        run[side] = run_bench(tree, workload, seed, args.seconds)
+                        run[side] = run_bench(trees[side], workload, seed, args.seconds)
                         print(f"{workload} seed {seed} {side}: "
                               f"{run[side]['metrics']['wall_s']['value']:.4f} s", flush=True)
                     runs.append(run)
                 record["workloads"][workload] = {"runs": runs, "metrics": summarize(runs, better)}
         finally:
-            git("worktree", "remove", "--force", str(base_dir))
+            for tree in trees.values():
+                if tree.exists():
+                    git("worktree", "remove", "--force", str(tree))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -10,7 +10,6 @@ _EXPORTS = {
         "g_b_series", "nhc_nrb_series", "nhc_prefix_series", "nhc_series", "rational_dyck_series",
     ),
     "bounce": (
-        "BounceTable",
         "bounce_free_ab",
         "bounce_free_prefix",
         "bounce_free_total",

@@ -8,10 +8,11 @@ not count.  Naming scheme used throughout the package:
 * ``g``   -- all paths (see :mod:`bouncepaths.closed_forms`),
 * ``f``   -- bounce-free paths,
 * ``nrb`` -- paths with no right bounces (equivalently, none on the left),
-* :class:`BounceTable` -- paths with exactly ``l`` left and ``r`` right
-  bounces, as the coefficient grid of the two-marker generating function
-  over the series ring, a numerator triple over a denominator triple whose
-  marker terms vanish at x^0 (:func:`marker_cells`).  Set up by long
+* :func:`bounce_table` -- paths with exactly ``l`` left and ``r`` right
+  bounces, returned as the grid (a tuple of rows of series) of the
+  coefficients of s^l t^r of the two-marker generating function over the
+  series ring, a numerator triple over a denominator triple whose marker
+  terms vanish at x^0 (:func:`marker_cells`).  Set up by long
   division, :func:`expand_marker_quotient` packs the cells of one
   anti-diagonal l + r as the balanced digits of one int per coefficient,
   wider than a proven bound on every cell, so that they read back exactly.
@@ -24,7 +25,7 @@ from operator import add, and_, lshift, mul, rshift, sub
 
 # binomial is unused here, but the benchmark's self-tests call bounce.binomial
 from .closed_forms import Restriction, Slope, Step, _exact, _g_parts, binomial
-from .series import Series, _mul_add, _Record
+from .series import Series, _mul_add
 
 
 def _delta(slope: Slope, g_en: Series) -> Series:
@@ -142,9 +143,10 @@ def expand_marker_quotient(
 
     ``numerator`` is (n, n_s, n_t) and ``denominator`` (d_0, d_1, d_11), series
     of one truncation order N: d_0 has a unit constant term, and d_1 and d_11
-    vanish at x^0, as in every bounce quotient (else, or for a negative
-    bound, ValueError).  The cells q[l][r] with l + r = m are the digits l in
-    base u = 2^W (Kronecker substitution of u for s/t) of the packed series
+    vanish at x^0, as in every bounce quotient (else, for mixed orders or
+    for a negative bound, ValueError before any work).  The cells q[l][r]
+    with l + r = m are the digits l in base u = 2^W (Kronecker substitution
+    of u for s/t) of the packed series
 
         P_m = N_m/d_0 + f1 * (1 + u) * P_(m-1) + f2 * u * P_(m-2),
 
@@ -172,6 +174,8 @@ def expand_marker_quotient(
     d_0, d_1, d_11 = denominator
     if max_left < 0 or max_right < 0:
         raise ValueError("marker bounds must be non-negative")
+    if any(part.order != d_0.order for part in (n, n_s, n_t, d_1, d_11)):
+        raise ValueError("the six series must share one truncation order")
     if d_1.coeffs[0] or d_11.coeffs[0]:
         raise ValueError("the marker terms d_1 and d_11 must vanish at x^0")
     order, zero, mirrored = d_0.order, Series.zero(d_0.order), n_s == n_t
@@ -249,58 +253,28 @@ def expand_marker_quotient(
     return out
 
 
-class BounceTable(_Record):
-    """Grid of series: entry (l, r) counts paths with l left, r right bounces."""
-
-    __slots__ = ("slope", "trunc_order", "max_left", "max_right", "restriction", "entries")
-
-    def __init__(
-        self,
-        slope: Slope,
-        trunc_order: int,
-        max_left: int,
-        max_right: int,
-        restriction: Restriction,
-        entries: tuple[tuple[Series, ...], ...],
-    ):
-        if len(entries) != max_left + 1 or any(len(row) != max_right + 1 for row in entries):
-            raise ValueError("entry grid does not match the declared bounds")
-        for l, row in enumerate(entries):
-            for r, series in enumerate(row):
-                if series.order != trunc_order:
-                    raise ValueError(f"entry ({l}, {r}) has the wrong order")
-                if min(series.coeffs) < 0:
-                    raise ValueError(f"entry ({l}, {r}) has a negative coefficient")
-        super().__init__(slope, trunc_order, max_left, max_right, restriction, entries)
-
-    def entry(self, left: int, right: int) -> Series:
-        return self.entries[left][right]
-
-    def sum_all(self) -> Series:
-        total = Series.zero(self.trunc_order)
-        for row in self.entries:
-            for series in row:
-                total = total + series
-        return total
-
-
 def bounce_table(
     slope: Slope,
     restriction: Restriction,
     max_left: int,
     max_right: int,
     order: int,
-) -> BounceTable:
-    """Bounce statistics table from the rational two-marker expansion."""
+) -> tuple[tuple[Series, ...], ...]:
+    """The grid of paths of the class ``restriction`` by their bounces: cell
+    [l][r], for l <= max_left and r <= max_right, is the series of order
+    ``order`` counting paths with exactly l left and r right bounces, the
+    coefficient of s^l t^r of :func:`marker_cells`' quotient.  Mirrored cells
+    and zero cells may be one shared Series.  A cell with a negative
+    coefficient is refused with a ValueError that names its first position
+    in row-major order; each distinct cell is checked once."""
     if max_left < 0 or max_right < 0:  # refused before the grids are built
         raise ValueError("marker bounds must be non-negative")
     numerators, denominator = marker_cells(slope, order)
     grid = expand_marker_quotient(numerators[restriction], denominator, max_left, max_right)
-    return BounceTable(
-        slope=slope,
-        trunc_order=order,
-        max_left=max_left,
-        max_right=max_right,
-        restriction=restriction,
-        entries=tuple(tuple(row) for row in grid),
-    )
+    checked = set()
+    for l, row in enumerate(grid):
+        for r, cell in enumerate(row):
+            if id(cell) not in checked and min(cell.coeffs) < 0:
+                raise ValueError(f"entry ({l}, {r}) has a negative coefficient")
+            checked.add(id(cell))
+    return tuple(map(tuple, grid))

@@ -167,11 +167,11 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     # the mirrored cells of a symmetric table are one Series, and so are its
     # zero cells: each distinct cell is rendered once, from its first nonzero
     # coefficient on, after a slice of one rendering of the zero coefficients
-    order = table.trunc_order
+    order = args.order
     labels = [f"{k}," for k in range(1, order + 1)] if args.format == "csv" else None
     zeros = [label + "0" for label in labels] if labels else ["0"] * order
     text = {}
-    for row in table.entries:
+    for row in table:
         for series in row:
             if id(series) not in text:
                 v = series.valuation()
@@ -182,13 +182,13 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
                 text[id(series)] = zeros[: start - 1] + list(values)
     if args.format == "table":
         joined = {key: " ".join(values) for key, values in text.items()}
-        for l, row in enumerate(table.entries):
+        for l, row in enumerate(table):
             for r, series in enumerate(row):
                 print(f"{l} {r} : {joined[id(series)]}", file=out)
     elif args.format == "csv":
         # a cell's lines are "l,r," + "k,value", one join per cell
         lines = ["l,r,k,count\n"]
-        for l, row in enumerate(table.entries):
+        for l, row in enumerate(table):
             for r, series in enumerate(row):
                 cell = f"{l},{r},"
                 lines.append(cell + ("\n" + cell).join(text[id(series)]) + "\n")
@@ -200,7 +200,7 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
             "slope": [args.alpha, args.beta],
             "order": args.order,
             "restriction": restriction.value,
-            "table": [[text[id(series)] for series in row] for row in table.entries],
+            "table": [[text[id(series)] for series in row] for row in table],
         }
         print(json.dumps(payload, indent=2), file=out)
     return 0

@@ -108,7 +108,7 @@ def _matches_table(
     order, and a grid whose rows differ in length has its shape reported."""
     from .bounce import bounce_table  # only the table checks load the bounce layer
 
-    table = bounce_table(slope, restriction, len(grid) - 1, len(grid[0]) - 1, order).entries
+    table = bounce_table(slope, restriction, len(grid) - 1, len(grid[0]) - 1, order)
     if [[s.coeffs for s in row] for row in table] == [[s.coeffs for s in row] for row in grid]:
         return CheckResult(name, True)
     where = f"{context} " if context else ""

@@ -1,5 +1,6 @@
 """The arithmetic of ``bench_pair.py``'s summary, on a recorded sample and on
-the committed ``BENCH_*.json`` files, without running the benchmark."""
+the committed ``BENCH_*.json`` files, and its commit of a working tree, in a
+throwaway repository, without running the benchmark."""
 
 import importlib.util
 import json
@@ -37,6 +38,36 @@ def test_summary_of_a_recorded_sample():
     items = summary["items_per_s"]
     assert items["change"]["median"] == pytest.approx(122.5)
     assert (items["pairs_won"], items["pairs"]) == (3, 4)
+
+
+def test_working_tree_commit_holds_untracked_files(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return bench_pair.git("-c", "user.name=t", "-c", "user.email=t@localhost", *args)
+
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
+    git("init", "-q")
+    (repo / ".gitignore").write_text("results/\n")
+    (repo / "kept.py").write_text("old\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    head = git("rev-parse", "HEAD")
+    (repo / "kept.py").write_text("new\n")
+    (repo / "untracked.py").write_text("added\n")
+    (repo / "results").mkdir()
+    (repo / "results" / "run.json").write_text("{}\n")
+    status = git("status", "--porcelain")
+
+    commit = bench_pair.working_tree_commit(tmp_path / "index")
+    assert git("rev-parse", f"{commit}^") == head
+    assert git("ls-tree", "-r", "--name-only", commit).split() == [
+        ".gitignore", "kept.py", "untracked.py",
+    ]
+    assert git("show", f"{commit}:kept.py") == "new"
+    # the checkout's branch and index are as they were
+    assert (git("rev-parse", "HEAD"), git("status", "--porcelain")) == (head, status)
 
 
 def test_seed_lists():

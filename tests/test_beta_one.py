@@ -137,4 +137,4 @@ def test_syt_one_row_shapes_are_unique_fillings(n):
 def test_bounce_table_beta1_matches_general(alpha):
     simplified = bounce_table_beta1(alpha, 4, 4, 8)
     general = bounce_table(Slope(alpha, 1), Restriction.ALL, 4, 4, 8)
-    assert tuple(map(tuple, simplified)) == general.entries
+    assert tuple(map(tuple, simplified)) == general

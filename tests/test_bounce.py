@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from bouncepaths import bounce
 from bouncepaths.beta_one import g_b_series
 from bouncepaths.bounce import (
-    BounceTable,
     bounce_free_ab,
     bounce_free_prefix,
     bounce_free_total,
@@ -363,6 +362,19 @@ def test_expand_marker_quotient_requires_marker_terms_vanishing_at_x0(
         expand_marker_quotient(numerator, denominator, max_left, max_right)
 
 
+@pytest.mark.parametrize("short", range(6), ids=["n", "n_s", "n_t", "d_0", "d_1", "d_11"])
+@pytest.mark.parametrize("max_left, max_right", [(1, 1), (0, 0)])
+def test_expand_marker_quotient_refuses_series_of_mixed_orders(
+    monkeypatch, short, max_left, max_right
+):
+    # one series of order 2 among five of order 5: refused before any work
+    monkeypatch.setattr(Series, "div", None)
+    parts = list(SIGNED_NUMERATOR + SIGNED_DENOMINATOR)
+    parts[short] = parts[short].truncate(2)
+    with pytest.raises(ValueError, match="^the six series must share one truncation order$"):
+        expand_marker_quotient(parts[:3], parts[3:], max_left, max_right)
+
+
 @pytest.mark.parametrize("max_left, max_right", [(-1, 0), (0, -1), (2, -1), (-3, -3)])
 def test_negative_marker_bounds_are_refused(monkeypatch, max_left, max_right):
     with pytest.raises(ValueError, match="^marker bounds must be non-negative$"):
@@ -417,7 +429,7 @@ def test_widest_full_tables_sum_to_their_class(slope, restriction, order, count)
     # full grids at or near the CLI's size limit, whose packed slots are the widest;
     # each column k >= 1 sums to the paths of the class of semilength k
     table = bounce_table(slope, restriction, order - 1, order - 1, order)
-    assert table.sum_all().coeffs == (0, *map(count, range(1, order + 1)))
+    assert sum(map(sum, table)).coeffs == (0, *map(count, range(1, order + 1)))
 
 
 def count_products(monkeypatch, slope, restriction, max_left, max_right, order):
@@ -445,7 +457,7 @@ def test_tables_expand_by_anti_diagonal(monkeypatch):
         table = bounce_table(Slope(1, 1), restriction, 19, 19, 20)
         cells = {
             (l, r): cell
-            for l, row in enumerate(table.entries)
+            for l, row in enumerate(table)
             for r, cell in enumerate(row)
             if any(cell.coeffs)
         }
@@ -461,15 +473,15 @@ def test_tables_expand_by_anti_diagonal(monkeypatch):
 
 def test_bounce_table_frozen_values():
     table = bounce_table(Slope(1, 1), Restriction.ALL, 3, 3, 4)
-    assert coeffs(table.entry(0, 0)) == [2, 4, 10, 28]
-    row = [table.entry(0, 0), table.entry(1, 0), table.entry(0, 1), table.entry(1, 1)]
+    assert coeffs(table[0][0]) == [2, 4, 10, 28]
+    row = [table[0][0], table[1][0], table[0][1], table[1][1]]
     assert [s.coefficient(2) for s in row] == [4, 1, 1, 0]
 
 
 def test_bounce_table_sums_to_all_paths():
     order = 6
     table = bounce_table(Slope(1, 1), Restriction.ALL, order - 1, order - 1, order)
-    assert table.sum_all() == g_series(Slope(1, 1), order)
+    assert sum(map(sum, table)) == g_series(Slope(1, 1), order)
 
 
 @pytest.mark.parametrize("slope", [Slope(1, 1), Slope(2, 1), Slope(1, 3)], ids=str)
@@ -482,7 +494,7 @@ def test_bounce_table_matches_enumeration_per_restriction(slope):
             grid = count_table(enumerate_profiles(slope, k), restriction)
             for l in range(bound + 1):
                 for r in range(bound + 1):
-                    assert table.entry(l, r).coefficient(k) == grid.get((l, r), 0), (
+                    assert table[l][r].coefficient(k) == grid.get((l, r), 0), (
                         restriction, k, l, r,
                     )
 
@@ -490,43 +502,73 @@ def test_bounce_table_matches_enumeration_per_restriction(slope):
 def test_bounce_table_restricted_entry_00_is_bounce_free():
     for restriction in (Restriction.EE, Restriction.EN, Restriction.NE, Restriction.NN):
         table = bounce_table(Slope(2, 1), restriction, 2, 2, 6)
-        assert table.entry(0, 0) == bounce_free_ab(Slope(2, 1), restriction, 6)
+        assert table[0][0] == bounce_free_ab(Slope(2, 1), restriction, 6)
 
 
 def test_bounce_table_zero_bounds_reduce_to_bounce_free():
     table = bounce_table(Slope(2, 3), Restriction.ALL, 0, 0, 5)
-    assert table.entry(0, 0) == bounce_free_total(Slope(2, 3), 5)
+    assert table[0][0] == bounce_free_total(Slope(2, 3), 5)
 
 
 def test_dual_route_tables_agree():
     for slope in (Slope(1, 1), Slope(2, 1), Slope(2, 3)):
         expanded = bounce_table(slope, Restriction.ALL, 4, 4, 9)
         assembled = bounce_table_from_closed_forms(slope, 4, 4, 9)
-        assert expanded.entries == tuple(map(tuple, assembled))
+        assert expanded == tuple(map(tuple, assembled))
 
 
-def test_bounce_table_validation():
-    good = bounce_table(Slope(1, 1), Restriction.ALL, 1, 1, 3)
-    with pytest.raises(ValueError):
-        BounceTable(
-            slope=good.slope,
-            trunc_order=good.trunc_order,
-            max_left=1,
-            max_right=1,
-            restriction=good.restriction,
-            entries=((Series((0, -1, 0, 0)),) * 2,) * 2,
-        )
-    with pytest.raises(ValueError):
-        BounceTable(
-            slope=good.slope,
-            trunc_order=3,
-            max_left=2,
-            max_right=1,
-            restriction=good.restriction,
-            entries=good.entries,
-        )
-    with pytest.raises(ValueError):
-        bounce_table(Slope(1, 1), Restriction.ALL, -1, 0, 3)
+def shared_grid(cells):
+    """A grid of lists, as the expansion returns it, whose equal cells are
+    one object, as mirrored and zero cells are."""
+    objects = {}
+    return [[objects.setdefault(cell, Series(cell)) for cell in row] for row in cells]
+
+
+def test_bounce_table_checks_shared_cells_at_their_first_position(monkeypatch):
+    # mirrored and zero cells are one object; the table names the first
+    # failing position in row-major order all the same
+    good, negative = (0, 2, 4), (0, -1, 1)
+    for cells, position in [
+        (((good, negative), (negative, good)), "0, 1"),
+        (((good, good), (good, negative)), "1, 1"),
+        (((good, good), (negative, negative)), "1, 0"),
+    ]:
+        monkeypatch.setattr(bounce, "expand_marker_quotient", lambda *args: shared_grid(cells))
+        message = rf"^entry \({position}\) has a negative coefficient$"
+        with pytest.raises(ValueError, match=message):
+            bounce_table(Slope(1, 1), Restriction.ALL, 1, 1, 2)
+
+
+def test_bounce_table_checks_each_distinct_cell_once(monkeypatch):
+    checked = []
+
+    def counted(coeffs):
+        checked.append(coeffs)
+        return min(coeffs)
+
+    monkeypatch.setattr(bounce, "min", counted, raising=False)
+    table = bounce_table(Slope(3, 2), Restriction.ALL, 9, 9, 10)
+    distinct = {id(cell): cell for row in table for cell in row}
+    assert len(distinct) < 100 and sorted(checked) == sorted(c.coeffs for c in distinct.values())
+
+
+@pytest.mark.parametrize(
+    "restriction, max_left, max_right",
+    [
+        (Restriction.ALL, 7, 7), (Restriction.EN, 7, 7),  # full, mirrored or not
+        (Restriction.ALL, 2, 5), (Restriction.NN, 6, 1), (Restriction.NE, 3, 6),
+        (Restriction.EE, 0, 4), (Restriction.EN, 4, 0), (Restriction.ALL, 0, 0),
+    ],
+)
+@pytest.mark.parametrize("slope", [Slope(1, 1), Slope(3, 2)], ids=str)
+def test_bounce_table_grid_shape_and_order(slope, restriction, max_left, max_right):
+    # (max_left + 1) x (max_right + 1) cells, each of the requested order
+    for order in (1, 8):
+        table = bounce_table(slope, restriction, max_left, max_right, order)
+        assert type(table) is tuple and len(table) == max_left + 1
+        for row in table:
+            assert type(row) is tuple and len(row) == max_right + 1
+            assert all(type(cell) is Series and cell.order == order for cell in row)
 
 
 # ------------------------------------------------------- table properties
@@ -558,14 +600,14 @@ def full_table(slope, restriction, order):
 @given(st.sampled_from(TABLE_SLOPES), st.sampled_from(list(Restriction)), st.integers(1, 12))
 def test_bounce_table_has_no_negative_coefficients(slope, restriction, order):
     table = full_table(slope, restriction, order)
-    assert all(c >= 0 for row in table.entries for cell in row for c in cell.coeffs)
+    assert all(c >= 0 for row in table for cell in row for c in cell.coeffs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(TABLE_SLOPES), st.sampled_from(list(Restriction)), st.integers(1, 12))
 def test_bounce_table_sums_to_its_class(slope, restriction, order):
     table = full_table(slope, restriction, order)
-    assert table.sum_all() == class_total(slope, restriction, order)
+    assert sum(map(sum, table)) == class_total(slope, restriction, order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -585,7 +627,7 @@ def test_transposing_the_slope_swaps_left_and_right(
     )
     for l in range(max_left + 1):
         for r in range(max_right + 1):
-            assert table.entry(l, r) == mirror.entry(r, l), (l, r)
+            assert table[l][r] == mirror[r][l], (l, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -601,7 +643,7 @@ def test_bounce_table_cell_valuation(slope, restriction, order, max_left, max_ri
     table = bounce_table(slope, restriction, max_left, max_right, order)
     for l in range(max_left + 1):
         for r in range(max_right + 1):
-            valuation = table.entry(l, r).valuation()
+            valuation = table[l][r].valuation()
             assert valuation is None or valuation >= l + r + 1, (l, r)
 
 
@@ -622,7 +664,7 @@ def test_bounce_table_truncation_is_the_lower_order_table(
     low = bounce_table(slope, restriction, max_left, max_right, lower)
     for l in range(max_left + 1):
         for r in range(max_right + 1):
-            assert high.entry(l, r).truncate(lower) == low.entry(l, r), (l, r)
+            assert high[l][r].truncate(lower) == low[l][r], (l, r)
 
 
 # ----------------------------------------------------------- total bounces

@@ -19,7 +19,7 @@ import bouncepaths
 from bouncepaths import bounce, cli, closed_forms, verify
 from bouncepaths.bounce import bounce_table
 from bouncepaths.closed_forms import Restriction, Slope
-from bouncepaths.enumeration import BudgetExceeded
+from bouncepaths.enumeration import BudgetExceeded, count_matching, enumerate_profiles
 from bouncepaths.series import Series
 from bouncepaths.verify import CheckResult, coprime_slopes
 
@@ -149,6 +149,19 @@ def test_readme_lists_the_registered_series():
         for name in re.findall(r"`([^`]+)`", row.split("|")[1])
     ]
     assert sorted(names) == sorted(cli.SERIES)
+
+
+def test_readme_library_example_runs():
+    # the block under "## Library", run as written; its documented cell
+    # counts the paths to (6, 4) with one left and no right bounce
+    block = (ROOT / "README.md").read_text().split("## Library")[1].split("```")[1]
+    assert block.startswith("python\n")
+    namespace = {}
+    exec(block.removeprefix("python\n"), namespace)
+    expression = next(line for line in block.splitlines() if line.startswith("table["))
+    value = eval(expression.split("#")[0], namespace)
+    profiles = enumerate_profiles(Slope(3, 2), 2)
+    assert value == count_matching(profiles, left=1, right=0) == 24
 
 
 def test_output_is_deterministic():
@@ -664,7 +677,7 @@ def test_verify_running_out_of_memory_is_an_error(monkeypatch, capsys):
 
 
 def test_verify_reports_a_raising_suite_and_runs_the_next(monkeypatch, capsys):
-    # a doubled delta gives a negative table cell, which BounceTable rejects
+    # a doubled delta gives a negative table cell, which bounce_table rejects
     from bouncepaths import bounce
 
     original = bounce._delta
@@ -812,7 +825,7 @@ def plain_table_rendering(fmt, alpha, beta, restriction, order, max_left, max_ri
     table = bounce_table(Slope(alpha, beta), Restriction(restriction), max_left, max_right, order)
     values = [
         [[str(series.coefficient(k)) for k in range(1, order + 1)] for series in row]
-        for row in table.entries
+        for row in table
     ]
     cells = [(l, r, cell) for l, row in enumerate(values) for r, cell in enumerate(row)]
     if fmt == "table":

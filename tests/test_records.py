@@ -10,22 +10,10 @@ from collections import Counter
 
 import pytest
 
-from bouncepaths.bounce import BounceTable, bounce_table
-from bouncepaths.closed_forms import Restriction, Slope, Step
+from bouncepaths.closed_forms import Slope, Step
 from bouncepaths.enumeration import BounceProfile, InvalidShape, TwoRowShape
 from bouncepaths.series import Series
 from bouncepaths.verify import CheckResult
-
-
-def _table(order=2, entries=None):
-    return BounceTable(
-        slope=Slope(1, 1),
-        trunc_order=order,
-        max_left=0,
-        max_right=1,
-        restriction=Restriction.ALL,
-        entries=entries or ((Series((0, 2, 4)), Series((0, 0, 1))),),
-    )
 
 
 # (make(variant) -> record, field names); variants 0 and 1 differ
@@ -36,10 +24,6 @@ FROZEN = {
     "BounceProfile": (
         lambda v: BounceProfile(v, 1, None, Step.E, Step.N),
         ("left", "right", "horizontal_crosses", "first", "last"),
-    ),
-    "BounceTable": (
-        lambda v: _table(entries=((Series((0, 2, 4 + v)), Series((0, 0, 1))),)),
-        ("slope", "trunc_order", "max_left", "max_right", "restriction", "entries"),
     ),
     "CheckResult": (lambda v: CheckResult("demo", bool(v), "k=1"), ("name", "passed", "detail")),
 }
@@ -129,36 +113,6 @@ def test_two_row_shape_checks():
         TwoRowShape(1, -1)
     shape = TwoRowShape(2, 2)
     assert shape.first_row + shape.second_row == 4
-
-
-def test_bounce_table_checks():
-    assert _table().entry(0, 1) == Series((0, 0, 1))
-    with pytest.raises(ValueError, match=r"^entry \(0, 1\) has a negative coefficient$"):
-        _table(entries=((Series((0, 2, 4)), Series((0, -1, 1))),))
-    with pytest.raises(ValueError, match="^entry grid does not match the declared bounds$"):
-        _table(entries=((Series((0, 2, 4)),),))
-    with pytest.raises(ValueError, match="^entry grid does not match the declared bounds$"):
-        _table(entries=((Series((0, 2, 4)), Series((0, 0, 1))),) * 2)
-    with pytest.raises(ValueError, match=r"^entry \(0, 0\) has the wrong order$"):
-        _table(order=3)
-    built = bounce_table(Slope(1, 1), Restriction.ALL, 1, 1, 3)
-    assert built == bounce_table(Slope(1, 1), Restriction.ALL, 1, 1, 3)
-
-
-def test_bounce_table_checks_shared_cells_at_their_first_position():
-    # a built table shares one object between mirrored cells; the record
-    # names the first failing position in row-major order all the same
-    def grid(entries):
-        return BounceTable(Slope(1, 1), 2, 1, 1, Restriction.ALL, entries)
-
-    good, negative = Series((0, 2, 4)), Series((0, -1, 1))
-    with pytest.raises(ValueError, match=r"^entry \(0, 1\) has a negative coefficient$"):
-        grid(((good, negative), (negative, good)))
-    with pytest.raises(ValueError, match=r"^entry \(1, 1\) has a negative coefficient$"):
-        grid(((good, good), (good, Series((0, -1, 1)))))
-    short = Series((0, 1))
-    with pytest.raises(ValueError, match=r"^entry \(0, 1\) has the wrong order$"):
-        grid(((good, short), (short, good)))
 
 
 def test_check_result_is_a_frozen_record():

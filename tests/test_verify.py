@@ -54,7 +54,7 @@ def test_series_equal_reports_first_mismatch():
 
 def test_matches_table_reports_first_mismatching_cell():
     slope, order = Slope(1, 1), 4
-    table = bounce.bounce_table(slope, Restriction.ALL, 1, 1, order).entries
+    table = bounce.bounce_table(slope, Restriction.ALL, 1, 1, order)
     grid = [list(row) for row in table]
     assert _matches_table("demo", slope, Restriction.ALL, grid, order).passed
     # cell (1, 0) comes before cell (1, 1), whatever the powers that differ
@@ -110,16 +110,13 @@ def test_cross_checks_catch_a_wrong_production_formula(
     original = getattr(module, production)
 
     def skewed(*args):
-        # x^6 added to the series; of a bounce table, to its cell (1, 1)
+        # x^6 added to the series; of a bounce table's grid, to its cell (1, 1)
         value = original(*args)
-        if not isinstance(value, bounce.BounceTable):
+        if isinstance(value, Series):
             return value + Series.x(value.order) ** 6
-        entries = [list(row) for row in value.entries]
-        entries[1][1] = entries[1][1] + Series.x(value.trunc_order) ** 6
-        return bounce.BounceTable(
-            value.slope, value.trunc_order, value.max_left, value.max_right,
-            value.restriction, tuple(map(tuple, entries)),
-        )
+        grid = [list(row) for row in value]
+        grid[1][1] = grid[1][1] + Series.x(grid[1][1].order) ** 6
+        return tuple(map(tuple, grid))
 
     monkeypatch.setattr(module, production, skewed)
     failed = {r.name: r.detail for r in suite(**kwargs) if not r.passed}
