@@ -9,10 +9,11 @@ sides are checked out into temporary ``git worktree``s under one directory,
 removed afterwards, so neither runs from the checkout.  For each seed, each
 tree runs its own, unchanged ``perfbench/run.py`` once, the two in
 alternating order, and the last line of its standard output, one JSON
-object, is kept.  The output file records both commit ids and HEAD, the
-interpreter, ``nproc``, every run's JSON line and, per end-to-end metric of
-``BENCHMARK.json``, each side's median and quartiles and the number of
-pairs in which the change is better.
+object, is kept; a run that is not ``correct`` stops the comparison.  The
+output file records both commit ids and HEAD, the interpreter, ``nproc``,
+every run's JSON line and, per end-to-end metric of ``BENCHMARK.json``,
+each side's median and quartiles and the number of pairs in which the
+change is better.
 """
 
 import argparse
@@ -54,7 +55,8 @@ def seeds(text: str) -> list[int]:
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One run of the tree's own benchmark; its last output line as JSON."""
+    """One run of the tree's own benchmark; its last output line as JSON.
+    A run that exits non-zero or reports ``"correct": false`` raises."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -64,7 +66,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode or not lines:
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not result.get("correct"):
+        raise RuntimeError(f"{tree}: {workload} seed {seed} is not correct: "
+                           f"{result.get('failed')} of {result.get('attempted')} jobs failed")
+    return result
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:

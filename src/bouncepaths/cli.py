@@ -7,18 +7,22 @@ Every refusal is a ValueError, which ``main`` prints as one ``error:`` line.
 Output is deterministic for a fixed invocation; table rows are emitted with
 the left index ascending, then the right index.  Integer values in JSON are
 decimal strings so that consumers without big integers stay exact.
-Start-up imports only argparse and the closed forms with the series ring
-they build on.  Each command imports the other layers it runs, and json
-when it prints JSON, so a job compiles only the modules its command uses.
+``GRAMMAR`` spells every command's flags once.  ``main`` reads a command
+line in their canonical spelling straight from it and hands anything else,
+help and malformed input included, to the argparse parser that
+``build_parser`` builds from it, so argparse loads only for those.
+Start-up imports only the closed forms with the series ring they build on.
+Each command imports the other layers it runs, and json when it prints
+JSON, so a job compiles only the modules its command uses.
 ``run``, the process entry of ``python -m bouncepaths.cli`` and of the
 ``bouncepaths`` script, runs ``main`` and then freezes the heap.
 """
 
-import argparse
 import gc
 import os
 import sys
 from operator import add
+from types import SimpleNamespace
 
 from .closed_forms import AB_RESTRICTIONS, Restriction, Slope, Step, _binomial_digits_at_least
 
@@ -97,7 +101,7 @@ TOP_BINOMIALS = {
 }
 
 
-def _slope_and_order(args: argparse.Namespace) -> Slope:
+def _slope_and_order(args) -> Slope:
     """The validated slope of a coeffs or bounce-table call."""
     if args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
@@ -107,7 +111,7 @@ def _slope_and_order(args: argparse.Namespace) -> Slope:
 # ------------------------------------------------------------------ commands
 
 
-def cmd_coeffs(args: argparse.Namespace, out) -> int:
+def cmd_coeffs(args, out) -> int:
     slope = _slope_and_order(args)
     if args.series not in SERIES:
         raise ValueError(f"unknown series {args.series!r}; see --help for the catalogue")
@@ -146,7 +150,7 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_bounce_table(args: argparse.Namespace, out) -> int:
+def cmd_bounce_table(args, out) -> int:
     from . import bounce
 
     slope = _slope_and_order(args)
@@ -206,7 +210,7 @@ def cmd_bounce_table(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, out) -> int:
+def cmd_verify(args, out) -> int:
     from . import verify  # only verify needs the suites
 
     options = {
@@ -219,57 +223,104 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 
 # -------------------------------------------------------------------- parser
 
+# the grammar, command -> (help, {flag: keyword arguments of argparse's
+# add_argument}), read by build_parser and by _parse_canonical
+SLOPE_FLAGS = {
+    "--alpha": {"type": int, "required": True},
+    "--beta": {"type": int, "default": 1},
+    "--order": {"type": int, "required": True},
+}
+GRAMMAR = {
+    "coeffs": ("print coefficients of one series", {
+        "--series": {"required": True, "help": f"one of: {SERIES_NAMES}"},
+        **SLOPE_FLAGS,
+        "--format": {"choices": FORMATS, "default": "table"},
+        "--bounces": {"type": int, "help": "bounce count for g_b"},
+        "--include-k0": {
+            "action": "store_true", "default": False, "help": "also print the k=0 coefficient"
+        },
+    }),
+    "bounce-table": ("print the (left, right) grid", {
+        **SLOPE_FLAGS,
+        "--restriction": {"choices": [r.value for r in Restriction], "default": "all"},
+        "--max-left": {"type": int},
+        "--max-right": {"type": int},
+        "--format": {"choices": FORMATS[:3], "default": "table"},
+    }),
+    "verify": ("run named identity suites", {
+        "--suite": {
+            "action": "append",
+            "help": "suite name, repeatable; default runs everything, and an unknown "
+            "name lists the available suites",
+        },
+        **{
+            flag: {"type": int, "help": "randomized inputs" if flag == "--count" else None}
+            for flag in (
+                "--alpha", "--beta", "--order", "--max-slope-sum", "--max-steps", "--max-left",
+                "--max-right", "--alpha-max", "--b-max", "--n-max", "--count", "--seed",
+            )
+        },
+    }),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser():
+    import argparse  # only for help and for argv that _parse_canonical leaves
+
     parser = argparse.ArgumentParser(
         prog="bouncepaths",
         description="Exact lattice-path bounce statistics on rational slopes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    coeffs = sub.add_parser("coeffs", help="print coefficients of one series")
-    coeffs.add_argument("--series", required=True, help=f"one of: {SERIES_NAMES}")
-    coeffs.add_argument("--alpha", type=int, required=True)
-    coeffs.add_argument("--beta", type=int, default=1)
-    coeffs.add_argument("--order", type=int, required=True)
-    coeffs.add_argument("--format", choices=FORMATS, default="table")
-    coeffs.add_argument("--bounces", type=int, default=None, help="bounce count for g_b")
-    coeffs.add_argument(
-        "--include-k0", action="store_true", help="also print the k=0 coefficient"
-    )
-
-    table = sub.add_parser("bounce-table", help="print the (left, right) grid")
-    table.add_argument("--alpha", type=int, required=True)
-    table.add_argument("--beta", type=int, default=1)
-    table.add_argument("--order", type=int, required=True)
-    table.add_argument(
-        "--restriction", choices=[r.value for r in Restriction], default="all"
-    )
-    table.add_argument("--max-left", type=int, default=None)
-    table.add_argument("--max-right", type=int, default=None)
-    table.add_argument("--format", choices=FORMATS[:3], default="table")
-
-    ver = sub.add_parser("verify", help="run named identity suites")
-    ver.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        help="suite name, repeatable; default runs everything, and an unknown "
-        "name lists the available suites",
-    )
-    for flag in (
-        "--alpha", "--beta", "--order", "--max-slope-sum", "--max-steps", "--max-left",
-        "--max-right", "--alpha-max", "--b-max", "--n-max", "--count", "--seed",
-    ):
-        text = "randomized inputs" if flag == "--count" else None
-        ver.add_argument(flag, type=int, default=None, help=text)
+    for command, (text, flags) in GRAMMAR.items():
+        subparser = sub.add_parser(command, help=text)
+        for flag, spec in flags.items():
+            subparser.add_argument(flag, **spec)
     return parser
+
+
+def _parse_canonical(argv):
+    """The namespace argparse gives for ``argv`` spelled canonically: a
+    command, then exact flags of it, each but a store-true flag followed by
+    a value that does not start with ``-``, lies in the flag's choices and,
+    for an int, is ASCII digits, with every required flag given.  None for
+    anything else, which argparse parses: help, abbreviations, ``--flag=value``
+    and every malformed argv."""
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    flags = GRAMMAR[argv[0]][1]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = flags.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # no value reads as an option
+        if value.startswith("-") or value not in spec.get("choices", [value]):
+            return None
+        if spec.get("type") is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the int-to-str digit limit
+                return None
+        given[flag] = given.get(flag, []) + [value] if spec.get("action") == "append" else value
+    if any(spec.get("required") and flag not in given for flag, spec in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+        for flag, spec in flags.items()
+    })
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_canonical(argv) or build_parser().parse_args(argv)
     commands = {"coeffs": cmd_coeffs, "bounce-table": cmd_bounce_table, "verify": cmd_verify}
     try:
         code = commands[args.command](args, out)

@@ -1,9 +1,11 @@
 """The arithmetic of ``bench_pair.py``'s summary, on a recorded sample and on
-the committed ``BENCH_*.json`` files, and its commit of a working tree, in a
-throwaway repository, without running the benchmark."""
+the committed ``BENCH_*.json`` files, its commit of a working tree, in a
+throwaway repository, and its refusal of an incorrect run, without running
+the benchmark."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,24 @@ def test_working_tree_commit_holds_untracked_files(tmp_path, monkeypatch):
     assert git("show", f"{commit}:kept.py") == "new"
     # the checkout's branch and index are as they were
     assert (git("rev-parse", "HEAD"), git("status", "--porcelain")) == (head, status)
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_an_incorrect_run_is_refused(correct, tmp_path, monkeypatch):
+    line = {"correct": correct, "attempted": 18, "failed": 4, "metrics": {}}
+
+    def finished(argv, **kwargs):
+        assert argv[1:] == ["perfbench/run.py", "--workload", "oracle", "--seed", "7",
+                            "--seconds", "30"]
+        return subprocess.CompletedProcess(argv, 0, "progress\n" + json.dumps(line) + "\n", "")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", finished)
+    if correct:
+        assert bench_pair.run_bench(tmp_path, "oracle", 7, 30) == line
+    else:
+        with pytest.raises(RuntimeError, match=r"oracle seed 7 is not correct: 4 of 18") as info:
+            bench_pair.run_bench(tmp_path, "oracle", 7, 30)
+        assert str(info.value).startswith(f"{tmp_path}: ")
 
 
 def test_seed_lists():

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -772,6 +773,92 @@ def test_any_argv_gives_an_answer_or_one_error_line(argv):
     assert (code, len(errors)) in ((0, 0), (1, 1), (2, 1)), (argv, err.getvalue())
 
 
+# perturbations of a cli_argv draw, each a spelling that the direct parse
+# leaves to argparse or that argparse reads in its own way
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def perturbed_argv(draw):
+    argv = draw(cli_argv())
+    actions = SUBPARSERS[argv[0]]._option_string_actions
+    pairs, i = [], 1  # (index of a flag, index of its value or None)
+    while i < len(argv):
+        takes_value = actions[argv[i]].nargs != 0
+        pairs.append((i, i + 1 if takes_value else None))
+        i += 2 if takes_value else 1
+    valued = [pair for pair in pairs if pair[1] is not None]
+    kinds = ["unchanged"] * 4 + ["empty", "-h"]
+    kinds += ["abbreviated", "before the command"] if pairs else []
+    kinds += ["=", "repeated", "no value", "dash", "int spelling"] if valued else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "unchanged":
+        return argv
+    if kind == "empty":
+        return []
+    if kind == "-h":
+        at = draw(st.integers(0, len(argv)))
+        return argv[:at] + ["-h"] + argv[at:]
+    f, v = draw(st.sampled_from(pairs if kind in ("abbreviated", "before the command") else valued))
+    flag = argv[f]
+    if kind == "abbreviated":  # such as --ord, which may be ambiguous
+        argv[f] = flag[: draw(st.integers(3, len(flag) - 1))]
+    elif kind == "before the command":
+        end = f + 1 if v is None else v + 1
+        argv = argv[f:end] + argv[:f] + argv[end:]
+    elif kind == "=":
+        argv[f : v + 1] = [f"{flag}={argv[v]}"]
+    elif kind == "repeated":  # the last value wins, and --suite appends
+        again = argv[v] if flag == "--suite" else draw(_option_values(actions[flag]))
+        argv += [flag, again]
+    elif kind == "no value":
+        del argv[v]
+    elif kind == "dash":
+        argv[v] = "-" + argv[v]
+    else:  # +5, " 5" and 5 in Arabic-Indic digits, each of which int() reads
+        digits = ARABIC_INDIC if draw(st.booleans()) else {}
+        argv[v] = draw(st.sampled_from(["+", " ", ""])) + argv[v].translate(digits)
+    return argv
+
+
+def argparse_namespace(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def main_outcome(argv):
+    """Exit status, output and the process's stdout and stderr of cli.main."""
+    out, stdout, stderr = io.StringIO(), io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv, out=out)
+        except SystemExit as exc:  # argparse's help or usage error
+            code = exc.code
+    return code, out.getvalue(), stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_argv())
+@example(argv=["coeffs", "--series", "g", "--alpha", "2", "--order", "3", "--order", "4"])
+@example(argv=["verify", "--suite", "syt", "--n-max", "2", "--suite", "crosses",
+               "--max-steps", "4", "--alpha-max", "1"])
+@example(argv=["coeffs", "--series", "g", "--alpha", "1", "--order", "1" * 5000])
+@example(argv=["coeffs", "--series", "-g", "--alpha", "1", "--order", "2"])
+@example(argv=["bounce-table", "--alpha", "1", "--order", "3", "--format", "oeis-bfile"])
+def test_the_direct_parse_agrees_with_argparse(argv):
+    direct = cli._parse_canonical(argv)
+    if direct is not None:  # and None wherever argparse exits
+        assert vars(direct) == argparse_namespace(argv), argv
+    # without the direct parse, main prints and exits alike
+    outcome = main_outcome(argv)
+    with mock.patch.object(cli, "_parse_canonical", lambda argv: None):
+        assert main_outcome(argv) == outcome, argv
+
+
 # ------------------------------------------------------------------- tables
 
 
@@ -899,6 +986,19 @@ def test_benchmark_table_jobs_reproduce_their_recorded_digests(key, capsys):
         assert f"exit {code}: {errors[0][:120]}" == record["failure"]
 
 
+@pytest.mark.parametrize("argv", [
+    *(key.split(" ") for key in BENCHMARK_OUTCOMES),  # every benchmark pool job
+    ["coeffs", "--include-k0", "--series", "g", "--alpha", "2", "--order", "3",
+     "--format", "json", "--alpha", "3", "--bounces", "0"],
+    ["bounce-table", "--max-left", "1", "--alpha", "2", "--order", "4", "--max-right", "0",
+     "--restriction", "en", "--beta", "3", "--format", "csv"],
+    ["verify", "--suite", "ring", "--count", "5", "--suite", "ring", "--seed", "0"],
+    ["verify"],
+], ids=" ".join)
+def test_canonical_command_lines_are_parsed_directly(argv):
+    assert vars(cli._parse_canonical(argv)) == argparse_namespace(argv)
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -957,24 +1057,30 @@ def test_a_closed_output_pipe_exits_without_a_traceback(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, argparse_loaded",
     [
-        ["coeffs", "--series", "f_ee", "--alpha", "2", "--order", "5"],
-        ["bounce-table", "--alpha", "2", "--order", "4", "--format", "csv"],
-        ["verify", "--suite", "syt", "--n-max", "3"],
-        ["coeffs", "--series", "g", "--alpha", "2", "--order", "0"],
-        ["coeffs", "--series", "g", "--alpha", "2", "--order", "x"],
+        (["coeffs", "--series", "f_ee", "--alpha", "2", "--order", "5"], False),
+        (["bounce-table", "--alpha", "2", "--order", "4", "--format", "csv"], False),
+        (["verify", "--suite", "syt", "--n-max", "3"], False),
+        (["coeffs", "--series", "g", "--alpha", "2", "--order", "0"], False),
+        (["coeffs", "--series", "g", "--alpha", "2", "--order", "x"], True),
+        (["coeffs", "--help"], True),
     ],
-    ids=["coeffs", "bounce-table", "verify", "refusal", "usage-error"],
+    ids=["coeffs", "bounce-table", "verify", "refusal", "usage-error", "help"],
 )
-def test_a_cli_process_exits_normally_with_its_heap_frozen(argv, capsys):
+def test_a_cli_process_exits_normally_with_its_heap_frozen(
+    argv, argparse_loaded, capsys, monkeypatch
+):
     # the module runs as __main__, as under ``python -m``, after an atexit hook
     # that reports on stderr whether the heap was frozen before finalization
+    # and whether argparse was loaded, which only help and malformed input need
     probe = (
         "import atexit, gc, runpy, sys; "
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, "
+        "'argparse', 'argparse' in sys.modules, file=sys.stderr)); "
         "runpy.run_module('bouncepaths.cli', run_name='__main__', alter_sys=True)"
     )
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped alike in and out of process
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv], capture_output=True, text=True,
         cwd=ROOT / "src", env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
@@ -982,12 +1088,15 @@ def test_a_cli_process_exits_normally_with_its_heap_frozen(argv, capsys):
     out = io.StringIO()
     try:
         code = cli.main(argv, out=out)
-    except SystemExit as exc:  # argparse's usage error
+    except SystemExit as exc:  # argparse's help or usage error
         code = exc.code
+    captured = capsys.readouterr()  # argparse writes to sys.stdout and sys.stderr
     *err, hook = result.stderr.splitlines()
-    assert (result.returncode, result.stdout) == (code, out.getvalue())
-    assert err[:1] == capsys.readouterr().err.splitlines()[:1]
-    assert hook == "frozen True"
+    assert (result.returncode, result.stdout) == (code, out.getvalue() + captured.out)
+    assert err[:1] == captured.err.splitlines()[:1]
+    assert hook == f"frozen True argparse {argparse_loaded}"
+    if "--help" in argv:
+        assert code == 0 and result.stdout.startswith("usage: bouncepaths")
 
 
 def test_the_installed_script_runs_the_entry_of_the_main_block():
