@@ -7,10 +7,8 @@ Every refusal is a ValueError, which ``main`` prints as one ``error:`` line.
 Output is deterministic for a fixed invocation; table rows are emitted with
 the left index ascending, then the right index.  Integer values in JSON are
 decimal strings so that consumers without big integers stay exact.
-``GRAMMAR`` spells every command's flags once.  ``main`` reads a command
-line in their canonical spelling straight from it and hands anything else,
-help and malformed input included, to the argparse parser that
-``build_parser`` builds from it, so argparse loads only for those.
+``GRAMMAR`` spells every command's flags once: ``parse`` reads every
+command line from it, and ``cmd_help`` renders help from it.
 Start-up imports only the closed forms with the series ring they build on.
 Each command imports the other layers it runs, and json when it prints
 JSON, so a job compiles only the modules its command uses.
@@ -223,8 +221,8 @@ def cmd_verify(args, out) -> int:
 
 # -------------------------------------------------------------------- parser
 
-# the grammar, command -> (help, {flag: keyword arguments of argparse's
-# add_argument}), read by build_parser and by _parse_canonical
+# the grammar, command -> (help, {flag: spec}), read by parse and by cmd_help;
+# a spec may give a type, default, choices, required mark, action and help
 SLOPE_FLAGS = {
     "--alpha": {"type": int, "required": True},
     "--beta": {"type": int, "default": 1},
@@ -264,54 +262,60 @@ GRAMMAR = {
 }
 
 
-def build_parser():
-    import argparse  # only for help and for argv that _parse_canonical leaves
-
-    parser = argparse.ArgumentParser(
-        prog="bouncepaths",
-        description="Exact lattice-path bounce statistics on rational slopes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, flags) in GRAMMAR.items():
-        subparser = sub.add_parser(command, help=text)
+def cmd_help(args, out) -> int:
+    """The commands, or the flags of the command asked about, from GRAMMAR."""
+    if args.topic not in GRAMMAR:
+        head = "{%s} ...\n\ncommands:" % ",".join(GRAMMAR)
+        rows = {command: [text] for command, (text, _) in GRAMMAR.items()}
+    else:
+        text, flags = GRAMMAR[args.topic]
+        head, rows = f"{args.topic} [--flag VALUE ...]\n\n{text}\n\nflags:", {}
         for flag, spec in flags.items():
-            subparser.add_argument(flag, **spec)
-    return parser
+            value = "{%s}" % ",".join(spec["choices"]) if "choices" in spec else flag[2:].upper()
+            key = flag if spec.get("action") == "store_true" else f"{flag} {value}"
+            rows[key] = [spec.get("required") and "required",
+                         spec.get("default") and f"default {spec['default']}", spec.get("help")]
+    lines = [f"  {key:<20} {'; '.join(filter(None, notes))}" for key, notes in rows.items()]
+    out.write("\n".join([f"usage: bouncepaths {head}", *map(str.rstrip, lines), ""]))
+    return 0
 
 
-def _parse_canonical(argv):
-    """The namespace argparse gives for ``argv`` spelled canonically: a
-    command, then exact flags of it, each but a store-true flag followed by
-    a value that does not start with ``-``, lies in the flag's choices and,
-    for an int, is ASCII digits, with every required flag given.  None for
-    anything else, which argparse parses: help, abbreviations, ``--flag=value``
-    and every malformed argv."""
+def parse(argv):
+    """The namespace of ``argv``: a command, then its flags, each but a
+    store-true flag with its value next or after ``=``; ``-h`` or ``--help``
+    anywhere asks for help.  Anything else is a ValueError of one line."""
+    if "-h" in argv or "--help" in argv:
+        return SimpleNamespace(command="help", topic=argv[0])
     if not argv or argv[0] not in GRAMMAR:
-        return None
-    flags = GRAMMAR[argv[0]][1]
-    given = {}
-    tokens = iter(argv[1:])
-    for flag in tokens:
-        spec = flags.get(flag)
+        raise ValueError(f"expected a command, one of {', '.join(GRAMMAR)}; got {argv[:1]}")
+    command, flags = argv[0], GRAMMAR[argv[0]][1]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        spec, where = flags.get(flag), f"{command} {flag}"
         if spec is None:
-            return None
+            raise ValueError(f"{command}: unknown flag {flag!r}; its flags are {', '.join(flags)}")
         if spec.get("action") == "store_true":
+            if eq:
+                raise ValueError(f"{where} takes no value")
             given[flag] = True
             continue
-        value = next(tokens, "-")  # no value reads as an option
-        if value.startswith("-") or value not in spec.get("choices", [value]):
-            return None
+        if not eq:
+            value = next(tokens, "--")  # no value reads as a flag
+            if value.startswith("--"):
+                raise ValueError(f"{where} needs a value")
+        if value not in spec.get("choices", [value]):
+            raise ValueError(f"{where}: {value!r} is not one of {', '.join(spec['choices'])}")
         if spec.get("type") is int:
-            if not (value.isascii() and value.isdigit()):
-                return None
             try:
                 value = int(value)
-            except ValueError:  # past the int-to-str digit limit
-                return None
+            except ValueError as exc:  # not an integer, or past the digit limit
+                raise ValueError(f"{where}: {exc}") from None
         given[flag] = given.get(flag, []) + [value] if spec.get("action") == "append" else value
-    if any(spec.get("required") and flag not in given for flag, spec in flags.items()):
-        return None
-    return SimpleNamespace(command=argv[0], **{
+    missing = [flag for flag, spec in flags.items() if spec.get("required") and flag not in given]
+    if missing:
+        raise ValueError(f"{command} requires {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{
         flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
         for flag, spec in flags.items()
     })
@@ -320,9 +324,10 @@ def _parse_canonical(argv):
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_canonical(argv) or build_parser().parse_args(argv)
-    commands = {"coeffs": cmd_coeffs, "bounce-table": cmd_bounce_table, "verify": cmd_verify}
+    commands = {"coeffs": cmd_coeffs, "bounce-table": cmd_bounce_table, "verify": cmd_verify,
+                "help": cmd_help}
     try:
+        args = parse(argv)
         code = commands[args.command](args, out)
         out.flush()  # a reader that left early fails here, not at exit
         return code

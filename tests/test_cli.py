@@ -11,7 +11,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -572,18 +571,16 @@ def test_verify_total_bounces_reaches_n_max_20():
 
 
 def test_verify_threads_is_not_an_option(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run("verify", "--threads", "2")
-    assert excinfo.value.code == 2  # rejected by argparse
-    capsys.readouterr()
+    assert run("verify", "--threads", "2") == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify: unknown flag '--threads'") and err.count("\n") == 1
 
 
 def test_coeffs_route_is_not_an_option(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run("coeffs", "--series", "f_ee", "--alpha", "3", "--order", "6",
-            "--route", "beta1")
-    assert excinfo.value.code == 2  # rejected by argparse
-    capsys.readouterr()
+    assert run("coeffs", "--series", "f_ee", "--alpha", "3", "--order", "6",
+               "--route", "beta1") == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: coeffs: unknown flag '--route'") and err.count("\n") == 1
 
 
 def test_bounce_table_too_large_is_refused_before_any_work(monkeypatch, capsys):
@@ -698,33 +695,32 @@ def test_verify_reports_a_raising_suite_and_runs_the_next(monkeypatch, capsys):
 
 
 def test_bfile_rejected_for_tables(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run("bounce-table", "--alpha", "1", "--beta", "1", "--order", "3",
-            "--format", "oeis-bfile")
-    assert excinfo.value.code == 2  # rejected by argparse choices
-    capsys.readouterr()
+    assert run("bounce-table", "--alpha", "1", "--beta", "1", "--order", "3",
+               "--format", "oeis-bfile") == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: bounce-table --format: 'oeis-bfile'") and err.count("\n") == 1
 
 
-# argv drawn from the parser's own grammar: every subcommand, option and
+# argv drawn from the CLI's own grammar, cli.GRAMMAR: every command, flag and
 # choice, a name outside each catalogue, a non-integer, and small integers,
 # zero, -1, each verify bound's minimum, the value below it and the value past
 # its maximum.  A verify draw names one or two suites and gives every bounded
 # option they take, so no suite runs at its (costly) defaults; an option they
 # do not take is rare.
-SUBPARSERS = next(
-    action for action in cli.build_parser()._actions
-    if isinstance(action, argparse._SubParsersAction)
-).choices
 SUITES = verify.registry()
 VERIFY_BOUNDS = verify.BOUNDS
 
 
-def _option_values(action):
-    if action.dest == "series":
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _option_values(flag, spec):
+    if flag == "--series":
         return st.sampled_from([*cli.SERIES, "nope"])
-    if action.choices:
-        return st.sampled_from([*action.choices, "nope"])
-    minimum, maximum = VERIFY_BOUNDS.get(action.dest, (1, None))
+    if "choices" in spec:
+        return st.sampled_from([*spec["choices"], "nope"])
+    minimum, maximum = VERIFY_BOUNDS.get(_dest(flag), (1, None))
     edges = {-1, 0, minimum - 1, minimum} | ({maximum + 1} if maximum is not None else set())
     return st.one_of(
         st.integers(minimum, minimum + 3).map(str),
@@ -734,7 +730,7 @@ def _option_values(action):
 
 @st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    command = draw(st.sampled_from(sorted(cli.GRAMMAR)))
     argv = [command]
     taken = set()
     if command == "verify":
@@ -743,19 +739,19 @@ def cli_argv(draw):
             argv += ["--suite", name]
             if name in SUITES:
                 taken.update(inspect.signature(SUITES[name]).parameters)
-    for action in SUBPARSERS[command]._actions:
-        if not action.option_strings or action.dest in ("help", "suite"):
+    for flag, spec in cli.GRAMMAR[command][1].items():
+        if flag == "--suite":
             continue
-        if command == "verify" and action.dest in VERIFY_BOUNDS:
-            give = action.dest in taken or draw(st.integers(0, 29)) == 0
-        elif action.required:
+        if command == "verify" and _dest(flag) in VERIFY_BOUNDS:
+            give = _dest(flag) in taken or draw(st.integers(0, 29)) == 0
+        elif spec.get("required"):
             give = draw(st.integers(0, 19)) > 0
         else:
             give = draw(st.booleans())
         if give:
-            argv.append(action.option_strings[0])
-            if action.nargs != 0:  # a flag such as --include-k0 takes no value
-                argv.append(draw(_option_values(action)))
+            argv.append(flag)
+            if spec.get("action") != "store_true":  # such as --include-k0
+                argv.append(draw(_option_values(flag, spec)))
     return argv
 
 
@@ -764,27 +760,25 @@ def cli_argv(draw):
 def test_any_argv_gives_an_answer_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv, out=out)
-        except SystemExit as exc:  # argparse's usage error
-            code = exc.code
+        code = cli.main(argv, out=out)
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
     assert "Traceback" not in err.getvalue()
-    assert (code, len(errors)) in ((0, 0), (1, 1), (2, 1)), (argv, err.getvalue())
+    assert (code, len(errors)) in ((0, 0), (1, 1)), (argv, err.getvalue())
 
 
-# perturbations of a cli_argv draw, each a spelling that the direct parse
-# leaves to argparse or that argparse reads in its own way
+# perturbations of a cli_argv draw, each a spelling off the plain one (the
+# command, then each flag with its value as the next argument), or a command
+# line the reference parser refuses
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
 @st.composite
 def perturbed_argv(draw):
     argv = draw(cli_argv())
-    actions = SUBPARSERS[argv[0]]._option_string_actions
+    flags = cli.GRAMMAR[argv[0]][1]
     pairs, i = [], 1  # (index of a flag, index of its value or None)
     while i < len(argv):
-        takes_value = actions[argv[i]].nargs != 0
+        takes_value = flags[argv[i]].get("action") != "store_true"
         pairs.append((i, i + 1 if takes_value else None))
         i += 2 if takes_value else 1
     valued = [pair for pair in pairs if pair[1] is not None]
@@ -809,7 +803,7 @@ def perturbed_argv(draw):
     elif kind == "=":
         argv[f : v + 1] = [f"{flag}={argv[v]}"]
     elif kind == "repeated":  # the last value wins, and --suite appends
-        again = argv[v] if flag == "--suite" else draw(_option_values(actions[flag]))
+        again = argv[v] if flag == "--suite" else draw(_option_values(flag, flags[flag]))
         argv += [flag, again]
     elif kind == "no value":
         del argv[v]
@@ -821,11 +815,26 @@ def perturbed_argv(draw):
     return argv
 
 
+def reference_parser():
+    """argparse's parser for cli.GRAMMAR, with abbreviations refused: the
+    reference that cli.parse is checked against."""
+    parser = argparse.ArgumentParser(prog="bouncepaths", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, flags) in cli.GRAMMAR.items():
+        subparser = sub.add_parser(command, help=text, allow_abbrev=False)
+        for flag, spec in flags.items():
+            subparser.add_argument(flag, **spec)
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
 def argparse_namespace(argv):
-    """vars() of argparse's namespace for argv, or None where it exits."""
+    """vars() of the reference parser's namespace for argv, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.build_parser().parse_args(argv))
+            return vars(REFERENCE.parse_args(argv))
         except SystemExit:
             return None
 
@@ -834,10 +843,7 @@ def main_outcome(argv):
     """Exit status, output and the process's stdout and stderr of cli.main."""
     out, stdout, stderr = io.StringIO(), io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main(argv, out=out)
-        except SystemExit as exc:  # argparse's help or usage error
-            code = exc.code
+        code = cli.main(argv, out=out)
     return code, out.getvalue(), stdout.getvalue(), stderr.getvalue()
 
 
@@ -849,14 +855,52 @@ def main_outcome(argv):
 @example(argv=["coeffs", "--series", "g", "--alpha", "1", "--order", "1" * 5000])
 @example(argv=["coeffs", "--series", "-g", "--alpha", "1", "--order", "2"])
 @example(argv=["bounce-table", "--alpha", "1", "--order", "3", "--format", "oeis-bfile"])
+@example(argv=["coeffs", "--ord", "3", "--series", "g", "--alpha", "1"])
+@example(argv=["coeffs", "--series", "g", "--alpha", "1", "--order=3"])
+@example(argv=["coeffs", "--series", "g", "--alpha", "1", "--order", "3", "--include-k0=1"])
+@example(argv=["coeffs", "--series", "g", "--alpha", "1", "--order", "-1"])
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["--order", "3", "coeffs", "--series", "g", "--alpha", "1"])
 def test_the_direct_parse_agrees_with_argparse(argv):
-    direct = cli._parse_canonical(argv)
-    if direct is not None:  # and None wherever argparse exits
-        assert vars(direct) == argparse_namespace(argv), argv
-    # without the direct parse, main prints and exits alike
-    outcome = main_outcome(argv)
-    with mock.patch.object(cli, "_parse_canonical", lambda argv: None):
-        assert main_outcome(argv) == outcome, argv
+    code, text, stdout, stderr = main_outcome(argv)
+    if "-h" in argv or "--help" in argv:  # help, wherever it is asked for
+        assert (code, stdout, stderr) == (0, "", "") and text.startswith("usage: bouncepaths")
+        return
+    expected = argparse_namespace(argv)
+    if expected is not None:
+        assert vars(cli.parse(argv)) == expected, argv
+    else:  # refused with one line, as is every input outside the grammar
+        assert (code, text, stdout) == (1, "", ""), argv
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
+
+
+@st.composite
+def help_argv(draw):
+    """No command or a cli_argv draw, with -h or --help inserted anywhere."""
+    argv = draw(st.one_of(st.just([]), cli_argv()))
+    at = draw(st.integers(0, len(argv)))
+    return [*argv[:at], draw(st.sampled_from(["-h", "--help"])), *argv[at:]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(help_argv())
+@example(argv=["-h"])
+@example(argv=["--help", "coeffs"])
+@example(argv=["coeffs", "--help"])
+@example(argv=["bounce-table", "-h"])
+@example(argv=["verify", "--suite", "syt", "-h", "--n-max", "x"])
+def test_help_anywhere_names_every_flag_and_exits_0(argv):
+    # the commands, or every flag of the command that comes first, and for
+    # coeffs every series
+    code, text, stdout, stderr = main_outcome(argv)
+    assert (code, stdout, stderr) == (0, "", ""), argv
+    assert text.startswith("usage: bouncepaths"), argv
+    if argv[0] in cli.GRAMMAR:
+        names = {*cli.GRAMMAR[argv[0]][1], *(cli.SERIES if argv[0] == "coeffs" else ())}
+    else:
+        names = set(cli.GRAMMAR)
+    assert names <= set(re.split(r"[\s,;{}]+", text)), argv
 
 
 # ------------------------------------------------------------------- tables
@@ -996,7 +1040,7 @@ def test_benchmark_table_jobs_reproduce_their_recorded_digests(key, capsys):
     ["verify"],
 ], ids=" ".join)
 def test_canonical_command_lines_are_parsed_directly(argv):
-    assert vars(cli._parse_canonical(argv)) == argparse_namespace(argv)
+    assert vars(cli.parse(argv)) == argparse_namespace(argv)
 
 
 # ------------------------------------------------------------------- verify
@@ -1057,44 +1101,38 @@ def test_a_closed_output_pipe_exits_without_a_traceback(argv):
 
 
 @pytest.mark.parametrize(
-    "argv, argparse_loaded",
+    "argv",
     [
-        (["coeffs", "--series", "f_ee", "--alpha", "2", "--order", "5"], False),
-        (["bounce-table", "--alpha", "2", "--order", "4", "--format", "csv"], False),
-        (["verify", "--suite", "syt", "--n-max", "3"], False),
-        (["coeffs", "--series", "g", "--alpha", "2", "--order", "0"], False),
-        (["coeffs", "--series", "g", "--alpha", "2", "--order", "x"], True),
-        (["coeffs", "--help"], True),
+        ["coeffs", "--series", "f_ee", "--alpha", "2", "--order", "5"],
+        ["bounce-table", "--alpha", "2", "--order", "4", "--format", "csv"],
+        ["verify", "--suite", "syt", "--n-max", "3"],
+        ["coeffs", "--series", "g", "--alpha", "2", "--order", "0"],
+        ["coeffs", "--series", "g", "--alpha", "2", "--order", "x"],
+        ["coeffs", "--help"],
     ],
     ids=["coeffs", "bounce-table", "verify", "refusal", "usage-error", "help"],
 )
-def test_a_cli_process_exits_normally_with_its_heap_frozen(
-    argv, argparse_loaded, capsys, monkeypatch
-):
+def test_a_cli_process_exits_normally_with_its_heap_frozen(argv, capsys):
     # the module runs as __main__, as under ``python -m``, after an atexit hook
     # that reports on stderr whether the heap was frozen before finalization
-    # and whether argparse was loaded, which only help and malformed input need
+    # and whether argparse was loaded, which no command line needs
     probe = (
         "import atexit, gc, runpy, sys; "
         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, "
         "'argparse', 'argparse' in sys.modules, file=sys.stderr)); "
         "runpy.run_module('bouncepaths.cli', run_name='__main__', alter_sys=True)"
     )
-    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped alike in and out of process
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv], capture_output=True, text=True,
         cwd=ROOT / "src", env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     out = io.StringIO()
-    try:
-        code = cli.main(argv, out=out)
-    except SystemExit as exc:  # argparse's help or usage error
-        code = exc.code
-    captured = capsys.readouterr()  # argparse writes to sys.stdout and sys.stderr
+    code = cli.main(argv, out=out)
+    captured = capsys.readouterr()
     *err, hook = result.stderr.splitlines()
     assert (result.returncode, result.stdout) == (code, out.getvalue() + captured.out)
-    assert err[:1] == captured.err.splitlines()[:1]
-    assert hook == f"frozen True argparse {argparse_loaded}"
+    assert err == captured.err.splitlines()
+    assert hook == "frozen True argparse False"
     if "--help" in argv:
         assert code == 0 and result.stdout.startswith("usage: bouncepaths")
 
@@ -1129,7 +1167,6 @@ def test_verify_reports_failures(monkeypatch):
     assert "FAIL" in text and "expected=1" in text
 
 
-def test_entry_point_smoke(capsys):
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(["coeffs"])  # missing required flags
-    capsys.readouterr()
+def test_entry_point_smoke():
+    with pytest.raises(ValueError, match="^coeffs requires --series, --alpha, --order$"):
+        cli.parse(["coeffs"])  # missing required flags
