@@ -2,6 +2,8 @@
 
     python3 bench_pair.py --base HEAD~1 --workload table --seeds 101-110 \\
         --seconds 30 --out BENCH_next.json
+    python3 bench_pair.py --base HEAD~1 --job "coeffs --series g --alpha 1 --order 1" \\
+        --rounds 21 --out BENCH_next.json
 
 The change side is the working tree as it is, untracked files included:
 it is written as a commit on top of HEAD through a temporary index.  Both
@@ -14,17 +16,26 @@ output file records both commit ids and HEAD, the interpreter, ``nproc``,
 every run's JSON line and, per end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles and the number of pairs in which the
 change is better.
+
+Each ``--job`` is a CLI command line, run ``--rounds`` times from each tree as
+a fresh ``python -m bouncepaths.cli`` process that compiles from source; the
+sides alternate which goes first.  The output file records every sample's
+wall time, exit status and stdout digest, and per job the same summary of
+``wall_s``.  A round whose two sides print different output stops the run.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent
 
@@ -73,12 +84,43 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return result
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def run_job(tree: Path, job: str) -> dict:
+    """One fresh ``python -m bouncepaths.cli`` process of ``job`` from the
+    tree's ``src``, compiling from source: its wall time, exit status and the
+    sha256 of its stdout."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "bouncepaths.cli", *shlex.split(job)],
+                          cwd=tree, env=env, capture_output=True)
+    return {"wall_s": perf_counter() - start, "exit": proc.returncode,
+            "sha256": hashlib.sha256(proc.stdout).hexdigest()}
+
+
+def check_round(job: str, sample: dict) -> None:
+    """Raise unless both sides of one round of ``job`` exited alike and
+    printed the same stdout."""
+    base, change = ((sample[side]["exit"], sample[side]["sha256"]) for side in ("base", "change"))
+    if base != change:
+        raise RuntimeError(f"{job!r} round {sample['round']}: the sides differ, "
+                           f"exit and stdout sha256 {base} (base) != {change} (change)")
+
+
+def job_value(sample: dict, name: str) -> float:
+    return sample[name]
+
+
+def metric_value(run: dict, name: str) -> float:
+    return run["metrics"][name]["value"]
+
+
+def summarize(runs: list[dict], better: dict[str, str], value=metric_value) -> dict:
     """Per metric: each side's median and quartiles over the runs, and the
-    pairs (runs of one seed) in which the change is strictly better."""
+    pairs (runs of one seed, or rounds of one job) in which the change is
+    strictly better; ``value(side's record, metric)`` reads a number."""
     summary = {}
     for name, direction in better.items():
-        sides = {side: [run[side]["metrics"][name]["value"] for run in runs]
+        sides = {side: [value(run[side], name) for run in runs]
                  for side in ("base", "change")}
         won = sum(
             (c < b) if direction == "lower" else (c > b)
@@ -98,13 +140,20 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD~1", help="the base commit")
-    parser.add_argument("--workload", nargs="+", required=True)
-    parser.add_argument("--seeds", type=seeds, required=True)
-    parser.add_argument("--seconds", type=int, required=True)
+    parser.add_argument("--workload", nargs="+", default=[])
+    parser.add_argument("--seeds", type=seeds)
+    parser.add_argument("--seconds", type=int)
+    parser.add_argument("--job", action="append", default=[],
+                        help="a CLI command line, run as fresh processes; repeatable")
+    parser.add_argument("--rounds", type=int, default=21, help="rounds per --job")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if len(args.seeds) < 2:
-        parser.error("quartiles need at least two seeds")
+    if not (args.workload or args.job):
+        parser.error("give at least one --workload or --job")
+    if args.workload and (args.seeds is None or args.seconds is None):
+        parser.error("--workload needs --seeds and --seconds")
+    if args.workload and len(args.seeds) < 2 or args.job and args.rounds < 2:
+        parser.error("quartiles need at least two seeds or rounds")
 
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -116,6 +165,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "seconds": args.seconds,
         "workloads": {},
+        "jobs": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
         change = working_tree_commit(Path(scratch) / "index")
@@ -126,6 +176,19 @@ def main(argv=None) -> int:
         try:
             for side, tree in trees.items():
                 git("worktree", "add", "--detach", str(tree), record[side]["commit"])
+            for job in args.job:
+                rounds = []
+                for i in range(args.rounds):
+                    order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                    sample = {"round": i, "first": order[0]}
+                    for side in order:
+                        sample[side] = run_job(trees[side], job)
+                    check_round(job, sample)
+                    rounds.append(sample)
+                summary = summarize(rounds, {"wall_s": "lower"}, job_value)
+                record["jobs"][job] = {"rounds": rounds, "metrics": summary}
+                print(f"{job}: {summary['wall_s']['base']['median']:.4f} -> "
+                      f"{summary['wall_s']['change']['median']:.4f} s", flush=True)
             for workload in args.workload:
                 runs = []
                 for i, seed in enumerate(args.seeds):

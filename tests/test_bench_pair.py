@@ -1,7 +1,8 @@
-"""The arithmetic of ``bench_pair.py``'s summary, on a recorded sample and on
-the committed ``BENCH_*.json`` files, its commit of a working tree, in a
-throwaway repository, and its refusal of an incorrect run, without running
-the benchmark."""
+"""The arithmetic of ``bench_pair.py``'s summary, on recorded samples of
+benchmark runs and of CLI job rounds and on the committed ``BENCH_*.json``
+files, its commit of a working tree, in a throwaway repository, and its
+refusal of an incorrect run and of a job round whose sides differ, without
+running the benchmark or a job."""
 
 import importlib.util
 import json
@@ -40,6 +41,34 @@ def test_summary_of_a_recorded_sample():
     items = summary["items_per_s"]
     assert items["change"]["median"] == pytest.approx(122.5)
     assert (items["pairs_won"], items["pairs"]) == (3, 4)
+
+
+def job_round(i, base, change, digests=("a" * 64, "a" * 64)):
+    """A round of one job: each side's wall time, exit status and stdout digest."""
+    return {"round": i, "first": ("base", "change")[i % 2],
+            "base": {"wall_s": base, "exit": 0, "sha256": digests[0]},
+            "change": {"wall_s": change, "exit": 0, "sha256": digests[1]}}
+
+
+def test_summary_of_recorded_job_rounds():
+    rounds = [job_round(0, 0.060, 0.055), job_round(1, 0.058, 0.059),
+              job_round(2, 0.062, 0.054), job_round(3, 0.057, 0.057)]
+    for sample in rounds:
+        bench_pair.check_round("verify --suite syt --n-max 1", sample)
+    wall = bench_pair.summarize(rounds, {"wall_s": "lower"}, bench_pair.job_value)["wall_s"]
+    assert wall["base"]["median"] == pytest.approx(0.059)
+    assert wall["change"]["median"] == pytest.approx(0.056)
+    assert wall["base"]["quartiles"] == pytest.approx([0.05775, 0.059, 0.0605])
+    assert (wall["pairs_won"], wall["pairs"]) == (2, 4)
+
+
+@pytest.mark.parametrize("differs", ["stdout", "exit"])
+def test_a_round_whose_sides_differ_stops_the_run(differs):
+    sample = job_round(3, 0.060, 0.055, ("a" * 64, ("b" if differs == "stdout" else "a") * 64))
+    if differs == "exit":
+        sample["change"]["exit"] = 1
+    with pytest.raises(RuntimeError, match=r"^'coeffs --series g' round 3: the sides differ"):
+        bench_pair.check_round("coeffs --series g", sample)
 
 
 def test_working_tree_commit_holds_untracked_files(tmp_path, monkeypatch):
@@ -108,3 +137,11 @@ def test_committed_records_match_their_runs(path):
         runs = workload["runs"]
         assert [run["first"] for run in runs[:2]] == ["base", "change"]
         assert workload["metrics"] == bench_pair.summarize(runs, better)
+    for job, recorded in record.get("jobs", {}).items():
+        rounds = recorded["rounds"]
+        assert [sample["first"] for sample in rounds[:2]] == ["base", "change"]
+        for sample in rounds:
+            bench_pair.check_round(job, sample)
+        assert recorded["metrics"] == bench_pair.summarize(
+            rounds, {"wall_s": "lower"}, bench_pair.job_value
+        )

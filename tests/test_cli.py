@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bouncepaths
-from bouncepaths import bounce, cli, closed_forms, verify
+from bouncepaths import bounce, catalogue, cli, closed_forms, tables, verify
 from bouncepaths.bounce import bounce_table
 from bouncepaths.closed_forms import Restriction, Slope
 from bouncepaths.enumeration import BudgetExceeded, count_matching, enumerate_profiles
@@ -88,7 +88,7 @@ def test_coeffs_g_b():
 def test_every_series_is_reachable():
     diagonal_only = {"g_b"}
     beta1_only = {"c_alpha", "nhc_ee", "nhc_en", "nhc_ne", "h", "H", "H_ne"}
-    names = [n.strip() for n in cli.SERIES_NAMES.split(",")]
+    names = [n.strip() for n in catalogue.SERIES_NAMES.split(",")]
     for name in names:
         alpha = "1" if name in diagonal_only else "2"
         code, text = run("coeffs", "--series", name, "--alpha", alpha, "--beta", "1",
@@ -100,8 +100,9 @@ def test_every_series_is_reachable():
 def test_catalogue_names_exported_functions_by_their_first_argument():
     # an entry's requirement picks its function's first argument, which the
     # fixed arguments and the order follow
-    first = {cli.ANY_SLOPE: "slope", cli.BETA1: "alpha", cli.DIAGONAL: "total_bounces"}
-    for name, (requirement, function, *fixed) in cli.SERIES.items():
+    first = {catalogue.ANY_SLOPE: "slope", catalogue.BETA1: "alpha",
+             catalogue.DIAGONAL: "total_bounces"}
+    for name, (requirement, function, *fixed) in catalogue.SERIES.items():
         assert function in bouncepaths.__all__, name
         code = getattr(bouncepaths, function).__code__
         assert code.co_varnames[0] == first[requirement], name
@@ -127,17 +128,18 @@ def test_golden_output():
     """Exact stdout of every series in every format, f_ab for beta = 1 and the
     bounce-table formats, as recorded before the series registry replaced
     the hand-written dispatch, and of four small oracle ``verify`` runs, as
-    recorded before the transfer count replaced the depth-first walk.  A new
-    series adds its cases here."""
+    recorded before the transfer count replaced the depth-first walk, and of
+    the four help texts, as recorded before the catalogue and the table
+    renderer left the CLI module.  A new series adds its cases here."""
     golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
     covered = set()
     for key, expected in golden.items():
         argv = key.split(" ")
         code, text = run(*argv)
         assert (code, text) == (0, expected), key
-        if argv[0] == "coeffs":
+        if "--series" in argv:  # not the help texts
             covered.add((argv[argv.index("--series") + 1], argv[argv.index("--format") + 1]))
-    assert covered == {(name, fmt) for name in cli.SERIES for fmt in cli.FORMATS}
+    assert covered == {(name, fmt) for name in catalogue.SERIES for fmt in cli.FORMATS}
 
 
 def test_readme_lists_the_registered_series():
@@ -148,7 +150,7 @@ def test_readme_lists_the_registered_series():
         for row in table.splitlines()[2:]
         for name in re.findall(r"`([^`]+)`", row.split("|")[1])
     ]
-    assert sorted(names) == sorted(cli.SERIES)
+    assert sorted(names) == sorted(catalogue.SERIES)
 
 
 def test_readme_library_example_runs():
@@ -282,7 +284,7 @@ def test_unrenderable_listing_leaves_stdout_empty(digit_limit_640, listing, fmt,
     assert code == 1 and text == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     # both paths stay covered: c_alpha has a bound, nlb has none
-    assert (listing[0] in cli.TOP_BINOMIALS) == (listing[0] == "c_alpha")
+    assert (listing[0] in catalogue.TOP_BINOMIALS) == (listing[0] == "c_alpha")
 
 
 def _raise_if_computed(*args):
@@ -349,7 +351,7 @@ def test_the_library_refuses_a_negative_bounce_count_before_any_bound(digit_limi
 def test_a_bound_at_the_limit_leaves_the_conversion_to_decide(digit_limit_640, monkeypatch):
     # a bound of exactly 640 digits does not pass the limit; 641 does
     for bound, code, text in ((640, 0, "2 6 20 70 252\n"), (641, 1, "")):
-        monkeypatch.setattr(cli, "_binomial_digits_at_least", lambda m, n, q: bound)
+        monkeypatch.setattr(catalogue, "_binomial_digits_at_least", lambda m, n, q: bound)
         assert run("coeffs", "--series", "g", "--alpha", "1", "--order", "5") == (code, text)
 
 
@@ -359,15 +361,15 @@ def test_lifted_limit_refuses_nothing(no_digit_limit):
     assert text.split()[-1] == str(closed_forms.fuss_catalan(10000, 200).coeffs[200])
 
 
-@pytest.mark.parametrize("name", sorted(cli.TOP_BINOMIALS))
+@pytest.mark.parametrize("name", sorted(catalogue.TOP_BINOMIALS))
 def test_top_bound_never_overshoots(no_digit_limit, name):
     # the bound at order k against the digits of the k-th value of one long
     # listing: every slope with alpha + beta <= 12, beta = 1 up to alpha =
     # 10^4, and for c_alpha the benchmark's jobs
-    requirement = cli.SERIES[name][0]
-    if requirement == cli.DIAGONAL:
+    requirement = catalogue.SERIES[name][0]
+    if requirement == catalogue.DIAGONAL:
         cases = [(1, 1, 300, bounces) for bounces in range(8)]
-    elif requirement == cli.BETA1:
+    elif requirement == catalogue.BETA1:
         alphas = (*range(1, 12), 99, 100, 101, 999, 1000, 1001, 9999, 10000)
         cases = [(alpha, 1, 300 if alpha < 12 else 60, 0) for alpha in alphas]
         if name == "c_alpha":
@@ -375,12 +377,12 @@ def test_top_bound_never_overshoots(no_digit_limit, name):
     else:
         cases = [(s.alpha, s.beta, 300, 0) for s in coprime_slopes(12)]
     for alpha, beta, order, bounces in cases:
-        bounce = ("--bounces", str(bounces)) if requirement == cli.DIAGONAL else ()
+        bounce = ("--bounces", str(bounces)) if requirement == catalogue.DIAGONAL else ()
         code, text = run("coeffs", "--series", name, "--alpha", str(alpha),
                          "--beta", str(beta), "--order", str(order), *bounce)
         assert code == 0
         for k, value in enumerate(text.split(), 1):
-            m, n, q = cli.TOP_BINOMIALS[name](alpha, beta, k, bounces)
+            m, n, q = catalogue.TOP_BINOMIALS[name](alpha, beta, k, bounces)
             assert closed_forms._binomial_digits_at_least(m, n, q) <= len(value), (
                 alpha, beta, bounces, k
             )
@@ -454,6 +456,7 @@ def test_running_verify_leaves_inspect_unloaded():
 
 
 LAYERS = {"cli", "closed_forms", "series"}  # what importing the cli loads
+COEFFS = LAYERS | {"catalogue"}
 ORACLE = LAYERS | {"beta_one", "enumeration", "verify"}
 
 
@@ -461,25 +464,29 @@ ORACLE = LAYERS | {"beta_one", "enumeration", "verify"}
     ("import bouncepaths", set()),
     ("import bouncepaths.cli", LAYERS),
     ("main(['coeffs', '--series', 'g', '--alpha', '3', '--beta', '2', '--order', '6'])",
-     LAYERS),
-    ("main(['coeffs', '--series', 'c_alpha', '--alpha', '2', '--order', '6'])", LAYERS),
+     COEFFS),
+    ("main(['coeffs', '--series', 'c_alpha', '--alpha', '2', '--order', '6'])", COEFFS),
     ("main(['coeffs', '--series', 'H', '--alpha', '2', '--order', '6'])",
-     LAYERS | {"beta_one"}),
+     COEFFS | {"beta_one"}),
     ("main(['coeffs', '--series', 'nhc_ee', '--alpha', '2', '--order', '6'])",
-     LAYERS | {"beta_one"}),
+     COEFFS | {"beta_one"}),
     ("main(['bounce-table', '--alpha', '2', '--order', '4', '--format', 'csv'])",
-     LAYERS | {"bounce"}),
+     LAYERS | {"bounce", "tables"}),
     ("main(['coeffs', '--series', 'g_b', '--alpha', '1', '--bounces', '2', '--order', '6'])",
-     LAYERS | {"beta_one"}),
+     COEFFS | {"beta_one"}),
     ("main(['verify', '--suite', 'syt', '--n-max', '3'])", ORACLE),
     ("main(['verify', '--suite', 'total-bounces', '--b-max', '1', '--n-max', '4'])", ORACLE),
     ("main(['verify', '--suite', 'crosses', '--alpha-max', '1', '--max-steps', '6'])", ORACLE),
     ("main(['verify', '--suite', 'oracle-vs-table', '--max-steps', '4'])",
      ORACLE | {"bounce"}),
     ("main(['verify', '--suite', 'ring', '--count', '3'])", ORACLE | {"bounce", "identities"}),
+    # help reads the grammar; only the coeffs flags list the catalogue's names
+    ("main(['--help'])", LAYERS),
+    ("main(['verify', '--help'])", LAYERS),
+    ("main(['coeffs', '--help'])", COEFFS),
 ], ids=["package", "cli", "coeffs-g", "coeffs-c_alpha", "coeffs-H", "coeffs-nhc_ee",
         "bounce-table", "coeffs-g_b", "verify-syt", "verify-total-bounces", "verify-crosses",
-        "verify-oracle-vs-table", "verify-ring"])
+        "verify-oracle-vs-table", "verify-ring", "help", "verify-help", "coeffs-help"])
 def test_each_command_loads_only_the_modules_it_runs(statement, loaded):
     # a fresh interpreter that compiles from source, as each CLI job does
     if statement.startswith("main("):
@@ -597,7 +604,7 @@ def test_bounce_table_too_large_is_refused_before_any_work(monkeypatch, capsys):
 
 
 def test_bounce_table_limit_counts_cells_times_order(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MAX_TABLE_COEFFICIENTS", 60)
+    monkeypatch.setattr(tables, "MAX_TABLE_COEFFICIENTS", 60)
     bounds = ("bounce-table", "--alpha", "2", "--order", "5", "--max-left", "1")
     # slope (2, 1) weighs each coefficient (2 + 1) / 2, so its limit is 40
     assert run(*bounds, "--max-right", "3")[0] == 0  # 2 * 4 * 5 = 40
@@ -717,7 +724,7 @@ def _dest(flag):
 
 def _option_values(flag, spec):
     if flag == "--series":
-        return st.sampled_from([*cli.SERIES, "nope"])
+        return st.sampled_from([*catalogue.SERIES, "nope"])
     if "choices" in spec:
         return st.sampled_from([*spec["choices"], "nope"])
     minimum, maximum = VERIFY_BOUNDS.get(_dest(flag), (1, None))
@@ -897,7 +904,7 @@ def test_help_anywhere_names_every_flag_and_exits_0(argv):
     assert (code, stdout, stderr) == (0, "", ""), argv
     assert text.startswith("usage: bouncepaths"), argv
     if argv[0] in cli.GRAMMAR:
-        names = {*cli.GRAMMAR[argv[0]][1], *(cli.SERIES if argv[0] == "coeffs" else ())}
+        names = {*cli.GRAMMAR[argv[0]][1], *(catalogue.SERIES if argv[0] == "coeffs" else ())}
     else:
         names = set(cli.GRAMMAR)
     assert names <= set(re.split(r"[\s,;{}]+", text)), argv
@@ -924,6 +931,16 @@ def test_bounce_table_zero_bounds_match_bounce_free_series():
     _, coeff_text = run("coeffs", "--series", "f", "--alpha", "2", "--beta", "1",
                         "--order", "5")
     assert table_text == "0 0 : " + coeff_text
+
+
+def test_the_longest_admitted_no_bounce_table_is_the_f_listing():
+    # the (1,1) table of no bounces at order 372, the largest the size limit
+    # admits: its one cell is n/d_0, the same long division as f
+    code, table_text = run("bounce-table", "--alpha", "1", "--beta", "1", "--order", "372",
+                           "--max-left", "0", "--max-right", "0")
+    _, coeff_text = run("coeffs", "--series", "f", "--alpha", "1", "--beta", "1",
+                        "--order", "372")
+    assert code == 0 and table_text == "0 0 : " + coeff_text
 
 
 def test_bounce_table_restriction_csv():
