@@ -259,6 +259,8 @@ def bounce_table(
     max_left: int,
     max_right: int,
     order: int,
+    *,
+    cells: tuple[dict, tuple] | None = None,
 ) -> tuple[tuple[Series, ...], ...]:
     """The grid of paths of the class ``restriction`` by their bounces: cell
     [l][r], for l <= max_left and r <= max_right, is the series of order
@@ -266,10 +268,17 @@ def bounce_table(
     coefficient of s^l t^r of :func:`marker_cells`' quotient.  Mirrored cells
     and zero cells may be one shared Series.  A cell with a negative
     coefficient is refused with a ValueError that names its first position
-    in row-major order; each distinct cell is checked once."""
+    in row-major order; each distinct cell is checked once.
+
+    ``cells`` is ``marker_cells(slope, order)``, built here when None; a
+    caller that tables several restrictions of one slope builds it once.
+    Cells of another order are refused with a ValueError before any
+    expansion."""
     if max_left < 0 or max_right < 0:  # refused before the grids are built
         raise ValueError("marker bounds must be non-negative")
-    numerators, denominator = marker_cells(slope, order)
+    numerators, denominator = marker_cells(slope, order) if cells is None else cells
+    if denominator[0].order != order:
+        raise ValueError(f"marker cells of order {denominator[0].order} given for order {order}")
     grid = expand_marker_quotient(numerators[restriction], denominator, max_left, max_right)
     checked = set()
     for l, row in enumerate(grid):

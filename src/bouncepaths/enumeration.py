@@ -4,9 +4,10 @@ Every generating function in the package can be checked against this
 module: it counts all C((alpha+beta)k, alpha*k) step words of a given
 semilength by their bounces, and on request their horizontal crosses, with
 a transfer count over the grid (Stanley, EC1 4.7), classifying each line
-vertex as ``classify`` does; each state carries its whole (left, right)
-distribution packed into one int.  It also counts two-row standard Young tableaux, given as
-a :class:`TwoRowShape`, as ballot sequences.  Nothing here shares code with
+vertex as ``classify`` does; each state carries its whole (first, left,
+right) distribution packed into one int, in two blocks of k^2 slots, E-first
+paths below and N-first ones above.  It also counts two-row standard Young
+tableaux, given as a :class:`TwoRowShape`, as ballot sequences.  Nothing here shares code with
 the generating functions: from the package it imports only the slope,
 step and restriction types, ``binomial`` for the sweep's path-count
 self-check, and the record base of :mod:`bouncepaths.series`.
@@ -95,25 +96,33 @@ def classify(word: str, slope: Slope) -> BounceProfile:
 # ------------------------------------------------------------- full sweeps
 
 
+# every distinct profile record, keyed by its fields; records are immutable,
+# so each sweep shares them.  At MAX_STEPS = 40 there are at most
+# 20 * 20 * 21 * 4 keys: l, r < 20, crosses None or 0..19, and two end steps
+_PROFILES: dict[tuple, BounceProfile] = {}
+
+
 def _sweep(alpha, beta, k, width, track_h):
     """Transfer count over all paths to (alpha*k, beta*k), one step at a time.
 
-    After ``steps`` steps the state (x, last, first, crosses) fixes the
-    vertex (x, steps - x); a vertex on the line is classified as
-    ``classify`` does it before the next step leaves it.  The origin and the
-    endpoint are not classified.  Only two fields vary with the walk:
+    After ``steps`` steps the state (x, last, crosses) fixes the vertex
+    (x, steps - x); a vertex on the line is classified as ``classify`` does
+    it before the next step leaves it.  The origin and the endpoint are not
+    classified.  Only two fields vary with the walk:
     - ``last``, the arrival step, is kept only at the step's line vertex,
       x = alpha * steps / (alpha + beta), which includes the endpoint, and
       is None elsewhere.  Merging those states is exact: a vertex off the
       line is not classified, and the step that leaves it is the next
       vertex's arrival step, so no later step reads the one before;
     - ``crosses`` counts horizontal crosses when ``track_h``, else stays 0.
-    A state's value packs its path counts by (left, right) into one int,
-    ``width`` bits for slot l*k + r: a right bounce shifts it by one slot, a
-    left bounce by k slots, and merging two states adds their ints.  No slot
-    spills into another:
-    - a path meets the line at k - 1 inner points, so l, r < k and slot
-      l*k + r names one (l, r);
+    A state's value packs its path counts by (first, left, right) into one
+    int, ``width`` bits for slot first*k^2 + l*k + r, first 0 for E and 1
+    for N: an N-first path starts at slot k^2, a right bounce shifts a count
+    by one slot, a left bounce by k slots, and merging two states adds their
+    ints.  No slot spills into another:
+    - a path meets the line at k - 1 inner points, so l, r < k and
+      l*k + r < k^2: slot l*k + r of a block names one (l, r), and no
+      bounce shifts an E-first count into the N-first block;
     - a slot counts prefixes of one length that still reach the endpoint,
       and those extend to disjoint sets of paths, so no slot exceeds
       C((alpha+beta)k, alpha*k); with ``width`` past that count's bit
@@ -122,39 +131,43 @@ def _sweep(alpha, beta, k, width, track_h):
     """
     E, N = Step.E, Step.N
     ex, ey = alpha * k, beta * k
-    right, left = width, width * k
+    right, left, square = width, width * k, k * k
     # a line vertex needs alpha + beta | steps (the slope is coprime), so
     # none is one step from the origin
-    states = {(1, None, E, 0): 1, (0, None, N, 0): 1}
+    states = {(1, None, 0): 1, (0, None, 0): 1 << width * square}
     line = -1
     for steps in range(1, ex + ey):
         rounds, rest = divmod(steps + 1, alpha + beta)
         after = -1 if rest else alpha * rounds
         advanced: dict[tuple, int] = {}
-        for (x, last, first, h), packed in states.items():
+        for (x, last, h), packed in states.items():
             on_line = x == line
             if x < ex:
                 arrival = E if x + 1 == after else None
                 if on_line and last is N:
-                    key, value = (x + 1, arrival, first, h), packed << right
+                    key, value = (x + 1, arrival, h), packed << right
                 elif on_line and track_h:  # E in, E out: a horizontal cross
-                    key, value = (x + 1, arrival, first, h + 1), packed
+                    key, value = (x + 1, arrival, h + 1), packed
                 else:
-                    key, value = (x + 1, arrival, first, h), packed
+                    key, value = (x + 1, arrival, h), packed
                 advanced[key] = advanced.get(key, 0) + value
             if steps - x < ey:
-                key = (x, N if x == after else None, first, h)
+                key = (x, N if x == after else None, h)
                 value = packed << left if on_line and last is E else packed
                 advanced[key] = advanced.get(key, 0) + value
         states, line = advanced, after
     mask = (1 << width) - 1
     profiles = Counter()
-    for (_, last, first, h), packed in states.items():
+    for (_, last, h), packed in states.items():
         h = h if track_h else None
         slot = 0
         while packed:
             if count := packed & mask:
-                profiles[BounceProfile(*divmod(slot, k), h, first, last)] = count
+                # a slot past 2k^2 - 1 only follows a carry, which the caller's sum check finds
+                first, cell = (E, slot) if slot < square else (N, slot - square)
+                key = (*divmod(cell, k), h, first, last)
+                profile = _PROFILES.get(key) or _PROFILES.setdefault(key, BounceProfile(*key))
+                profiles[profile] = count
             packed >>= width
             slot += 1
     return profiles

@@ -359,8 +359,8 @@ def suite_specializations(
     results = []
     for slope in coprime_slopes(max_slope_sum):
         tag = f"({slope.alpha},{slope.beta})"
-        bound = order - 1
-        table = bounce_table(slope, Restriction.ALL, bound, bound, order)
+        bound, cells = order - 1, marker_cells(slope, order)
+        table = bounce_table(slope, Restriction.ALL, bound, bound, order, cells=cells)
         # (name, actual, expected)
         checks = [
             (f"markers (1,1) give all paths {tag}", sum(map(sum, table)), g_series(slope, order)),
@@ -377,7 +377,7 @@ def suite_specializations(
         ]
         results += _checks_equal(checks, context=tag)
         for restriction in AB_RESTRICTIONS:
-            restricted = bounce_table(slope, restriction, bound, bound, order)
+            restricted = bounce_table(slope, restriction, bound, bound, order, cells=cells)
             label = restriction.value
             checks = [
                 (

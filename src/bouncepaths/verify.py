@@ -100,15 +100,23 @@ def _by_semilength(profiles, count) -> Series:
 
 
 def _matches_table(
-    name: str, slope: Slope, restriction: Restriction, grid, order: int, context: str = ""
+    name: str,
+    slope: Slope,
+    restriction: Restriction,
+    grid,
+    order: int,
+    context: str = "",
+    cells=None,
 ) -> CheckResult:
     """The library's bounce table of ``slope`` and ``restriction`` at the
     bounds of ``grid``, a grid of series, checked against it on coefficient
     tuples; a failure names the first mismatching cell in l, then r, then k
-    order, and a grid whose rows differ in length has its shape reported."""
+    order, and a grid whose rows differ in length has its shape reported.
+    ``cells``, the slope's marker cells when the caller holds them, is
+    passed on to the table."""
     from .bounce import bounce_table  # only the table checks load the bounce layer
 
-    table = bounce_table(slope, restriction, len(grid) - 1, len(grid[0]) - 1, order)
+    table = bounce_table(slope, restriction, len(grid) - 1, len(grid[0]) - 1, order, cells=cells)
     if [[s.coeffs for s in row] for row in table] == [[s.coeffs for s in row] for row in grid]:
         return CheckResult(name, True)
     where = f"{context} " if context else ""
@@ -136,27 +144,36 @@ def suite_oracle_vs_table(
     max_slope_sum: int = 7, max_steps: int = 40
 ) -> list[CheckResult]:
     """Every table entry, every restriction, against exhaustive enumeration.
-    A slope of more than ``max_steps`` steps has no path to compare."""
+    A slope of more than ``max_steps`` steps has no path to compare.  Each
+    slope's marker cells are built once and given to every restriction's
+    table."""
+    from . import bounce
+
     results = []
     restrictions = [Restriction.ALL, *AB_RESTRICTIONS]
     for slope in coprime_slopes(min(max_slope_sum, max_steps)):
         semilengths = max_steps // (slope.alpha + slope.beta)
         tag = f"({slope.alpha},{slope.beta})"
         name = f"table vs enumeration {tag}, {semilengths * (slope.alpha + slope.beta)} steps"
-        cells = range(semilengths)  # a path of semilength k has at most k - 1 bounces
+        bounds = range(semilengths)  # a path of semilength k has at most k - 1 bounces
         profiles = [enumerate_profiles(slope, k) for k in range(1, semilengths + 1)]
         zero = Series.zero(semilengths)
+        cells = bounce.marker_cells(slope, semilengths)
 
         def grid(restriction):
-            # each cell's counts by semilength, one zero series for every cell no path reaches
-            tables = [count_table(p, restriction) for p in profiles]
-            reached = {
-                key: _by_semilength(tables, lambda t: t.get(key, 0)) for key in set().union(*tables)
-            }
-            return [[reached.get((l, r), zero) for r in cells] for l in cells]
+            # each reached cell's counts by semilength, filled in one pass over
+            # each semilength's table; one zero series for every cell no path reaches
+            reached = {}
+            for k, p in enumerate(profiles, 1):
+                for key, n in count_table(p, restriction).items():
+                    reached.setdefault(key, [0] * (semilengths + 1))[k] = n
+            reached = {key: Series(tuple(counts)) for key, counts in reached.items()}
+            return [[reached.get((l, r), zero) for r in bounds] for l in bounds]
 
         checks = (
-            _matches_table(name, slope, r, grid(r), semilengths, context=f"{tag} {r.value}")
+            _matches_table(
+                name, slope, r, grid(r), semilengths, context=f"{tag} {r.value}", cells=cells
+            )
             for r in restrictions
         )
         results.append(_first_failure(name, checks))

@@ -524,6 +524,23 @@ def shared_grid(cells):
     return [[objects.setdefault(cell, Series(cell)) for cell in row] for row in cells]
 
 
+@pytest.mark.parametrize("slope", [Slope(1, 1), Slope(2, 1), Slope(3, 2)], ids=str)
+def test_bounce_table_from_given_marker_cells_is_the_same_table(slope):
+    # one slope's marker cells serve every restriction's table
+    cells = marker_cells(slope, 8)
+    for restriction in Restriction:
+        given = bounce_table(slope, restriction, 7, 7, 8, cells=cells)
+        assert given == bounce_table(slope, restriction, 7, 7, 8), restriction
+
+
+def test_bounce_table_refuses_marker_cells_of_another_order(monkeypatch):
+    cells = marker_cells(Slope(2, 1), 7)
+    # refused before any expansion
+    monkeypatch.setattr(bounce, "expand_marker_quotient", None)
+    with pytest.raises(ValueError, match="^marker cells of order 7 given for order 8$"):
+        bounce_table(Slope(2, 1), Restriction.EN, 3, 3, 8, cells=cells)
+
+
 def test_bounce_table_checks_shared_cells_at_their_first_position(monkeypatch):
     # mirrored and zero cells are one object; the table names the first
     # failing position in row-major order all the same

@@ -441,6 +441,19 @@ def test_importing_the_cli_leaves_verify_unloaded():
     assert result.stdout == "[]\n"
 
 
+def test_a_profiler_run_as_the_main_program_writes_its_profile(tmp_path):
+    # the CLI exits normally, so cProfile, which runs it as its main program,
+    # still writes the profile at exit
+    profile = tmp_path / "cli.prof"
+    result = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(profile), "-m", "bouncepaths.cli",
+         "coeffs", "--series", "f_ee", "--alpha", "2", "--beta", "1", "--order", "5"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (result.returncode, result.stdout) == (0, "1 4 18 89 466\n"), result.stderr
+    assert profile.stat().st_size > 0
+
+
 def test_running_verify_leaves_inspect_unloaded():
     # the suites' parameter names come from their code objects
     probe = (

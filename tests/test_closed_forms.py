@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bouncepaths.closed_forms import (
+    NonIntegerCoefficient,
     Restriction,
     Slope,
     Step,
+    _exact,
     binomial,
     fuss_catalan,
     g_ab_series,
@@ -37,6 +39,11 @@ def test_binomial_values():
 def test_binomial_matches_stdlib(m, n):
     expected = math.comb(m, n) if 0 <= n <= m else 0
     assert binomial(m, n) == expected
+
+
+def test_an_inexact_coefficient_is_refused_by_name():
+    with pytest.raises(NonIntegerCoefficient, match="^g: coefficient 3 is not an integer$"):
+        _exact(7, 2, "g", 3)
 
 
 # -------------------------------------------------------------------- slope

@@ -256,6 +256,16 @@ def test_packed_sweep_matches_the_reference_sweep():
         assert profiles == reference_profiles(slope, k), (slope, k)
 
 
+@pytest.mark.parametrize("slope, k", [(Slope(1, 1), 3), (Slope(1, 1), 5), (Slope(2, 1), 2)])
+def test_the_path_count_check_catches_slots_too_narrow(monkeypatch, slope, k):
+    """Slots sized for 3 paths overflow: counts carry into their neighbours,
+    and from the E-first block into the N-first one, and the decoded
+    counts no longer sum to the path count."""
+    monkeypatch.setattr(enumeration, "binomial", lambda n, m: 3)
+    with pytest.raises(RuntimeError, match="^the sweep lost or duplicated paths; this is a bug$"):
+        enumerate_profiles(slope, k)
+
+
 def test_untracked_crosses_merge_the_tracked_profiles():
     """Every coprime slope with alpha + beta <= 9 and up to 20 steps: the
     profiles without crosses are those with crosses, dropped and merged."""

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,10 +56,23 @@ def test_helpers():
     assert S(1, 2, 3, 4).truncate(1) == S(1, 2)
 
 
+def test_x_and_truncate_refuse_orders_out_of_reach():
+    with pytest.raises(ValueError, match="^x does not fit in a series of order 0$"):
+        Series.x(0)
+    with pytest.raises(ValueError, match="^cannot extend order 2 to 3$"):
+        S(1, 2, 3).truncate(3)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_with_a_foreign_operand_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op(S(1, 2), "x")
+
+
 # one argument per parameter name of the exported functions that take an order
 ARGUMENTS = {
     "slope": Slope(2, 1), "restriction": Restriction.EE, "first": Step.E, "last": Step.N,
-    "alpha": 2, "total_bounces": 1, "max_left": 2, "max_right": 2, "order": -1,
+    "alpha": 2, "total_bounces": 1, "max_left": 2, "max_right": 2, "order": -1, "cells": None,
 }
 
 

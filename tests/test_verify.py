@@ -109,9 +109,9 @@ def test_cross_checks_catch_a_wrong_production_formula(
     module = bounce if production == "bounce_table" else sys.modules[suite.__module__]
     original = getattr(module, production)
 
-    def skewed(*args):
+    def skewed(*args, **kwargs):
         # x^6 added to the series; of a bounce table's grid, to its cell (1, 1)
-        value = original(*args)
+        value = original(*args, **kwargs)
         if isinstance(value, Series):
             return value + Series.x(value.order) ** 6
         grid = [list(row) for row in value]
@@ -389,6 +389,29 @@ def test_only_the_crosses_suite_asks_for_crosses(monkeypatch):
         asked.clear()
         assert all(check.passed for check in SUITES[suite](**options)), suite
         assert asked and set(asked) == {crosses}, suite
+
+
+def test_oracle_vs_table_builds_each_slopes_marker_cells_once(monkeypatch):
+    # the oracle still checks bounce_table itself, once per (slope, restriction)
+    built, tabled = [], []
+    cells, table = bounce.marker_cells, bounce.bounce_table
+
+    def building(slope, order):
+        built.append(slope)
+        return cells(slope, order)
+
+    def tabling(slope, restriction, *args, **kwargs):
+        tabled.append((slope, restriction))
+        return table(slope, restriction, *args, **kwargs)
+
+    monkeypatch.setattr(bounce, "marker_cells", building)
+    monkeypatch.setattr(bounce, "bounce_table", tabling)
+    assert all(check.passed for check in verify.suite_oracle_vs_table(7, 22))
+    slopes = coprime_slopes(7)
+    assert built == slopes  # 17 builds; 85 when each table built its own
+    assert sorted(tabled, key=str) == sorted(
+        ((slope, r) for slope in slopes for r in Restriction), key=str
+    )
 
 
 def test_run_prints_each_suite_its_checks_and_a_summary(monkeypatch):
