@@ -20,8 +20,9 @@ change is better.
 Each ``--job`` is a CLI command line, run ``--rounds`` times from each tree as
 a fresh ``python -m bouncepaths.cli`` process that compiles from source; the
 sides alternate which goes first.  The output file records every sample's
-wall time, exit status and stdout digest, and per job the same summary of
-``wall_s``.  A round whose two sides print different output stops the run.
+wall time, exit status, stdout digest and first stderr line, and per job the
+same summary of ``wall_s``.  A round whose two sides print different output,
+on either stream, stops the run.
 """
 
 import argparse
@@ -86,24 +87,29 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
 
 def run_job(tree: Path, job: str) -> dict:
     """One fresh ``python -m bouncepaths.cli`` process of ``job`` from the
-    tree's ``src``, compiling from source: its wall time, exit status and the
-    sha256 of its stdout."""
+    tree's ``src``, compiling from source: its wall time, exit status, the
+    sha256 of its stdout and the first line of its stderr, where a refusal
+    or a usage error says why."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
         filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
     start = perf_counter()
     proc = subprocess.run([sys.executable, "-m", "bouncepaths.cli", *shlex.split(job)],
                           cwd=tree, env=env, capture_output=True)
     return {"wall_s": perf_counter() - start, "exit": proc.returncode,
-            "sha256": hashlib.sha256(proc.stdout).hexdigest()}
+            "sha256": hashlib.sha256(proc.stdout).hexdigest(),
+            "stderr": proc.stderr.decode(errors="replace").partition("\n")[0]}
 
 
 def check_round(job: str, sample: dict) -> None:
     """Raise unless both sides of one round of ``job`` exited alike and
-    printed the same stdout."""
-    base, change = ((sample[side]["exit"], sample[side]["sha256"]) for side in ("base", "change"))
+    printed the same stdout and the same first stderr line; a sample
+    recorded without its stderr line (``BENCH_37.json``, ``BENCH_38.json``)
+    compares it as None."""
+    base, change = ((sample[side]["exit"], sample[side]["sha256"], sample[side].get("stderr"))
+                    for side in ("base", "change"))
     if base != change:
-        raise RuntimeError(f"{job!r} round {sample['round']}: the sides differ, "
-                           f"exit and stdout sha256 {base} (base) != {change} (change)")
+        raise RuntimeError(f"{job!r} round {sample['round']}: the sides differ, exit, "
+                           f"stdout sha256 and stderr {base} (base) != {change} (change)")
 
 
 def job_value(sample: dict, name: str) -> float:

@@ -62,11 +62,14 @@ def test_summary_of_recorded_job_rounds():
     assert (wall["pairs_won"], wall["pairs"]) == (2, 4)
 
 
-@pytest.mark.parametrize("differs", ["stdout", "exit"])
+@pytest.mark.parametrize("differs", ["stdout", "exit", "stderr"])
 def test_a_round_whose_sides_differ_stops_the_run(differs):
     sample = job_round(3, 0.060, 0.055, ("a" * 64, ("b" if differs == "stdout" else "a") * 64))
     if differs == "exit":
         sample["change"]["exit"] = 1
+    if differs == "stderr":  # a refusal, empty on stdout, reworded
+        for side, message in (("base", "error: --order: 'x'"), ("change", "error: --order x")):
+            sample[side].update(exit=1, stderr=message)
     with pytest.raises(RuntimeError, match=r"^'coeffs --series g' round 3: the sides differ"):
         bench_pair.check_round("coeffs --series g", sample)
 
