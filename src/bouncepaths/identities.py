@@ -13,10 +13,10 @@ through the check record and comparison helpers of
 :mod:`bouncepaths.verify`, every table check through its
 :func:`~bouncepaths.verify._matches_table`.
 
-``SUITES`` holds these nine suites; ``verify.SUITES`` holds the four that
-compare against enumeration.  Only :func:`bouncepaths.verify.registry`
-imports this module, and only when a run names an identity suite, runs
-every suite, or names a suite neither registry holds.
+Each of the nine suites is ``suite_<name>`` for its name in
+``verify.SUITES``, the one table of suites, with hyphens as underscores.
+Only :func:`bouncepaths.verify.registry` imports this module, and only
+when a run names an identity suite or runs every suite.
 """
 
 import random
@@ -520,15 +520,3 @@ def suite_catalan_slope(order: int = 12) -> list[CheckResult]:
     results.append(_matches_table(name, slope, Restriction.ALL, form, order))
     return results
 
-
-SUITES = {
-    "reference-series": suite_reference_series,
-    "ring": suite_ring,
-    "base-counts": suite_base_counts,
-    "fuss-catalan": suite_fuss_catalan,
-    "bounce-free": suite_bounce_free,
-    "specializations": suite_specializations,
-    "table-dual": suite_table_dual,
-    "beta1": suite_beta1,
-    "catalan-slope": suite_catalan_slope,
-}

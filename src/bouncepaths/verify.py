@@ -8,15 +8,15 @@ bounce table, against enumeration or against an alternative form, goes
 through :func:`_matches_table`.  The suites back both the command line
 ``verify`` command and the acceptance tests.
 
-This module holds the check record, the comparison helpers and ``SUITES``,
-the four suites that compare the generating functions against exhaustive
-enumeration: ``oracle-vs-table``, ``total-bounces``, ``syt`` (with the
-hook-length count of two-row tableaux) and ``crosses``.  The nine identity
-suites, which hold each series against its alternative formulas, and those
-formulas live in :mod:`bouncepaths.identities`.  :func:`run` is the
-``verify`` command: :func:`registry` finds the suites it names, in plain
-``verify``'s ``ORDER``, importing identities only when needed, and each
-option must lie in ``BOUNDS`` and be one that a named suite takes.
+This module holds the check record, the comparison helpers, ``SUITES``
+(every suite, in plain ``verify``'s order) and the four suites that
+compare the generating functions against exhaustive enumeration:
+``oracle-vs-table``, ``total-bounces``, ``syt`` (with the hook-length count
+of two-row tableaux) and ``crosses``.  The nine identity suites and the
+alternative formulas they hold each series against live in
+:mod:`bouncepaths.identities`.  :func:`run` is the ``verify`` command:
+:func:`registry` finds the suites it names, and each option must lie in
+``BOUNDS`` and be one that a named suite takes.
 """
 
 import math
@@ -93,10 +93,11 @@ def _checks_equal(checks, context: str = "") -> list[CheckResult]:
     return [_series_equal(name, actual, expected, context) for name, actual, expected in checks]
 
 
-def _by_semilength(profiles, count) -> Series:
-    """``count`` of each profile multiset, by semilength 1, 2, ...: no path
-    has semilength 0, so the k = 0 coefficient is 0."""
-    return Series((0, *map(count, profiles)))
+def _enumerated(profiles, **filters) -> Series:
+    """The paths of each profile multiset that pass ``filters``, those of
+    :func:`count_matching`, by semilength 1, 2, ...: no path has semilength
+    0, so the k = 0 coefficient is 0."""
+    return Series((0, *(count_matching(p, **filters) for p in profiles)))
 
 
 def _matches_table(
@@ -189,7 +190,7 @@ def suite_total_bounces(b_max: int = 6, n_max: int = 11) -> list[CheckResult]:
     profiles = [enumerate_profiles(slope, n) for n in range(1, n_max + 1)]
     for b in range(b_max + 1):
         series = g_b_series(b, n_max)
-        enumerated = _by_semilength(profiles, lambda p: count_matching(p, total_bounces=b))
+        enumerated = _enumerated(profiles, total_bounces=b)
         results += _checks_equal(
             [
                 (f"coefficient formula for {b} total bounces", series, 2 * (c - 1) ** (b + 1)),
@@ -232,7 +233,7 @@ def suite_syt(n_max: int = 16) -> list[CheckResult]:
     profiles = [enumerate_profiles(Slope(1, 1), n) for n in range(1, n_max + 1)]
 
     def by_semilength(b, count) -> Series:
-        # no tableau or path of semilength n <= b has b bounces
+        # no tableau of semilength n <= b has b bounces
         return Series((0,) * (b + 1) + tuple(map(count, range(b + 1, n_max + 1))))
 
     def checks():
@@ -240,9 +241,7 @@ def suite_syt(n_max: int = 16) -> list[CheckResult]:
             hook = by_semilength(b, lambda n: syt_two_row_count(n, b))
             ballot = by_semilength(b, lambda n: enumerate_syt(TwoRowShape(n + b, n - b - 1)))
             yield _series_equal(name, ballot, hook, context=f"b={b} ballot")
-            paths = by_semilength(
-                b, lambda n: count_matching(profiles[n - 1], first=Step.E, total_bounces=b)
-            )
+            paths = _enumerated(profiles, first=Step.E, total_bounces=b)
             yield _series_equal(name, paths, hook, context=f"b={b} paths")
             yield _series_equal(name, g_b_series(b, n_max), 2 * hook, context=f"b={b} series")
 
@@ -281,12 +280,7 @@ def suite_crosses(
         profiles = [enumerate_profiles(slope, k, crosses=True) for k in range(1, semilengths + 1)]
         name = f"cross statistics match enumeration ({tag})"
         checks = (
-            _series_equal(
-                name,
-                series,
-                _by_semilength(profiles, lambda p: count_matching(p, **filters)),
-                context=f"{tag} {label}",
-            )
+            _series_equal(name, series, _enumerated(profiles, **filters), context=f"{tag} {label}")
             for label, series, filters in classes
         )
         results.append(_first_failure(name, checks))
@@ -306,19 +300,22 @@ def suite_crosses(
     return results
 
 
+# every suite in plain ``verify``'s order; an identity suite is None (see ``registry``)
 SUITES = {
+    "reference-series": None,
+    "ring": None,
+    "base-counts": None,
+    "fuss-catalan": None,
+    "bounce-free": None,
     "oracle-vs-table": suite_oracle_vs_table,
+    "specializations": None,
+    "table-dual": None,
+    "beta1": None,
+    "catalan-slope": None,
     "total-bounces": suite_total_bounces,
     "syt": suite_syt,
     "crosses": suite_crosses,
 }
-
-# the suites of both registries in the order plain ``verify`` runs them
-ORDER = (
-    "reference-series", "ring", "base-counts", "fuss-catalan", "bounce-free",
-    "oracle-vs-table", "specializations", "table-dual", "beta1", "catalan-slope",
-    "total-bounces", "syt", "crosses",
-)
 
 # (smallest, largest) value of each suite option: below the smallest a suite
 # compares nothing, above the largest it would exceed the oracle's budget or
@@ -344,22 +341,21 @@ MAX_SLOPE_DIGITS = 10_000
 
 
 def registry(names=()) -> dict:
-    """The suites a run of ``names`` (all when empty) reads: ``SUITES`` if
-    it holds every name, else every suite of both registries as they are
-    now, in ``ORDER`` and then any other entry of ``SUITES``.  An unknown
-    name is a ValueError that lists the suites."""
-    if names and SUITES.keys() >= set(names):
-        return SUITES
-    from . import identities
-
-    suites = dict.fromkeys(ORDER)
-    suites.update(identities.SUITES)
-    suites.update(SUITES)
-    unknown = [name for name in names if name not in suites]
+    """Each suite of ``names`` (all of ``SUITES`` when empty) by name, each
+    once; an identity suite, None in ``SUITES``, is ``suite_<name>`` of
+    :mod:`bouncepaths.identities`, hyphens as underscores.  An unknown name
+    is a ValueError that lists the suites, raised before any import."""
+    unknown = [name for name in names if name not in SUITES]
     if unknown:
-        raise ValueError(
-            f"unknown suite(s) {', '.join(unknown)}; available: {', '.join(suites)}"
-        )
+        raise ValueError(f"unknown suite(s) {', '.join(unknown)}; available: {', '.join(SUITES)}")
+    suites = {name: SUITES[name] for name in dict.fromkeys(names or SUITES)}
+    if None in suites.values():
+        from . import identities
+
+        suites = {
+            name: suite or getattr(identities, "suite_" + name.replace("-", "_"))
+            for name, suite in suites.items()
+        }
     return suites
 
 

@@ -478,6 +478,14 @@ def test_running_verify_leaves_inspect_unloaded():
 LAYERS = {"cli", "closed_forms", "series"}  # what importing the cli loads
 COEFFS = LAYERS | {"catalogue"}
 ORACLE = LAYERS | {"beta_one", "enumeration", "verify"}
+# the one error line of each row whose command is refused
+REFUSED = {
+    "main(['verify', '--suite', 'nope'])": (
+        "error: unknown suite(s) nope; available: reference-series, ring, base-counts, "
+        "fuss-catalan, bounce-free, oracle-vs-table, specializations, table-dual, beta1, "
+        "catalan-slope, total-bounces, syt, crosses\n"
+    ),
+}
 
 
 @pytest.mark.parametrize("statement, loaded", [
@@ -500,29 +508,36 @@ ORACLE = LAYERS | {"beta_one", "enumeration", "verify"}
     ("main(['verify', '--suite', 'oracle-vs-table', '--max-steps', '4'])",
      ORACLE | {"bounce"}),
     ("main(['verify', '--suite', 'ring', '--count', '3'])", ORACLE | {"bounce", "identities"}),
+    # refused against the suite table before any suite's module loads
+    ("main(['verify', '--suite', 'nope'])", ORACLE),
     # help reads the grammar; only the coeffs flags list the catalogue's names
     ("main(['--help'])", LAYERS),
     ("main(['verify', '--help'])", LAYERS),
     ("main(['coeffs', '--help'])", COEFFS),
 ], ids=["package", "cli", "coeffs-g", "coeffs-c_alpha", "coeffs-H", "coeffs-nhc_ee",
         "bounce-table", "coeffs-g_b", "verify-syt", "verify-total-bounces", "verify-crosses",
-        "verify-oracle-vs-table", "verify-ring", "help", "verify-help", "coeffs-help"])
+        "verify-oracle-vs-table", "verify-ring", "verify-nope", "help", "verify-help",
+        "coeffs-help"])
 def test_each_command_loads_only_the_modules_it_runs(statement, loaded):
-    # a fresh interpreter that compiles from source, as each CLI job does
+    # a fresh interpreter that compiles from source, as each CLI job does;
+    # it exits with the command's status
+    error = REFUSED.get(statement, "")
     if statement.startswith("main("):
         statement = (
-            "from bouncepaths.cli import main; "
-            f"assert {statement[:-1]}, out=io.StringIO()) == 0"
+            f"from bouncepaths.cli import main; code = {statement[:-1]}, out=io.StringIO())"
         )
+    else:
+        statement += "; code = 0"
     probe = (
         f"import io, sys; sys.path.insert(0, sys.argv[1]); {statement}; "
-        "print(*sorted(m for m in sys.modules if m.startswith('bouncepaths.')))"
+        "print(*sorted(m for m in sys.modules if m.startswith('bouncepaths.'))); sys.exit(code)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, str(ROOT / "src")],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
+    assert (result.returncode, result.stderr) == (1 if error else 0, error)
     assert set(result.stdout.split()) == {f"bouncepaths.{name}" for name in loaded}
 
 

@@ -301,17 +301,32 @@ def test_syt_suite_reports_a_wrong_ballot_count_with_its_semilength(monkeypatch)
     assert result.detail == f"b=1 ballot k=4 expected={hook} actual={hook + 1}"
 
 
+def _identity_attribute(name):
+    return "suite_" + name.replace("-", "_")
+
+
 def test_registry_is_complete():
-    # the two registries together hold every suite, each once
-    assert not SUITES.keys() & identities.SUITES.keys()
-    assert set(SUITES) | set(identities.SUITES) == set(PLAIN_VERIFY_ORDER)
+    # one table holds every suite, each once, in plain verify's order
+    assert list(SUITES) == PLAIN_VERIFY_ORDER
     assert list(verify.registry()) == PLAIN_VERIFY_ORDER
+    # each identity suite, None in the table, is identities.suite_<name>, and
+    # identities defines no suite the table leaves out
+    identity = [name for name, suite in SUITES.items() if suite is None]
+    assert set(identity) == set(PLAIN_VERIFY_ORDER) - set(ORACLE_SUITES)
+    suites = verify.registry(identity)
+    assert all(suites[name] is getattr(identities, _identity_attribute(name)) for name in identity)
+    defined = {
+        attr for attr, obj in vars(identities).items()
+        if attr.startswith("suite_") and isinstance(obj, types.FunctionType)
+    }
+    assert defined == set(map(_identity_attribute, identity))
 
 
 def test_the_benchmark_reads_public_oracle_suites_of_verify():
-    assert set(SUITES) == set(ORACLE_SUITES)
-    for name in ORACLE_SUITES:
-        suite = SUITES[name]
+    # the table's function entries are exactly the oracle suites
+    oracle = {name: suite for name, suite in SUITES.items() if suite is not None}
+    assert set(oracle) == set(ORACLE_SUITES)
+    for name, suite in oracle.items():
         assert isinstance(suite, types.FunctionType), name
         assert suite.__module__ == "bouncepaths.verify", name
         assert not suite.__name__.startswith("_"), name
@@ -328,9 +343,11 @@ def test_plain_verify_runs_every_suite_in_order(monkeypatch):
 
         return suite
 
-    for registry in (SUITES, identities.SUITES):
-        for name in registry:
-            monkeypatch.setitem(registry, name, stub(name))
+    for name, suite in list(SUITES.items()):
+        if suite is None:
+            monkeypatch.setattr(identities, _identity_attribute(name), stub(name))
+        else:
+            monkeypatch.setitem(SUITES, name, stub(name))
     out = io.StringIO()
     assert cli.main(["verify"], out=out) == 0
     headers = [line for line in out.getvalue().splitlines() if line.startswith("suite ")]
@@ -350,7 +367,7 @@ def test_repeated_suites_each_run_in_the_order_given(monkeypatch):
         return suite
 
     monkeypatch.setitem(SUITES, "syt", stub("syt"))
-    monkeypatch.setitem(identities.SUITES, "ring", stub("ring"))
+    monkeypatch.setattr(identities, "suite_ring", stub("ring"))
     order = ["ring", "syt", "syt", "ring"]
     out = io.StringIO()
     argv = ["verify", *(arg for name in order for arg in ("--suite", name))]
